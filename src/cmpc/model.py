@@ -15,6 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Folds (sign-of-y descending, user id ascending) into one integer so that
 # OrderKey stays a plain lexicographic triple. User ids must stay below it.
 _TIEBREAK_STRIDE = 2**32
@@ -158,34 +160,93 @@ def order_key(server: Server, user: User) -> OrderKey:
     return OrderKey(dist, cosine, tiebreak)
 
 
+@dataclass(frozen=True, eq=False)
+class OrderTable:
+    """Every candidate disk of an instance, as arrays with one row per server.
+
+    Row s lists server s's disks in ascending OrderKey: `order[s, t]` is the
+    boundary user of the disk at rank t, which contains exactly the users
+    `order[s, :t + 1]`, and `dist`, `cosine`, `tiebreak` and `power` hold
+    that disk's key and power. `rank[s, u]` is user u's rank around server s,
+    the inverse of `order[s]`. The disk of server s at rank t has the flat
+    index s * n + t in the solvers' flat disk arrays.
+    """
+
+    order: np.ndarray
+    rank: np.ndarray
+    dist: np.ndarray
+    cosine: np.ndarray
+    tiebreak: np.ndarray
+    power: np.ndarray
+
+    def key(self, server: int, rank: int) -> OrderKey:
+        return OrderKey(
+            float(self.dist[server, rank]),
+            float(self.cosine[server, rank]),
+            int(self.tiebreak[server, rank]),
+        )
+
+    def disk(self, server: int, rank: int) -> Disk:
+        """The disk of `server` at `rank`, as a Disk object."""
+        return Disk(
+            server=server,
+            boundary_user=int(self.order[server, rank]),
+            rank=rank,
+            key=self.key(server, rank),
+            power=float(self.power[server, rank]),
+        )
+
+
+def order_table(instance: Instance) -> OrderTable:
+    """The OrderTable of `instance`: every server's users sorted by OrderKey.
+
+    Keys and powers equal order_key() and power() bit for bit. Coordinate
+    differences and the cosine division are single IEEE operations, so numpy
+    computes them exactly as Python does; distances use math.hypot and powers
+    Python's float `**`, pair by pair, because np.hypot and np.power round
+    differently from them in the last bit on some inputs, and one such bit
+    can reorder two users at nearly equal distance or move an event time,
+    and so change a cover.
+    """
+    m, n = instance.m, instance.n
+    sx = np.array([s.pos.x for s in instance.servers], dtype=np.float64)[:, None]
+    sy = np.array([s.pos.y for s in instance.servers], dtype=np.float64)[:, None]
+    dx = np.array([u.pos.x for u in instance.users], dtype=np.float64)[None, :] - sx
+    dy = np.array([u.pos.y for u in instance.users], dtype=np.float64)[None, :] - sy
+    dist = np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()), np.float64, m * n).reshape(m, n)
+    cosine = np.divide(dx, dist, out=np.zeros((m, n)), where=dist > 0)
+    sign_y = (dy > 0).astype(np.int64) - (dy < 0)
+    tiebreak = (1 - sign_y) * _TIEBREAK_STRIDE + np.arange(n, dtype=np.int64)
+
+    order = np.lexsort((tiebreak, cosine, dist), axis=-1)
+    rows = np.arange(m)[:, None]
+    rank = np.empty((m, n), dtype=np.int64)
+    rank[rows, order] = np.arange(n, dtype=np.int64)
+    dist = dist[rows, order]
+    c, alpha = instance.params.c, instance.params.alpha
+    powers = np.fromiter((c * r**alpha for r in dist.ravel().tolist()), np.float64, m * n)
+    return OrderTable(
+        order=order,
+        rank=rank,
+        dist=dist,
+        cosine=cosine[rows, order],
+        tiebreak=tiebreak[rows, order],
+        power=powers.reshape(m, n),
+    )
+
+
 def server_order(instance: Instance, server_id: int) -> list[int]:
     """User ids sorted by ascending OrderKey around one server."""
-    server = instance.servers[server_id]
-    keyed = [(order_key(server, u), u.id) for u in instance.users]
-    keyed.sort()
-    return [uid for _, uid in keyed]
+    return order_table(instance).order[server_id].tolist()
 
 
 def build_disks(instance: Instance) -> list[Disk]:
     """All m*n candidate disks, server-major, ascending key within a server.
 
-    The flat index of the disk for server s at rank t is s * n + t; solver
-    and verifier modules rely on this layout.
+    The flat index of the disk for server s at rank t is s * n + t.
     """
-    disks: list[Disk] = []
-    for server in instance.servers:
-        keyed = sorted((order_key(server, u), u.id) for u in instance.users)
-        for rank, (key, uid) in enumerate(keyed):
-            disks.append(
-                Disk(
-                    server=server.id,
-                    boundary_user=uid,
-                    rank=rank,
-                    key=key,
-                    power=power(instance.params, key.dist),
-                )
-            )
-    return disks
+    table = order_table(instance)
+    return [table.disk(s, t) for s in range(instance.m) for t in range(instance.n)]
 
 
 def contains(disk: Disk, user_key: OrderKey) -> bool:
@@ -223,18 +284,43 @@ def instance_to_json_dict(instance: Instance) -> dict:
     }
 
 
+def _json_number(record: dict, field_name: str, where: str) -> float:
+    value = record[field_name]
+    # bool is an int subclass: without this check `true` would read as 1.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}{field_name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_capacity(record: dict, where: str) -> int:
+    value = record["k"]
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{where}k must be an integer, got {value!r}")
+    return int(value)
+
+
 def instance_from_json_dict(data: dict) -> Instance:
+    """Parse the instance JSON format; raises ValueError naming a bad field.
+
+    Numbers must be JSON numbers (not booleans or strings) and capacities
+    integers, so that nothing is silently truncated or coerced.
+    """
     for field_name in ("c", "alpha", "servers", "users"):
         if field_name not in data:
             raise ValueError(f"instance JSON: missing field '{field_name}'")
     try:
-        params = PowerParams(c=float(data["c"]), alpha=float(data["alpha"]))
+        params = PowerParams(c=_json_number(data, "c", ""), alpha=_json_number(data, "alpha", ""))
         servers = tuple(
-            Server(id=i, pos=Point(float(rec["x"]), float(rec["y"])), capacity=int(rec["k"]))
+            Server(
+                id=i,
+                pos=Point(_json_number(rec, "x", f"servers[{i}]."), _json_number(rec, "y", f"servers[{i}].")),
+                capacity=_json_capacity(rec, f"servers[{i}]."),
+            )
             for i, rec in enumerate(data["servers"])
         )
         users = tuple(
-            User(id=j, pos=Point(float(rec["x"]), float(rec["y"])))
+            User(id=j, pos=Point(_json_number(rec, "x", f"users[{j}]."), _json_number(rec, "y", f"users[{j}].")))
             for j, rec in enumerate(data["users"])
         )
     except KeyError as exc:

@@ -36,13 +36,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Disk, Instance, build_disks, server_order
+from .model import Disk, Instance, OrderTable, order_table
 from .solution import Solution, make_solution
 
 # A disk is tight when its remaining charge gap is below this, relative to
 # max(1, power): event times are exact in simple cases but accumulate
 # rounding over many events.
 TIGHTNESS_TOL = 1e-9
+
+# Elements per temporary array in DualState.finalize, which sums gamma prices
+# over blocks of a server's disks instead of an n x n matrix at once.
+FINALIZE_BLOCK_ELEMENTS = 1 << 16
 
 
 class InsufficientCapacityError(ValueError):
@@ -101,9 +105,9 @@ def trace_to_json_list(trace: EventTrace) -> list[dict]:
 class SolverState:
     """Mutable ascent state: uncovered census, accumulated charge, capacities.
 
-    The disk of server s at rank t lives at flat index s*n + t;
-    `uncovered_in_disk[idx]` counts its uncovered members and `lhs[idx]` its
-    accumulated charge.
+    The disk of server s at rank t lives at flat index s*n + t (see
+    OrderTable); `uncovered_in_disk[idx]` counts its uncovered members and
+    `lhs[idx]` its accumulated charge.
     """
 
     def __init__(self, instance: Instance):
@@ -111,14 +115,9 @@ class SolverState:
         self.instance = instance
         self.n = n
         self.m = m
-        self.disks = build_disks(instance)
-        self.orders = tuple(tuple(server_order(instance, s)) for s in range(m))
-        self.user_rank = np.empty((m, n), dtype=np.int64)
-        for s in range(m):
-            for rank, uid in enumerate(self.orders[s]):
-                self.user_rank[s, uid] = rank
+        self.table = order_table(instance)
         self.disk_server = np.repeat(np.arange(m, dtype=np.int64), n)
-        self.powers = np.array([d.power for d in self.disks], dtype=np.float64)
+        self.powers = self.table.power.ravel()
         self.lhs = np.zeros(m * n, dtype=np.float64)
         self.uncovered_in_disk = np.tile(np.arange(1, n + 1, dtype=np.int64), m)
         self.active = np.ones(m * n, dtype=bool)
@@ -137,10 +136,14 @@ class SolverState:
         return set(np.nonzero(self.active)[0].tolist())
 
     def uncovered_members(self, disk: Disk) -> list[int]:
-        return [h for h in self.orders[disk.server][: disk.rank + 1] if not self.covered[h]]
+        members = self.table.order[disk.server, : disk.rank + 1]
+        return members[~self.covered[members]].tolist()
 
     def disk_index(self, disk: Disk) -> int:
         return disk.server * self.n + disk.rank
+
+    def disk_at(self, idx: int) -> Disk:
+        return self.table.disk(*divmod(int(idx), self.n))
 
     def rates(self) -> np.ndarray:
         r = np.minimum(self.remaining_capacity[self.disk_server], self.uncovered_in_disk)
@@ -166,8 +169,7 @@ class DualState:
     def __init__(self, state: SolverState):
         self.n = state.n
         self.m = state.m
-        self._orders = state.orders
-        self._user_rank = state.user_rank
+        self._table = state.table
         self._capacity = np.array([s.capacity for s in state.instance.servers], dtype=np.int64)
         self._powers = state.powers
         self.clock = 0.0
@@ -188,7 +190,7 @@ class DualState:
     def gamma_members_array(self, disk_index: int) -> np.ndarray:
         """Gamma prices of the disk's members, in the disk's rank order."""
         s, rank = divmod(disk_index, self.n)
-        members = np.asarray(self._orders[s][: rank + 1], dtype=np.int64)
+        members = self._table.order[s, : rank + 1]
         g = self.gamma_start[disk_index]
         if math.isnan(g):
             return np.zeros(len(members))
@@ -197,7 +199,7 @@ class DualState:
 
     def gamma_value(self, user: int, disk_index: int) -> float:
         s, rank = divmod(disk_index, self.n)
-        if self._user_rank[s, user] > rank:
+        if self._table.rank[s, user] > rank:
             return 0.0
         g = self.gamma_start[disk_index]
         if math.isnan(g):
@@ -205,9 +207,6 @@ class DualState:
         cov = self.covered_at[user]
         paid_until = self.clock if math.isnan(cov) else cov
         return max(0.0, paid_until - g)
-
-    def gamma_sum_for_disk(self, disk_index: int) -> float:
-        return float(self.gamma_members_array(disk_index).sum())
 
     @property
     def gamma(self) -> dict[tuple[int, int], float]:
@@ -219,21 +218,35 @@ class DualState:
         out: dict[tuple[int, int], float] = {}
         for idx in range(self.m * self.n):
             s, rank = divmod(idx, self.n)
-            members = self._orders[s][: rank + 1]
+            members = self._table.order[s, : rank + 1].tolist()
             for h, value in zip(members, self.gamma_members_array(idx)):
                 if value > 0:
                     out[(h, idx)] = float(value)
         return out
 
     def finalize(self) -> None:
-        """Set mu to the least slack making every disk constraint feasible."""
-        mn = self.m * self.n
-        excess = np.zeros(self.m)
-        beta = self.beta
-        for idx in range(mn):
-            s = idx // self.n
-            lhs = self._capacity[s] * beta[idx] + self.gamma_sum_for_disk(idx)
-            excess[s] = max(excess[s], lhs - self._powers[idx])
+        """Set mu to the least slack making every disk constraint feasible.
+
+        The disk of server s at rank t needs k_s * beta + sum over its members
+        j <= t of max(0, paid_j - gamma_start) <= power + mu_s. The sums are
+        taken over blocks of ranks, so temporaries stay O(block * n).
+        """
+        m, n = self.m, self.n
+        paid = self.theta
+        # A disk still in its beta phase has no gamma prices.
+        start = np.nan_to_num(self.gamma_start.reshape(m, n), nan=np.inf)
+        lhs = self._capacity[:, None] * self.beta.reshape(m, n)
+        step = min(n, max(1, FINALIZE_BLOCK_ELEMENTS // n))
+        later_member = np.triu(np.ones((step, step), dtype=bool), 1)
+        for s in range(m):
+            paid_s = paid[self._table.order[s]]
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                gap = paid_s[None, :hi] - start[s, lo:hi, None]
+                np.maximum(gap, 0.0, out=gap)
+                gap[:, lo:][later_member[: hi - lo, : hi - lo]] = 0.0
+                lhs[s, lo:hi] += gap.sum(axis=1)
+        excess = (lhs - self._powers.reshape(m, n)).max(axis=1)
         self.mu = np.maximum(0.0, excess)
 
 
@@ -271,7 +284,7 @@ def next_event(state: SolverState, duals: DualState) -> tuple[float, list[Disk]]
     delta = max(float(np.min(residual[positive] / rates[positive])), 0.0)
     after = residual - rates * delta
     tight = positive & (after <= TIGHTNESS_TOL * np.maximum(1.0, state.powers))
-    return delta, [state.disks[i] for i in np.nonzero(tight)[0]]
+    return delta, [state.disk_at(i) for i in np.nonzero(tight)[0]]
 
 
 def _advance(state: SolverState, duals: DualState, delta: float) -> None:
@@ -343,7 +356,7 @@ def apply_selection(state: SolverState, duals: DualState, disk: Disk) -> set[int
     # Covered users leave every disk's uncovered census.
     for h in newly:
         for t in range(state.m):
-            state.uncovered_in_disk[t * state.n + state.user_rank[t, h] : (t + 1) * state.n] -= 1
+            state.uncovered_in_disk[t * state.n + state.table.rank[t, h] : (t + 1) * state.n] -= 1
 
     if state.remaining_capacity[s] == 0:
         rest = np.zeros(len(state.active), dtype=bool)
@@ -404,7 +417,7 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
     duals.finalize()
 
     chosen: list[Optional[Disk]] = [
-        state.disks[i] if i is not None else None for i in state.last_selected
+        state.disk_at(i) if i is not None else None for i in state.last_selected
     ]
     solution = make_solution(instance, chosen, [int(s) for s in state.assignment])
     return solution, duals, list(state.trace)
@@ -439,42 +452,39 @@ def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> lis
     All prices must be >= -tol. Returns every violation found (empty means
     feasible); this checker is independent of the ascent bookkeeping.
     """
-    n = instance.n
-    disks = build_disks(instance)
-    orders = [server_order(instance, s) for s in range(instance.m)]
+    m, n = instance.m, instance.n
+    table = order_table(instance)
     theta = np.asarray(duals.theta, dtype=np.float64)
     beta = np.asarray(duals.beta, dtype=np.float64)
     mu = np.asarray(duals.mu, dtype=np.float64)
     violations: list[DualViolation] = []
 
-    for h in range(n):
-        if theta[h] < -tol:
-            violations.append(DualViolation("negative user price", float(-theta[h]), user=h))
-    for idx in range(len(disks)):
-        if beta[idx] < -tol:
-            violations.append(DualViolation("negative flat price", float(-beta[idx]), disk=idx))
-    for i in range(instance.m):
-        if mu[i] < 0:
-            violations.append(DualViolation("negative slack price", float(-mu[i]), disk=None, user=None))
+    for h in np.nonzero(theta < -tol)[0].tolist():
+        violations.append(DualViolation("negative user price", float(-theta[h]), user=h))
+    for idx in np.nonzero(beta < -tol)[0].tolist():
+        violations.append(DualViolation("negative flat price", float(-beta[idx]), disk=idx))
+    for i in np.nonzero(mu < 0)[0].tolist():
+        violations.append(DualViolation("negative slack price", float(-mu[i]), disk=None, user=None))
 
     use_fast = hasattr(duals, "gamma_members_array")
-    for idx, disk in enumerate(disks):
-        members = orders[disk.server][: disk.rank + 1]
+    for idx in range(m * n):
+        s, rank = divmod(idx, n)
+        members = table.order[s, : rank + 1]
         if use_fast:
             gammas = np.asarray(duals.gamma_members_array(idx), dtype=np.float64)
         else:
-            gammas = np.array([duals.gamma_value(h, idx) for h in members], dtype=np.float64)
-        for pos, h in enumerate(members):
-            g = float(gammas[pos])
+            gammas = np.array([duals.gamma_value(h, idx) for h in members.tolist()], dtype=np.float64)
+        slack = theta[members] - beta[idx] - gammas
+        for pos in np.nonzero((gammas < -tol) | (slack > tol))[0].tolist():
+            h, g = int(members[pos]), float(gammas[pos])
             if g < -tol:
                 violations.append(DualViolation("negative individual price", -g, user=h, disk=idx))
-            slack = theta[h] - beta[idx] - g
-            if slack > tol:
-                violations.append(DualViolation("user price exceeds disk prices", float(slack), user=h, disk=idx))
-        lhs = instance.servers[disk.server].capacity * beta[idx] + float(gammas.sum())
-        slack = lhs - disk.power - mu[disk.server]
-        if slack > tol:
-            violations.append(DualViolation("disk budget exceeded", float(slack), disk=idx))
+            if slack[pos] > tol:
+                violations.append(DualViolation("user price exceeds disk prices", float(slack[pos]), user=h, disk=idx))
+        lhs = instance.servers[s].capacity * beta[idx] + float(gammas.sum())
+        budget_slack = lhs - table.power[s, rank] - mu[s]
+        if budget_slack > tol:
+            violations.append(DualViolation("disk budget exceeded", float(budget_slack), disk=idx))
     return violations
 
 
@@ -493,6 +503,7 @@ def charge_breakdown(
     trace: EventTrace,
     duals,
     event_index: int,
+    table: Optional[OrderTable] = None,
 ) -> dict[int, float]:
     """Per-user charges paying for one selection event's disk power.
 
@@ -501,11 +512,13 @@ def charge_breakdown(
     into the flat price; afterwards every still-uncovered member paid its
     individual price until covered. The charges are rebuilt from the event
     trace and closed-form prices, independently of the ascent's running sums;
-    they sum to the disk's power and never exceed a user's theta.
+    they sum to the disk's power and never exceed a user's theta. `table`
+    is the instance's OrderTable, built here when not given.
     """
     ev = trace[event_index]
-    order = server_order(instance, ev.server)
-    members = order[: ev.rank + 1]
+    if table is None:
+        table = order_table(instance)
+    members = table.order[ev.server, : ev.rank + 1].tolist()
     covered_at = np.asarray(duals.covered_at, dtype=np.float64)
     g = float(duals.gamma_start[ev.disk_index])
 
@@ -546,7 +559,7 @@ def check_charging(
     running sums.
     """
     n = instance.n
-    orders = [server_order(instance, s) for s in range(instance.m)]
+    table = order_table(instance)
     theta = np.asarray(duals.theta, dtype=np.float64)
     covered_at = np.asarray(duals.covered_at, dtype=np.float64)
 
@@ -569,7 +582,7 @@ def check_charging(
     violations: list[ChargingViolation] = []
     for ev_i, ev in enumerate(trace):
         idx = ev.disk_index
-        members = orders[ev.server][: ev.rank + 1]
+        members = table.order[ev.server, : ev.rank + 1]
         g = float(duals.gamma_start[idx])
         gamma_sum = float(np.maximum(0.0, covered_at[members] - g).sum())
         charge = beta_charge(ev.server, g) + gamma_sum
@@ -577,7 +590,7 @@ def check_charging(
         if abs(ev.power - charge) > tol * scale:
             violations.append(ChargingViolation(ev_i, "power vs beta-charge + gamma", abs(ev.power - charge)))
 
-        charges = charge_breakdown(instance, trace, duals, ev_i)
+        charges = charge_breakdown(instance, trace, duals, ev_i, table)
         total = sum(charges.values())
         if abs(ev.power - total) > tol * scale:
             violations.append(ChargingViolation(ev_i, "power vs per-user charges", abs(ev.power - total)))
@@ -591,7 +604,7 @@ def check_charging(
         final_events[ev.server] = ev_i
     charged_count = np.zeros(n, dtype=np.int64)
     for ev_i in final_events.values():
-        for h, c in charge_breakdown(instance, trace, duals, ev_i).items():
+        for h, c in charge_breakdown(instance, trace, duals, ev_i, table).items():
             if c > 0:
                 charged_count[h] += 1
     for h in np.nonzero(charged_count > instance.m)[0]:

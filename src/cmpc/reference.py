@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import Disk, Instance, build_disks, server_order
+import numpy as np
+
+from .model import Disk, Instance, OrderTable, order_table
 from .primal_dual import InsufficientCapacityError
 from .solution import Solution, make_solution
 
@@ -42,22 +44,26 @@ class OptResult:
 
 
 def feasible_assignment(
-    choice: list[Optional[Disk]], instance: Instance
+    choice: list[Optional[Disk]],
+    instance: Instance,
+    table: Optional[OrderTable] = None,
 ) -> Optional[list[int]]:
     """Capacity-respecting user->server assignment under the chosen disks.
 
     Each user may go to any server whose chosen disk contains it; a server
     holds at most its capacity. Solved as bipartite matching with server-side
-    capacities (augmenting paths); returns the assignment or None.
+    capacities (augmenting paths); returns the assignment or None. `table`
+    is the instance's OrderTable, built here when not given.
     """
     n = instance.n
     m = instance.m
-    orders = [server_order(instance, s) for s in range(m)]
+    if table is None:
+        table = order_table(instance)
     allowed: list[list[int]] = [[] for _ in range(n)]
     for s, disk in enumerate(choice):
         if disk is None:
             continue
-        for h in orders[s][: disk.rank + 1]:
+        for h in table.order[s, : disk.rank + 1].tolist():
             allowed[h].append(s)
 
     capacity = [srv.capacity for srv in instance.servers]
@@ -112,23 +118,23 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
         return OptResult(status="infeasible", nodes_explored=0)
 
     n, m = instance.n, instance.m
-    disks = build_disks(instance)
-    orders = [server_order(instance, s) for s in range(m)]
+    table = order_table(instance)
     all_users_mask = (1 << n) - 1
 
+    # member_mask[s * n + t]: bit set of the users inside server s's disk at rank t.
     member_mask = []
-    for idx, disk in enumerate(disks):
+    for s in range(m):
         mask = 0
-        for h in orders[disk.server][: disk.rank + 1]:
+        for h in table.order[s].tolist():
             mask |= 1 << h
-        member_mask.append(mask)
+            member_mask.append(mask)
 
     # Per-server options sorted by power so cheap subtrees come first; "off"
     # is the zero-power first option.
     options: list[list[Optional[Disk]]] = []
     for s in range(m):
         opts: list[Optional[Disk]] = [None]
-        opts.extend(sorted((disks[s * n + t] for t in range(n)), key=lambda d: (d.power, d.rank)))
+        opts.extend(sorted((table.disk(s, t) for t in range(n)), key=lambda d: (d.power, d.rank)))
         options.append(opts)
 
     # Power of the cheapest nonempty choice per suffix is 0 ("off" allowed),
@@ -150,7 +156,7 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
         if s == m:
             if covered != all_users_mask or cap < n:
                 return
-            assignment = feasible_assignment(choice, instance)
+            assignment = feasible_assignment(choice, instance, table)
             if assignment is not None:
                 best_power = power_so_far
                 best = (list(choice), assignment)
@@ -203,18 +209,13 @@ def ncs_solve(instance: Instance) -> Solution:
             f"total capacity {instance.total_capacity} < {instance.n} users"
         )
     n, m = instance.n, instance.m
-    disks = build_disks(instance)
-    orders = [server_order(instance, s) for s in range(m)]
-    rank_of = [{uid: r for r, uid in enumerate(orders[s])} for s in range(m)]
-
-    pairs = sorted(
-        ((disks[s * n + r].key, s, orders[s][r]) for s in range(m) for r in range(n)),
-        key=lambda item: (item[0], item[1]),
-    )
+    table = order_table(instance)
+    pair_server = np.repeat(np.arange(m), n)
+    pairs = np.lexsort((pair_server, table.tiebreak.ravel(), table.cosine.ravel(), table.dist.ravel()))
     remaining = [srv.capacity for srv in instance.servers]
     assignment = [-1] * n
     assigned = 0
-    for _, s, u in pairs:
+    for s, u in zip(pair_server[pairs].tolist(), table.order.ravel()[pairs].tolist()):
         if assigned == n:
             break
         if assignment[u] != -1 or remaining[s] == 0:
@@ -223,9 +224,10 @@ def ncs_solve(instance: Instance) -> Solution:
         remaining[s] -= 1
         assigned += 1
 
+    server_of = np.array(assignment)
     chosen: list[Optional[Disk]] = [None] * m
     for s in range(m):
-        ranks = [rank_of[s][u] for u in range(n) if assignment[u] == s]
-        if ranks:
-            chosen[s] = disks[s * n + max(ranks)]
+        ranks = table.rank[s, server_of == s]
+        if ranks.size:
+            chosen[s] = table.disk(s, int(ranks.max()))
     return make_solution(instance, chosen, assignment)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmpc import (
+    GenConfig,
     Instance,
     Point,
     PowerParams,
@@ -13,6 +14,7 @@ from cmpc import (
     User,
     build_disks,
     contains,
+    gen_instance,
     instance_from_json_dict,
     instance_to_json_dict,
     order_key,
@@ -20,6 +22,7 @@ from cmpc import (
     server_order,
     user_in_disk,
 )
+from cmpc.model import order_table
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -197,6 +200,107 @@ def test_instance_json_missing_field():
         instance_from_json_dict({"c": 1.0, "alpha": 2.0, "users": []})
 
 
+def _json_instance():
+    return {
+        "c": 1.0,
+        "alpha": 2.0,
+        "servers": [{"x": 0.0, "y": 0.0, "k": 2}],
+        "users": [{"x": 1.0, "y": 0.0}],
+    }
+
+
+def test_instance_json_accepts_integral_capacity():
+    data = _json_instance()
+    data["servers"][0]["k"] = 2.0
+    assert instance_from_json_dict(data).servers[0].capacity == 2
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("servers", 0, "k"), 2.7, r"servers\[0\]\.k must be an integer"),
+        (("servers", 0, "k"), True, r"servers\[0\]\.k must be an integer"),
+        (("servers", 0, "x"), True, r"servers\[0\]\.x must be a number"),
+        (("servers", 0, "y"), False, r"servers\[0\]\.y must be a number"),
+        (("users", 0, "x"), True, r"users\[0\]\.x must be a number"),
+        (("users", 0, "y"), "0.5", r"users\[0\]\.y must be a number"),
+        (("c",), True, r"c must be a number"),
+        (("alpha",), True, r"alpha must be a number"),
+    ],
+)
+def test_instance_json_rejects_coerced_values(path, value, message):
+    data = _json_instance()
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    with pytest.raises(ValueError, match=message):
+        instance_from_json_dict(data)
+
+
 def test_server_order_sorts_by_key():
     inst = make_instance([(0.0, 0.0, 3)], [(3.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
     assert server_order(inst, 0) == [1, 2, 0]
+
+
+# --- order table ------------------------------------------------------------
+#
+# The table must equal the scalar path (order_key, power) bit for bit: it
+# computes distances with math.hypot and powers with Python's float **, not
+# np.hypot / np.power, because those round differently in the last bit on
+# some inputs, and one bit reorders keys that differ only there and changes
+# covers.
+
+grid = st.integers(-6, 6).map(float)
+anywhere = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def degenerate_instances(draw):
+    """Servers on a grid; users random, plus mirror-symmetric, coincident
+    with a server, duplicated and collinear ones."""
+    servers = draw(st.lists(st.tuples(grid, grid), min_size=1, max_size=4))
+    users = draw(st.lists(st.tuples(grid | anywhere, grid | anywhere), min_size=1, max_size=6))
+    sx, sy = servers[0]
+    gx, gy = draw(st.tuples(grid, grid))
+    users.append((gx, gy))
+    users.append((gx, 2 * sy - gy))  # mirror image across server 0's horizontal
+    users.append((2 * sx - gx, gy))  # mirror image across server 0's vertical
+    users.append(servers[-1])  # on top of a server
+    users.append(users[0])  # duplicate
+    users.extend((sx + k * (gx - sx), sy + k * (gy - sy)) for k in (2.0, 3.0))  # collinear
+    alpha = draw(st.sampled_from([1.0, 2.0, 2.5, 3.7]))
+    c = draw(st.sampled_from([1.0, 0.37]))
+    return make_instance([(x, y, 1) for x, y in servers], users, c=c, alpha=alpha)
+
+
+def _bits(key):
+    return (key.dist.hex(), key.cosine.hex(), key.tiebreak)
+
+
+def assert_table_matches_scalar_path(inst):
+    table = order_table(inst)
+    for s, srv in enumerate(inst.servers):
+        keys = [order_key(srv, u) for u in inst.users]
+        reference = sorted(range(inst.n), key=keys.__getitem__)
+        assert table.order[s].tolist() == reference
+        assert server_order(inst, s) == reference
+        for t, uid in enumerate(reference):
+            assert table.rank[s, uid] == t
+            assert _bits(table.key(s, t)) == _bits(keys[uid])
+            assert table.power[s, t].hex() == power(inst.params, keys[uid].dist).hex()
+            disk = table.disk(s, t)
+            assert (disk.server, disk.boundary_user, disk.rank) == (s, uid, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=degenerate_instances())
+def test_order_table_matches_scalar_keys_bit_for_bit(inst):
+    assert_table_matches_scalar_path(inst)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 2.5, 3.7])
+def test_order_table_matches_scalar_keys_on_generated_instance(alpha):
+    # 5000 pairs at random float coordinates: enough that np.hypot or
+    # np.power in place of the scalar operations would differ on some.
+    assert_table_matches_scalar_path(gen_instance(GenConfig(m=10, n=500, kbar=60.0, seed=11, alpha=alpha)))

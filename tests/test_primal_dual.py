@@ -22,6 +22,8 @@ from cmpc import (
     validate,
     verify_dual_feasibility,
 )
+from cmpc import primal_dual
+from cmpc.model import order_table
 from cmpc.primal_dual import _advance
 
 
@@ -167,10 +169,10 @@ def test_apply_selection_requires_tight_active_disk():
     inst = two_user_line()
     state, duals = init_solver(inst)
     with pytest.raises(ValueError, match="not tight"):
-        apply_selection(state, duals, state.disks[0])
+        apply_selection(state, duals, state.table.disk(0, 0))
     state.active[0] = False
     with pytest.raises(ValueError, match="active"):
-        apply_selection(state, duals, state.disks[0])
+        apply_selection(state, duals, state.table.disk(0, 0))
 
 
 def test_next_event_stall_detection():
@@ -247,6 +249,34 @@ def test_mu_absorbs_depleted_server_pressure():
     assert verify_dual_feasibility(inst, duals) == []
     assert check_charging(inst, trace, duals) == []
     assert dual_objective(duals) <= sol.total_power + 1e-9
+
+
+def finalize_reference_mu(inst, duals):
+    """mu by one Python-level sum per disk, the loop finalize() replaces."""
+    n = inst.n
+    powers = order_table(inst).power.ravel()
+    mu = np.zeros(inst.m)
+    for idx in range(inst.m * n):
+        s = idx // n
+        lhs = inst.servers[s].capacity * duals.beta[idx] + float(duals.gamma_members_array(idx).sum())
+        mu[s] = max(mu[s], lhs - powers[idx])
+    return mu
+
+
+@pytest.mark.parametrize("block_elements", [1, 64, 1 << 16])
+@pytest.mark.parametrize("seed", range(6))
+def test_finalize_matches_per_disk_reference(seed, block_elements, monkeypatch):
+    # Small blocks split each server's disks into many row blocks, one row
+    # each at block_elements=1. Sums change association order, so mu may
+    # differ from the reference by rounding only.
+    monkeypatch.setattr(primal_dual, "FINALIZE_BLOCK_ELEMENTS", block_elements)
+    m, n = 2 + seed % 4, 20 + 7 * seed
+    inst = gen_instance(GenConfig(m=m, n=n, kbar=n / m, seed=500 + seed))
+    _, duals, _ = pd_solve(inst)
+    reference = finalize_reference_mu(inst, duals)
+    scale = max(1.0, float(order_table(inst).power.max()))
+    assert np.allclose(duals.mu, reference, rtol=0.0, atol=1e-9 * scale)
+    assert (reference > 0).any()  # the instance exercises mu
 
 
 # --- whole-run properties ---------------------------------------------------
