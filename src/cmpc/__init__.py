@@ -1,105 +1,49 @@
-"""Capacitated minimum power cover: solvers, oracle, baseline, harness."""
+"""Capacitated minimum power cover: solvers, oracle, baseline, harness.
+
+The package namespace holds the instance types, the solvers, the checkers
+and the sweep harness. Internals (the step-wise ascent, candidate disks, the
+order table, JSON helpers) are imported from their submodules, for example
+`cmpc.primal_dual.init_solver` or `cmpc.model.build_disks`.
+"""
 
 from .bench import ExperimentConfig, ResultRow, run_experiment, write_csv
-from .generate import GenConfig, adjust_capacities, gen_instance
-from .metrics import (
-    MetricsRecord,
-    ValidationReport,
-    approximation_ratio,
-    collect_metrics,
-    util_variance,
-    validate,
-)
-from .model import (
-    Disk,
-    Instance,
-    OrderKey,
-    Point,
-    PowerParams,
-    Server,
-    User,
-    build_disks,
-    contains,
-    dump_instance,
-    instance_from_json_dict,
-    instance_to_json_dict,
-    load_instance,
-    order_key,
-    power,
-    server_order,
-    user_in_disk,
-)
+from .generate import GenConfig, gen_instance
+from .metrics import validate
+from .model import Instance, Point, PowerParams, Server, User, dump_instance, load_instance
 from .primal_dual import (
     AscentStalledError,
-    DualState,
-    EventTrace,
-    InsufficientCapacityError,
     CapacityInvariantError,
-    ManualDuals,
-    SelectionEvent,
-    SolverState,
-    apply_selection,
+    InsufficientCapacityError,
     check_charging,
     dual_objective,
-    init_solver,
-    next_event,
     pd_solve,
-    trace_to_json_list,
     verify_dual_feasibility,
 )
-from .reference import OptResult, feasible_assignment, ncs_solve, opt_solve
-from .solution import Solution, make_solution
+from .reference import ncs_solve, opt_solve
+from .solution import Solution
 
 __all__ = [
     "AscentStalledError",
-    "Disk",
-    "DualState",
-    "EventTrace",
+    "CapacityInvariantError",
     "ExperimentConfig",
     "GenConfig",
     "Instance",
     "InsufficientCapacityError",
-    "CapacityInvariantError",
-    "ManualDuals",
-    "MetricsRecord",
-    "OptResult",
-    "OrderKey",
     "Point",
     "PowerParams",
     "ResultRow",
-    "SelectionEvent",
     "Server",
     "Solution",
-    "SolverState",
     "User",
-    "ValidationReport",
-    "adjust_capacities",
-    "apply_selection",
-    "approximation_ratio",
-    "build_disks",
     "check_charging",
-    "collect_metrics",
-    "contains",
     "dual_objective",
     "dump_instance",
-    "feasible_assignment",
     "gen_instance",
-    "init_solver",
-    "instance_from_json_dict",
-    "instance_to_json_dict",
     "load_instance",
-    "make_solution",
     "ncs_solve",
-    "next_event",
     "opt_solve",
-    "order_key",
     "pd_solve",
-    "power",
     "run_experiment",
-    "server_order",
-    "trace_to_json_list",
-    "user_in_disk",
-    "util_variance",
     "validate",
     "verify_dual_feasibility",
     "write_csv",

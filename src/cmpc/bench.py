@@ -158,10 +158,11 @@ def _timed(fn, *args, timing: bool):
     return result, (time.perf_counter() - start) * 1e3
 
 
-def _validated(instance: Instance, solution: Solution, seed: int, algo: str) -> None:
+def _validated(instance: Instance, solution: Solution, seed: int, algo: str, out: Optional[str]) -> None:
+    """Raise BenchValidationError, dumping the instance next to the CSV `out`."""
     report = validate(instance, solution)
     if not report.ok:
-        path = f"cmpc_failed_instance_{algo}_{seed}.json"
+        path = os.path.join(os.path.dirname(out or ""), f"cmpc_failed_instance_{algo}_{seed}.json")
         dump_instance(instance, path)
         raise BenchValidationError(
             f"{algo} solution failed validation on seed {seed}: {report.violations}; "
@@ -181,7 +182,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     the budget is exceeded (ratio columns stay empty then). CMPC_SEED in the
     environment overrides seed_base. Mean rows per (point, algo) are appended
     after all data rows, marked by an empty seed column and an ':mean'-
-    suffixed experiment id.
+    suffixed experiment id. A solution that fails validation raises
+    BenchValidationError after its instance is written to the directory of
+    `out` (the current directory when `out` is unset).
     """
     seed_base = config.seed_base
     env_seed = os.environ.get("CMPC_SEED")
@@ -199,14 +202,14 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             instance = gen_instance(replace(gen_template, seed=seed))
 
             opt_power = None
-            opt_row: Optional[tuple[Solution, Optional[float], int]] = None
+            opt_row: Optional[tuple[Solution, Optional[float]]] = None
             if config.oracle_budget > 0:
                 result, opt_ms = _timed(
                     opt_solve, instance, config.oracle_budget, timing=config.timing
                 )
                 if result.status == "optimal":
                     opt_power = result.value
-                    opt_row = (result.solution, opt_ms, result.nodes_explored)
+                    opt_row = (result.solution, opt_ms)
 
             pd_solution, pd_ms = _timed(
                 lambda ins: pd_solve(ins)[0], instance, timing=config.timing
@@ -215,10 +218,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
             solved = [("pd", pd_solution, pd_ms), ("ncs", ncs_solution, ncs_ms)]
             if opt_row is not None:
-                solved.append(("opt", opt_row[0], opt_row[1]))
+                solved.append(("opt", *opt_row))
 
             for algo, solution, ms in solved:
-                _validated(instance, solution, seed, algo)
+                _validated(instance, solution, seed, algo, config.out)
                 ratio = (
                     approximation_ratio(solution.total_power, opt_power)
                     if opt_power is not None
@@ -249,16 +252,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             ratios = [r.ratio_vs_opt for r in group if r.ratio_vs_opt is not None]
             times = [r.runtime_ms for r in group if r.runtime_ms is not None]
             summaries.append(
-                ResultRow(
+                replace(
+                    group[0],
                     experiment_id=f"{config.experiment_id}:mean",
                     seed=None,
-                    m=gen_template.m,
-                    n=gen_template.n,
-                    K=gen_template.m * gen_template.kbar,
-                    lam=gen_template.lam,
-                    alpha=gen_template.alpha,
-                    c=gen_template.c,
-                    algo=algo,
                     total_power=sum(r.total_power for r in group) / len(group),
                     runtime_ms=sum(times) / len(times) if times else None,
                     ratio_vs_opt=sum(ratios) / len(ratios) if ratios else None,
@@ -268,12 +265,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return rows + summaries
 
 
-def write_csv(rows: list[ResultRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv_line() + "\n")
-
-
 def rows_to_csv_text(rows: list[ResultRow]) -> str:
     return CSV_HEADER + "\n" + "".join(row.to_csv_line() + "\n" for row in rows)
+
+
+def write_csv(rows: list[ResultRow], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(rows_to_csv_text(rows))

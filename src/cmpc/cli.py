@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
 
 from .bench import BenchValidationError, ExperimentConfig, run_experiment, write_csv
 from .generate import GenConfig, gen_instance
-from .metrics import collect_metrics, validate
-from .model import Instance, dump_instance, load_instance
+from .metrics import util_variance, validate
+from .model import dump_instance, instance_from_json_dict
 from .primal_dual import (
     InsufficientCapacityError,
     CapacityInvariantError,
@@ -77,9 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_instance(path: str) -> Instance:
+def _load_json(path: str, parse):
+    """parse(the JSON document at path); on any input error, print it and exit 1."""
     try:
-        return load_instance(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
     except FileNotFoundError:
         print(f"{path}: no such file", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
@@ -92,23 +95,24 @@ def _load_instance(path: str) -> Instance:
 
 
 def _cmd_gen(args) -> int:
-    import os
-
-    os.makedirs(args.out, exist_ok=True)
-    for t in range(args.trials):
-        seed = args.seed + t
-        cfg = GenConfig(
-            m=args.m, n=args.n, kbar=args.kbar, seed=seed,
+    try:
+        template = GenConfig(
+            m=args.m, n=args.n, kbar=args.kbar, seed=args.seed,
             c=args.c, alpha=args.alpha, l=args.l, lam=args.lam,
         )
+    except ValueError as exc:
+        print(f"gen: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    os.makedirs(args.out, exist_ok=True)
+    for seed in range(args.seed, args.seed + args.trials):
         path = os.path.join(args.out, f"instance_{seed:08d}.json")
-        dump_instance(gen_instance(cfg), path)
+        dump_instance(gen_instance(replace(template, seed=seed)), path)
         print(path)
     return 0
 
 
 def _cmd_solve(args) -> int:
-    instance = _load_instance(args.infile)
+    instance = _load_json(args.infile, instance_from_json_dict)
     start = time.perf_counter()
     trace = None
     try:
@@ -133,13 +137,12 @@ def _cmd_solve(args) -> int:
             print(f"constraint {code}: {detail}", file=sys.stderr)
         return FAILURE_EXIT
 
-    metrics = collect_metrics(instance, solution, runtime_ms if args.timing else None)
     payload = {
         "algo": args.algo,
-        "total_power": metrics.total_power,
-        "runtime_ms": metrics.runtime_ms,
-        "util_variance": metrics.util_variance,
-        "per_server_load": list(metrics.per_server_load),
+        "total_power": solution.total_power,
+        "runtime_ms": runtime_ms if args.timing else None,
+        "util_variance": util_variance(instance, solution),
+        "per_server_load": solution.loads(instance.m),
         "solution": solution.to_json_dict(),
     }
     if args.trace and trace is not None:
@@ -149,23 +152,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = ExperimentConfig.from_json_dict(json.load(fh))
-    except FileNotFoundError:
-        print(f"{args.config}: no such file", file=sys.stderr)
-        return USAGE_EXIT
-    except json.JSONDecodeError as exc:
-        print(f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return USAGE_EXIT
-    except ValueError as exc:
-        print(f"{args.config}: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-
-    if args.timing:
-        config = replace(config, timing=True)
-    out = args.out or config.out
-    if not out:
+    config = _load_json(args.config, ExperimentConfig.from_json_dict)
+    config = replace(config, out=args.out or config.out, timing=args.timing or config.timing)
+    if not config.out:
         print("bench: no output path (--out or config 'out')", file=sys.stderr)
         return USAGE_EXIT
     try:
@@ -173,13 +162,13 @@ def _cmd_bench(args) -> int:
     except BenchValidationError as exc:
         print(f"bench aborted: {exc}", file=sys.stderr)
         return FAILURE_EXIT
-    write_csv(rows, out)
-    print(out)
+    write_csv(rows, config.out)
+    print(config.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    instance = _load_instance(args.infile)
+    instance = _load_json(args.infile, instance_from_json_dict)
     try:
         solution, duals, trace = pd_solve(instance)
     except (InsufficientCapacityError, CapacityInvariantError) as exc:

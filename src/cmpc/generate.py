@@ -22,6 +22,11 @@ import numpy as np
 from .model import Instance, Point, PowerParams, Server, User
 
 
+def _capacity_bounds(kbar: float) -> tuple[int, int]:
+    """Least and greatest capacity drawn for average kbar: the integers in [kbar/2, 3*kbar/2]."""
+    return math.ceil(kbar / 2.0), math.floor(3.0 * kbar / 2.0)
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Parameters of one random instance draw."""
@@ -40,8 +45,11 @@ class GenConfig:
             raise ValueError("m must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.kbar < 0:
-            raise ValueError("kbar must be >= 0")
+        if not (self.kbar >= 0 and math.isfinite(self.kbar)):
+            raise ValueError(f"kbar must be finite and >= 0, got {self.kbar}")
+        lo, hi = _capacity_bounds(self.kbar)
+        if lo > hi:
+            raise ValueError(f"kbar must be 0 or >= 2/3 (no integer capacity in [kbar/2, 3*kbar/2]), got {self.kbar}")
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lam must be in [0, 1]")
         if self.l <= 0:
@@ -75,8 +83,7 @@ def gen_instance(config: GenConfig) -> Instance:
     server_xy = origin + server_stream.uniform(0.0, 1.0, size=(config.m, 2)) * side
     user_xy = user_stream.uniform(0.0, config.l, size=(config.n, 2))
 
-    lo = math.ceil(config.kbar / 2.0)
-    hi = math.floor(3.0 * config.kbar / 2.0)
+    lo, hi = _capacity_bounds(config.kbar)
     caps = cap_stream.integers(lo, hi + 1, size=config.m).tolist()
     caps = adjust_capacities(caps, config.n)
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .model import Instance, order_key
 from .solution import Solution
@@ -87,32 +86,3 @@ def approximation_ratio(alg_power: float, opt_power: float) -> float:
             f"degenerate instance: optimum power {opt_power} but algorithm power {alg_power}"
         )
     return alg_power / opt_power
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Per-solve numbers, mirroring one benchmark CSV row's metric columns."""
-
-    total_power: float
-    runtime_ms: Optional[float]
-    ratio_vs_opt: Optional[float]
-    util_variance: float
-    per_server_load: tuple[int, ...] = field(default=())
-
-
-def collect_metrics(
-    instance: Instance,
-    solution: Solution,
-    runtime_ms: Optional[float] = None,
-    opt_power: Optional[float] = None,
-) -> MetricsRecord:
-    ratio = None
-    if opt_power is not None:
-        ratio = approximation_ratio(solution.total_power, opt_power)
-    return MetricsRecord(
-        total_power=solution.total_power,
-        runtime_ms=runtime_ms,
-        ratio_vs_opt=ratio,
-        util_variance=util_variance(instance, solution),
-        per_server_load=tuple(solution.loads(instance.m)),
-    )

@@ -249,21 +249,6 @@ def build_disks(instance: Instance) -> list[Disk]:
     return [table.disk(s, t) for s in range(instance.m) for t in range(instance.n)]
 
 
-def contains(disk: Disk, user_key: OrderKey) -> bool:
-    """True iff a user with this key lies inside the disk.
-
-    The key must have been computed against the disk's own center server;
-    keys carry no server identity, so that precondition is the caller's.
-    """
-    return user_key <= disk.key
-
-
-def user_in_disk(instance: Instance, disk: Disk, user_id: int) -> bool:
-    """Containment test that recomputes the key against the disk's server."""
-    key = order_key(instance.servers[disk.server], instance.users[user_id])
-    return contains(disk, key)
-
-
 # --- instance JSON format -------------------------------------------------
 #
 # {"c": number, "alpha": number,

@@ -31,7 +31,7 @@ even though remaining capacity (not nominal capacity) drives the ascent:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -127,14 +127,6 @@ class SolverState:
         self.assignment = np.full(n, -1, dtype=np.int64)
         self.trace: EventTrace = []
 
-    @property
-    def uncovered(self) -> set[int]:
-        return set(np.nonzero(~self.covered)[0].tolist())
-
-    @property
-    def active_disks(self) -> set[int]:
-        return set(np.nonzero(self.active)[0].tolist())
-
     def uncovered_members(self, disk: Disk) -> list[int]:
         members = self.table.order[disk.server, : disk.rank + 1]
         return members[~self.covered[members]].tolist()
@@ -187,42 +179,13 @@ class DualState:
         phase_end = np.where(np.isnan(self.gamma_start), self.clock, self.gamma_start)
         return np.where(self.born_beta, phase_end, 0.0)
 
-    def gamma_members_array(self, disk_index: int) -> np.ndarray:
-        """Gamma prices of the disk's members, in the disk's rank order."""
-        s, rank = divmod(disk_index, self.n)
-        members = self._table.order[s, : rank + 1]
+    def gamma_members_array(self, disk_index: int, members: np.ndarray) -> np.ndarray:
+        """Gamma prices of `members` (the disk's users, in any order) in that disk."""
         g = self.gamma_start[disk_index]
         if math.isnan(g):
             return np.zeros(len(members))
         paid_until = np.where(np.isnan(self.covered_at[members]), self.clock, self.covered_at[members])
         return np.maximum(0.0, paid_until - g)
-
-    def gamma_value(self, user: int, disk_index: int) -> float:
-        s, rank = divmod(disk_index, self.n)
-        if self._table.rank[s, user] > rank:
-            return 0.0
-        g = self.gamma_start[disk_index]
-        if math.isnan(g):
-            return 0.0
-        cov = self.covered_at[user]
-        paid_until = self.clock if math.isnan(cov) else cov
-        return max(0.0, paid_until - g)
-
-    @property
-    def gamma(self) -> dict[tuple[int, int], float]:
-        """Nonzero individual prices as {(user, disk_index): value}.
-
-        Materialized from the closed form on each access; prefer gamma_value
-        or gamma_members_array in hot paths.
-        """
-        out: dict[tuple[int, int], float] = {}
-        for idx in range(self.m * self.n):
-            s, rank = divmod(idx, self.n)
-            members = self._table.order[s, : rank + 1].tolist()
-            for h, value in zip(members, self.gamma_members_array(idx)):
-                if value > 0:
-                    out[(h, idx)] = float(value)
-        return out
 
     def finalize(self) -> None:
         """Set mu to the least slack making every disk constraint feasible.
@@ -248,19 +211,6 @@ class DualState:
                 lhs[s, lo:hi] += gap.sum(axis=1)
         excess = (lhs - self._powers.reshape(m, n)).max(axis=1)
         self.mu = np.maximum(0.0, excess)
-
-
-@dataclass(frozen=True)
-class ManualDuals:
-    """Hand-specified dual values for feeding the feasibility checker."""
-
-    theta: np.ndarray
-    beta: np.ndarray
-    mu: np.ndarray
-    gamma: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def gamma_value(self, user: int, disk_index: int) -> float:
-        return self.gamma.get((user, disk_index), 0.0)
 
 
 def init_solver(instance: Instance) -> tuple[SolverState, DualState]:
@@ -451,6 +401,9 @@ def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> lis
     For every disk D of server i: k_i * beta_D + sum_h gamma_{h,D} <= p_D + mu_i + tol.
     All prices must be >= -tol. Returns every violation found (empty means
     feasible); this checker is independent of the ascent bookkeeping.
+    `duals` provides `theta`, `beta`, `mu` and
+    `gamma_members_array(disk_index, members)`, the gamma prices of the
+    given members (read from this checker's own order table) in that disk.
     """
     m, n = instance.m, instance.n
     table = order_table(instance)
@@ -466,14 +419,10 @@ def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> lis
     for i in np.nonzero(mu < 0)[0].tolist():
         violations.append(DualViolation("negative slack price", float(-mu[i]), disk=None, user=None))
 
-    use_fast = hasattr(duals, "gamma_members_array")
     for idx in range(m * n):
         s, rank = divmod(idx, n)
         members = table.order[s, : rank + 1]
-        if use_fast:
-            gammas = np.asarray(duals.gamma_members_array(idx), dtype=np.float64)
-        else:
-            gammas = np.array([duals.gamma_value(h, idx) for h in members.tolist()], dtype=np.float64)
+        gammas = np.asarray(duals.gamma_members_array(idx, members), dtype=np.float64)
         slack = theta[members] - beta[idx] - gammas
         for pos in np.nonzero((gammas < -tol) | (slack > tol))[0].tolist():
             h, g = int(members[pos]), float(gammas[pos])

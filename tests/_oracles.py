@@ -1,9 +1,12 @@
-"""Brute-force reference computations, independent of the library's solvers."""
+"""Brute-force reference computations and hand-made duals, independent of the library's solvers."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from cmpc import Instance
 
@@ -58,3 +61,19 @@ def brute_force_assignment_exists(allowed: list[list[int]], capacities: list[int
         if all(loads[s] <= capacities[s] for s in range(m)):
             return True
     return False
+
+
+@dataclass(frozen=True)
+class ManualDuals:
+    """Hand-specified dual values for feeding the feasibility checker.
+
+    `gamma` maps (user, disk_index) to an individual price; absent pairs are 0.
+    """
+
+    theta: np.ndarray
+    beta: np.ndarray
+    mu: np.ndarray
+    gamma: dict[tuple[int, int], float] = field(default_factory=dict)
+
+    def gamma_members_array(self, disk_index: int, members: np.ndarray) -> np.ndarray:
+        return np.array([self.gamma.get((int(h), disk_index), 0.0) for h in members], dtype=np.float64)

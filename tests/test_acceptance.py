@@ -12,19 +12,19 @@ from cmpc import (
     ExperimentConfig,
     GenConfig,
     CapacityInvariantError,
-    approximation_ratio,
     check_charging,
     dual_objective,
     gen_instance,
     ncs_solve,
     opt_solve,
-    order_key,
     pd_solve,
     run_experiment,
     validate,
     verify_dual_feasibility,
 )
 from cmpc.bench import rows_to_csv_text
+from cmpc.metrics import approximation_ratio
+from cmpc.model import order_key
 
 from _oracles import flat_enumeration_optimum
 

@@ -4,8 +4,10 @@ import os
 import pytest
 
 from cmpc import ExperimentConfig, run_experiment, write_csv
-from cmpc.bench import CSV_HEADER, rows_to_csv_text
+from cmpc import bench
+from cmpc.bench import CSV_HEADER, BenchValidationError, rows_to_csv_text
 from cmpc.cli import cli
+from cmpc.metrics import ValidationReport
 from cmpc.model import dump_instance
 
 
@@ -173,6 +175,40 @@ def test_cli_solve_derived_instance(tmp_path, capsys):
         assert payload["total_power"] == expected
 
 
+def test_cli_solve_payload_metrics(tmp_path, capsys):
+    # One server serving both users: load 2 = n/m, so the variance is 0.
+    path = tmp_path / "one_server.json"
+    path.write_text(json.dumps({
+        "c": 1.0, "alpha": 2.0,
+        "servers": [{"x": 0.0, "y": 0.0, "k": 2}],
+        "users": [{"x": 1.0, "y": 0.0}, {"x": 2.0, "y": 0.0}],
+    }))
+    assert cli(["solve", "--algo", "pd", "--in", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["total_power"] == 4.0
+    assert payload["per_server_load"] == [2]
+    assert payload["util_variance"] == 0.0
+    assert payload["runtime_ms"] is None
+
+    assert cli(["solve", "--algo", "pd", "--in", str(path), "--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert isinstance(timed["runtime_ms"], float)
+    assert timed["per_server_load"] == [2]
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [(["--m", "0", "--n", "2", "--kbar", "2"], "m"), (["--m", "12", "--n", "2", "--kbar", "0.5"], "kbar")],
+)
+def test_cli_gen_bad_parameter_exit_1(tmp_path, capsys, args, field):
+    out_dir = tmp_path / "instances"
+    assert cli(["gen", *args, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gen: ") and field in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_cli_solve_infeasible_instance_exit_2(tmp_path, capsys):
     bad = dict(THREE_USER_JSON)
     bad["servers"] = [{"x": 0.0, "y": 0.0, "k": 1}]
@@ -229,6 +265,49 @@ def test_cli_bench_byte_identical(tmp_path, capsys):
     assert cli(["bench", "--config", str(cfg_path), "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_cli_bench_bad_config_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli(["bench", "--config", str(missing), "--out", str(tmp_path / "r.csv")]) == 1
+    assert "missing.json: no such file" in capsys.readouterr().err
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"experiment_id": "x",\n "sweep": }')
+    assert cli(["bench", "--config", str(broken), "--out", str(tmp_path / "r.csv")]) == 1
+    assert "broken.json:2:" in capsys.readouterr().err
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"experiment_id": "x", "sweep": {"variable": "bogus", "values": [1]}}))
+    assert cli(["bench", "--config", str(bogus), "--out", str(tmp_path / "r.csv")]) == 1
+    assert "sweep variable" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def failing_validate(instance, solution):
+    return ValidationReport(False, True, True, (("coverage", "forced failure"),))
+
+
+def test_bench_failure_dump_lands_next_to_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "validate", failing_validate)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    config = {"experiment_id": "dump", "sweep": {"variable": "n", "values": [5]},
+              "fixed": {"m": 2, "kbar": 4.0}, "trials": 1, "seed_base": 3}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "results"
+    out_dir.mkdir()
+
+    assert cli(["bench", "--config", str(cfg_path), "--out", str(out_dir / "r.csv")]) == 2
+    assert "bench aborted" in capsys.readouterr().err
+    assert sorted(os.listdir(out_dir)) == ["cmpc_failed_instance_pd_3.json"]
+    assert os.listdir(cwd) == []
+
+    # Without an output path the dump goes to the current directory.
+    with pytest.raises(BenchValidationError) as caught:
+        run_experiment(ExperimentConfig.from_json_dict(config))
+    assert caught.value.instance_path == "cmpc_failed_instance_pd_3.json"
+    assert os.listdir(cwd) == ["cmpc_failed_instance_pd_3.json"]
 
 
 def test_cli_verify_seeded_instances(tmp_path, capsys):

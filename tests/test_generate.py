@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmpc import GenConfig, adjust_capacities, gen_instance
+from cmpc import GenConfig, gen_instance
+from cmpc.generate import adjust_capacities
 
 
 def test_adjust_capacities_examples():
@@ -80,6 +81,19 @@ def test_marginal_means_near_center():
     sigma = (100.0 / math.sqrt(12.0)) / math.sqrt(10_000)
     assert abs(xs.mean() - 50.0) < 3 * sigma
     assert abs(ys.mean() - 50.0) < 3 * sigma
+
+
+@pytest.mark.parametrize("kbar", [1e-9, 0.3, 0.5, 0.66, math.inf, math.nan])
+def test_kbar_without_integer_capacity_rejected(kbar):
+    # No integer lies in [kbar/2, 3*kbar/2] for 0 < kbar < 2/3, nor for a non-finite kbar.
+    with pytest.raises(ValueError, match="kbar"):
+        GenConfig(m=12, n=2, kbar=kbar, seed=1)
+
+
+@pytest.mark.parametrize("kbar", [2 / 3, 0.7, 1.0])
+def test_smallest_drawable_kbar_values_generate(kbar):
+    inst = gen_instance(GenConfig(m=12, n=2, kbar=kbar, seed=1))
+    assert inst.total_capacity >= 2
 
 
 def test_zero_kbar_capacities_come_from_adjustment():

@@ -8,14 +8,12 @@ from cmpc import (
     Server,
     Solution,
     User,
-    approximation_ratio,
-    build_disks,
-    collect_metrics,
     gen_instance,
     pd_solve,
-    util_variance,
     validate,
 )
+from cmpc.metrics import approximation_ratio, util_variance
+from cmpc.model import build_disks
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -109,14 +107,3 @@ def test_approximation_ratio_values():
     assert approximation_ratio(0.0, 0.0) == 1.0
     with pytest.raises(ValueError):
         approximation_ratio(1.0, 0.0)
-
-
-def test_collect_metrics_record():
-    inst = make_instance([(0.0, 0.0, 2)], [(1.0, 0.0), (2.0, 0.0)])
-    sol, _, _ = pd_solve(inst)
-    rec = collect_metrics(inst, sol, runtime_ms=1.5, opt_power=4.0)
-    assert rec.total_power == 4.0
-    assert rec.ratio_vs_opt == 1.0
-    assert rec.runtime_ms == 1.5
-    assert rec.per_server_load == (2,)
-    assert rec.util_variance == 0.0

@@ -12,17 +12,17 @@ from cmpc import (
     PowerParams,
     Server,
     User,
-    build_disks,
-    contains,
     gen_instance,
+)
+from cmpc.model import (
+    build_disks,
     instance_from_json_dict,
     instance_to_json_dict,
     order_key,
+    order_table,
     power,
     server_order,
-    user_in_disk,
 )
-from cmpc.model import order_table
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -87,8 +87,8 @@ def test_equal_cosine_mirror_tiebreak():
     k1 = order_key(inst.servers[0], inst.users[1])
     assert k0 != k1
     by_boundary = {d.boundary_user: d for d in disks}
-    in_d0 = contains(by_boundary[0], k0) and contains(by_boundary[0], k1)
-    in_d1 = contains(by_boundary[1], k0) and contains(by_boundary[1], k1)
+    in_d0 = k0 <= by_boundary[0].key and k1 <= by_boundary[0].key
+    in_d1 = k0 <= by_boundary[1].key and k1 <= by_boundary[1].key
     assert in_d0 != in_d1
     # Positive-y sorts first per the documented tiebreak.
     assert k0 < k1 and in_d1
@@ -117,7 +117,7 @@ def test_containment_is_monotone_in_key(server, users):
     )
     disks = build_disks(inst)
     members = [
-        {u.id for u in inst.users if user_in_disk(inst, d, u.id)} for d in disks
+        {u.id for u in inst.users if order_key(inst.servers[d.server], u) <= d.key} for d in disks
     ]
     for smaller, larger in zip(members, members[1:]):
         assert smaller <= larger
@@ -134,8 +134,9 @@ def test_build_disks_nested_pair():
     assert len(disks) == 2
     small, large = disks
     assert small.power == 1.0 and large.power == 4.0
-    assert user_in_disk(inst, large, 0) and user_in_disk(inst, large, 1)
-    assert user_in_disk(inst, small, 0) and not user_in_disk(inst, small, 1)
+    k0, k1 = (order_key(inst.servers[0], u) for u in inst.users)
+    assert k0 <= large.key and k1 <= large.key
+    assert k0 <= small.key and not k1 <= small.key
 
 
 def test_build_disks_cardinality():
@@ -157,11 +158,11 @@ def test_contains_key_comparison():
     disk = build_disks(inst)[0]
     key = disk.key
     smaller = type(key)(1.0, 0.0, 0)
-    assert contains(disk, smaller)
-    assert contains(disk, key)
+    assert smaller <= disk.key
+    assert key <= disk.key
     # Same radius, larger cosine: outside by the direction ordering.
     larger_cos = type(key)(key.dist, key.cosine + 0.5, 0)
-    assert not contains(disk, larger_cos)
+    assert not larger_cos <= disk.key
 
 
 # --- instance type ----------------------------------------------------------

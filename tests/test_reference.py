@@ -10,15 +10,14 @@ from cmpc import (
     PowerParams,
     Server,
     User,
-    build_disks,
-    feasible_assignment,
     gen_instance,
     ncs_solve,
     opt_solve,
-    order_key,
     pd_solve,
     validate,
 )
+from cmpc.model import build_disks, order_key
+from cmpc.reference import feasible_assignment
 
 from _oracles import brute_force_assignment_exists, flat_enumeration_optimum
 
