@@ -68,33 +68,63 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
+        """Parse an experiment config; raises ValueError naming a bad key.
+
+        Keys that are absent take the field defaults; unknown keys are
+        rejected, so that a misspelt one cannot silently fall back to its
+        default.
+        """
+        _check_keys(data, _TOP_LEVEL_KEYS, "the top level")
         for field_name in ("experiment_id", "sweep"):
             if field_name not in data:
                 raise ValueError(f"experiment config: missing field '{field_name}'")
         sweep = data["sweep"]
+        _check_keys(sweep, ("variable", "values"), "sweep")
         if "variable" not in sweep or "values" not in sweep:
             raise ValueError("experiment config: sweep needs 'variable' and 'values'")
+        if not isinstance(sweep["values"], list):
+            raise ValueError(f"experiment config: sweep.values must be a list, got {sweep['values']!r}")
         fixed = data.get("fixed", {})
-        values = tuple(
-            tuple(v) if isinstance(v, (list, tuple)) else v for v in sweep["values"]
-        )
+        _check_keys(fixed, _FIXED_FIELDS, "fixed")
+        fields = {name: _convert(fixed, key, kind, "fixed.") for key, (name, kind) in _FIXED_FIELDS.items() if key in fixed}
+        fields.update({key: _convert(data, key, kind, "") for key, kind in _RUN_FIELDS.items() if key in data})
         return ExperimentConfig(
             experiment_id=str(data["experiment_id"]),
             sweep_variable=str(sweep["variable"]),
-            sweep_values=values,
-            m=int(fixed.get("m", 10)),
-            n=int(fixed.get("n", 100)),
-            kbar=float(fixed.get("kbar", 50.0)),
-            lam=float(fixed.get("lambda", 1.0)),
-            alpha=float(fixed.get("alpha", 2.0)),
-            c=float(fixed.get("c", 1.0)),
-            l=float(fixed.get("l", 100.0)),
-            trials=int(data.get("trials", 50)),
-            seed_base=int(data.get("seed_base", 0)),
-            oracle_budget=int(data.get("oracle_budget", 0)),
+            sweep_values=tuple(tuple(v) if isinstance(v, list) else v for v in sweep["values"]),
             out=data.get("out"),
-            timing=bool(data.get("timing", False)),
+            **fields,
         )
+
+
+# Config JSON keys: each "fixed" key -> (ExperimentConfig field, type), and
+# each top-level key other than experiment_id, sweep, fixed and out -> type.
+_FIXED_FIELDS = {
+    "m": ("m", int),
+    "n": ("n", int),
+    "kbar": ("kbar", float),
+    "lambda": ("lam", float),
+    "alpha": ("alpha", float),
+    "c": ("c", float),
+    "l": ("l", float),
+}
+_RUN_FIELDS = {"trials": int, "seed_base": int, "oracle_budget": int, "timing": bool}
+_TOP_LEVEL_KEYS = ("experiment_id", "sweep", "fixed", "out", *_RUN_FIELDS)
+
+
+def _check_keys(record, allowed, where: str) -> None:
+    if not isinstance(record, dict):
+        raise ValueError(f"experiment config: {where} must be an object, got {type(record).__name__}")
+    for key in record:
+        if key not in allowed:
+            raise ValueError(f"experiment config: unknown key '{key}' in {where}")
+
+
+def _convert(record: dict, key: str, kind, where: str):
+    try:
+        return kind(record[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"experiment config: {where}{key} must be {kind.__name__}, got {record[key]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -179,18 +209,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     seed_base + trial so all alpha values are solved on the same datasets
     (the exponent does not influence the position/capacity draws). The exact
     solver runs only when oracle_budget > 0 and its row is absent whenever
-    the budget is exceeded (ratio columns stay empty then). CMPC_SEED in the
-    environment overrides seed_base. Mean rows per (point, algo) are appended
-    after all data rows, marked by an empty seed column and an ':mean'-
-    suffixed experiment id. A solution that fails validation raises
-    BenchValidationError after its instance is written to the directory of
-    `out` (the current directory when `out` is unset).
+    the budget is exceeded (ratio columns stay empty then). Mean rows per
+    (point, algo) are appended after all data rows, marked by an empty seed
+    column and an ':mean'-suffixed experiment id. A solution that fails
+    validation raises BenchValidationError after its instance is written to
+    the directory of `out` (the current directory when `out` is unset).
     """
-    seed_base = config.seed_base
-    env_seed = os.environ.get("CMPC_SEED")
-    if env_seed is not None:
-        seed_base = int(env_seed)
-
     rows: list[ResultRow] = []
     summaries: list[ResultRow] = []
     for p_idx, point in enumerate(config.sweep_values):
@@ -198,7 +222,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         point_rows: dict[str, list[ResultRow]] = {"pd": [], "ncs": [], "opt": []}
         for trial in range(config.trials):
             point_offset = 0 if config.sweep_variable == "alpha" else p_idx * config.trials
-            seed = seed_base + point_offset + trial
+            seed = config.seed_base + point_offset + trial
             instance = gen_instance(replace(gen_template, seed=seed))
 
             opt_power = None

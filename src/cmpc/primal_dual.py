@@ -83,7 +83,6 @@ class SelectionEvent:
     disk_index: int
     newly_covered: tuple[int, ...]
     power: float
-    remaining_before: int
     remaining_after: int
 
     def to_json_dict(self) -> dict:
@@ -103,44 +102,28 @@ def trace_to_json_list(trace: EventTrace) -> list[dict]:
 
 
 class SolverState:
-    """Mutable ascent state: uncovered census, accumulated charge, capacities.
+    """Mutable ascent state: accumulated charge, retired disks, capacities.
 
     The disk of server s at rank t lives at flat index s*n + t (see
-    OrderTable); `uncovered_in_disk[idx]` counts its uncovered members and
-    `lhs[idx]` its accumulated charge.
+    OrderTable); `lhs[idx]` is its accumulated charge and `tight_tol[idx]`
+    the charge gap below which it counts as tight.
     """
 
     def __init__(self, instance: Instance):
         m, n = instance.m, instance.n
-        self.instance = instance
         self.n = n
         self.m = m
         self.table = order_table(instance)
-        self.disk_server = np.repeat(np.arange(m, dtype=np.int64), n)
         self.powers = self.table.power.ravel()
+        self.tight_tol = TIGHTNESS_TOL * np.maximum(1.0, self.powers)
         self.lhs = np.zeros(m * n, dtype=np.float64)
-        self.uncovered_in_disk = np.tile(np.arange(1, n + 1, dtype=np.int64), m)
         self.active = np.ones(m * n, dtype=bool)
-        self.remaining_capacity = np.array([s.capacity for s in instance.servers], dtype=np.int64)
+        self.capacity = np.array([s.capacity for s in instance.servers], dtype=np.int64)
+        self.remaining_capacity = self.capacity.copy()
         self.last_selected: list[Optional[int]] = [None] * m
         self.covered = np.zeros(n, dtype=bool)
         self.assignment = np.full(n, -1, dtype=np.int64)
         self.trace: EventTrace = []
-
-    def uncovered_members(self, disk: Disk) -> list[int]:
-        members = self.table.order[disk.server, : disk.rank + 1]
-        return members[~self.covered[members]].tolist()
-
-    def disk_index(self, disk: Disk) -> int:
-        return disk.server * self.n + disk.rank
-
-    def disk_at(self, idx: int) -> Disk:
-        return self.table.disk(*divmod(int(idx), self.n))
-
-    def rates(self) -> np.ndarray:
-        r = np.minimum(self.remaining_capacity[self.disk_server], self.uncovered_in_disk)
-        r[~self.active] = 0
-        return r
 
 
 class DualState:
@@ -162,11 +145,12 @@ class DualState:
         self.n = state.n
         self.m = state.m
         self._table = state.table
-        self._capacity = np.array([s.capacity for s in state.instance.servers], dtype=np.int64)
+        self._capacity = state.capacity
         self._powers = state.powers
         self.clock = 0.0
         self.covered_at = np.full(state.n, np.nan, dtype=np.float64)
-        self.born_beta = state.uncovered_in_disk > state.remaining_capacity[state.disk_server]
+        # Before any selection the disk at rank t holds t + 1 uncovered users.
+        self.born_beta = (np.arange(1, state.n + 1) > state.capacity[:, None]).ravel()
         self.gamma_start = np.where(self.born_beta, np.nan, 0.0)
         self.mu = np.zeros(state.m, dtype=np.float64)
 
@@ -219,102 +203,85 @@ def init_solver(instance: Instance) -> tuple[SolverState, DualState]:
     return state, duals
 
 
-def next_event(state: SolverState, duals: DualState) -> tuple[float, list[Disk]]:
-    """Time until the next disk goes tight, and every disk tight at that time.
+def next_event(state: SolverState, duals: DualState) -> tuple[float, list[int]]:
+    """Advance the clock to the next time a disk goes tight.
 
     Ascent rates are min(remaining capacity, uncovered members), zero for
-    retired disks, emptied disks and exhausted servers. The tight list comes
-    back in (server id, key) order; that is the processing order.
+    retired disks, emptied disks and exhausted servers. Disks still in their
+    beta phase whose uncovered members fit the remaining capacity leave it at
+    the current clock, before the rates apply. Returns the time advanced and
+    the flat indices of every disk tight at the new clock, ascending: that is
+    (server id, key) order, the processing order.
     """
-    rates = state.rates()
+    census = np.cumsum(~state.covered[state.table.order], axis=1)
+    room = state.remaining_capacity[:, None]
+    # gamma_start is NaN exactly on active disks in their beta phase (retiring
+    # sets it). Within one event "fits the remaining capacity" only turns
+    # true, so checking it once per event records the same clock as checking
+    # it after every selection.
+    duals.gamma_start[np.isnan(duals.gamma_start) & (census <= room).ravel()] = duals.clock
+    rates = np.minimum(room, census).ravel()
+    rates[~state.active] = 0
     positive = rates > 0
     if not positive.any():
         raise AscentStalledError("no disk can ascend but users remain uncovered")
     residual = state.powers - state.lhs
     delta = max(float(np.min(residual[positive] / rates[positive])), 0.0)
     after = residual - rates * delta
-    tight = positive & (after <= TIGHTNESS_TOL * np.maximum(1.0, state.powers))
-    return delta, [state.disk_at(i) for i in np.nonzero(tight)[0]]
-
-
-def _advance(state: SolverState, duals: DualState, delta: float) -> None:
-    state.lhs += state.rates() * delta
+    state.lhs += rates * delta
     duals.clock += delta
+    return delta, np.flatnonzero(positive & (after <= state.tight_tol)).tolist()
 
 
-def _freeze(state: SolverState, duals: DualState, mask: np.ndarray) -> None:
+def _retire(state: SolverState, duals: DualState, lo: int, hi: int) -> None:
     # Retired beta-phase disks get a synthetic gamma phase from now on, so
     # lingering uncovered members keep paying; finalize() routes any excess
     # over the disk power into mu.
-    state.active[mask] = False
-    unset = mask & np.isnan(duals.gamma_start)
-    duals.gamma_start[unset] = duals.clock
+    state.active[lo:hi] = False
+    start = duals.gamma_start[lo:hi]
+    start[np.isnan(start)] = duals.clock
 
 
-def _record_transitions(state: SolverState, duals: DualState) -> None:
-    pending = (
-        state.active
-        & duals.born_beta
-        & np.isnan(duals.gamma_start)
-        & (state.uncovered_in_disk <= state.remaining_capacity[state.disk_server])
-    )
-    duals.gamma_start[pending] = duals.clock
-
-
-def apply_selection(state: SolverState, duals: DualState, disk: Disk) -> set[int]:
+def apply_selection(state: SolverState, duals: DualState, idx: int) -> list[int]:
     """Select a tight disk: assign its uncovered users, retire smaller disks.
 
-    A tight disk whose uncovered set was emptied by an earlier selection in
-    the same event is only retired; nothing else changes.
+    `idx` is the disk's flat index. Returns the newly covered users,
+    ascending. A tight disk whose uncovered set was emptied by an earlier
+    selection in the same event is only retired; nothing else changes.
     """
-    idx = state.disk_index(disk)
     if not state.active[idx]:
         raise ValueError("apply_selection: disk is no longer active")
-    if state.powers[idx] - state.lhs[idx] > TIGHTNESS_TOL * max(1.0, state.powers[idx]):
+    if state.powers[idx] - state.lhs[idx] > state.tight_tol[idx]:
         raise ValueError("apply_selection: disk is not tight")
-    s = disk.server
-    newly = state.uncovered_members(disk)
-    if not newly:
-        only_this = np.zeros(len(state.active), dtype=bool)
-        only_this[idx] = True
-        _freeze(state, duals, only_this)
-        return set()
+    n = state.n
+    s, rank = divmod(idx, n)
+    members = state.table.order[s, : rank + 1]
+    newly = members[~state.covered[members]]
+    if not len(newly):
+        _retire(state, duals, idx, idx + 1)
+        return []
     if len(newly) > state.remaining_capacity[s]:
         raise CapacityInvariantError(
-            f"tight disk (server {s}, rank {disk.rank}) holds {len(newly)} uncovered "
+            f"tight disk (server {s}, rank {rank}) holds {len(newly)} uncovered "
             f"users but only {state.remaining_capacity[s]} capacity remains",
-            disk,
-            newly,
+            state.table.disk(s, rank),
+            newly.tolist(),
             int(state.remaining_capacity[s]),
         )
 
-    for h in newly:
-        state.covered[h] = True
-        state.assignment[h] = s
-        duals.covered_at[h] = duals.clock
+    state.covered[newly] = True
+    state.assignment[newly] = s
+    duals.covered_at[newly] = duals.clock
     state.remaining_capacity[s] -= len(newly)
 
     prev = state.last_selected[s]
     assert prev is None or prev < idx, "selected disks of a server must grow"
     state.last_selected[s] = idx
 
-    # Retire this disk and every smaller concentric one.
-    retire = np.zeros(len(state.active), dtype=bool)
-    retire[s * state.n : idx + 1] = state.active[s * state.n : idx + 1]
-    _freeze(state, duals, retire)
-
-    # Covered users leave every disk's uncovered census.
-    for h in newly:
-        for t in range(state.m):
-            state.uncovered_in_disk[t * state.n + state.table.rank[t, h] : (t + 1) * state.n] -= 1
-
+    _retire(state, duals, s * n, idx + 1)
     if state.remaining_capacity[s] == 0:
-        rest = np.zeros(len(state.active), dtype=bool)
-        rest[s * state.n : (s + 1) * state.n] = state.active[s * state.n : (s + 1) * state.n]
-        _freeze(state, duals, rest)
-
-    _record_transitions(state, duals)
-    return set(newly)
+        _retire(state, duals, s * n, (s + 1) * n)
+    return sorted(newly.tolist())
 
 
 def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
@@ -330,33 +297,30 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
         )
     state, duals = init_solver(instance)
     n = instance.n
-    while int(state.covered.sum()) < n:
-        delta, tights = next_event(state, duals)
-        _advance(state, duals, delta)
+    while not state.covered.all():
+        _, tights = next_event(state, duals)
         progressed = False
-        for disk in tights:
-            idx = state.disk_index(disk)
+        for idx in tights:
             if not state.active[idx]:
                 continue
-            remaining_before = int(state.remaining_capacity[disk.server])
             try:
-                newly = apply_selection(state, duals, disk)
+                newly = apply_selection(state, duals, idx)
             except CapacityInvariantError as err:
                 err.trace = list(state.trace)
                 raise
             if newly:
                 progressed = True
+                s, rank = divmod(idx, n)
                 state.trace.append(
                     SelectionEvent(
                         clock=duals.clock,
-                        server=disk.server,
-                        boundary_user=disk.boundary_user,
-                        rank=disk.rank,
+                        server=s,
+                        boundary_user=int(state.table.order[s, rank]),
+                        rank=rank,
                         disk_index=idx,
-                        newly_covered=tuple(sorted(newly)),
+                        newly_covered=tuple(newly),
                         power=float(state.powers[idx]),
-                        remaining_before=remaining_before,
-                        remaining_after=int(state.remaining_capacity[disk.server]),
+                        remaining_after=int(state.remaining_capacity[s]),
                     )
                 )
         assert progressed, "an event must cover at least one user"
@@ -367,7 +331,7 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
     duals.finalize()
 
     chosen: list[Optional[Disk]] = [
-        state.disk_at(i) if i is not None else None for i in state.last_selected
+        state.table.disk(*divmod(i, n)) if i is not None else None for i in state.last_selected
     ]
     solution = make_solution(instance, chosen, [int(s) for s in state.assignment])
     return solution, duals, list(state.trace)

@@ -81,12 +81,12 @@ def test_pd_mean_power_grows_with_n():
     assert means[(12, "pd")] > means[(5, "pd")]
 
 
-def test_cmpc_seed_env_overrides(monkeypatch):
+def test_cmpc_seed_env_is_ignored(monkeypatch):
+    # seed_base is the only way to set the seeds; the CSV must not depend on
+    # the environment.
+    monkeypatch.delenv("CMPC_SEED", raising=False)
     base = rows_to_csv_text(run_experiment(tiny_config()))
     monkeypatch.setenv("CMPC_SEED", "999")
-    changed = rows_to_csv_text(run_experiment(tiny_config()))
-    assert base != changed
-    monkeypatch.setenv("CMPC_SEED", "100")
     assert rows_to_csv_text(run_experiment(tiny_config())) == base
 
 
@@ -279,6 +279,36 @@ def test_cli_bench_bad_config_exit_1(tmp_path, capsys):
     bogus.write_text(json.dumps({"experiment_id": "x", "sweep": {"variable": "bogus", "values": [1]}}))
     assert cli(["bench", "--config", str(bogus), "--out", str(tmp_path / "r.csv")]) == 1
     assert "sweep variable" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+GOOD_CONFIG = {"experiment_id": "x", "sweep": {"variable": "n", "values": [5]}, "fixed": {"m": 2}}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"trails": 1}, "unknown key 'trails' in the top level"),
+        ({"sweep": {"variable": "n", "values": [5], "step": 1}}, "unknown key 'step' in sweep"),
+        ({"fixed": {"m": 2, "kbarr": 4.0}}, "unknown key 'kbarr' in fixed"),
+        ({"sweep": [5]}, "sweep must be an object"),
+        ({"fixed": []}, "fixed must be an object"),
+        ({"sweep": {"variable": "n", "values": 5}}, "sweep.values must be a list"),
+        ({"fixed": {"m": None}}, "fixed.m must be int"),
+        ({"trials": [1]}, "trials must be int"),
+    ],
+    ids=["top-level-key", "sweep-key", "fixed-key", "sweep-list", "fixed-list", "values-int", "fixed-null", "trials-list"],
+)
+def test_cli_bench_rejects_malformed_config(tmp_path, capsys, changes, message):
+    config = {**GOOD_CONFIG, **changes}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json_dict(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: ") and message in err
+    assert "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -2,9 +2,22 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from cmpc import ExperimentConfig, GenConfig, gen_instance, opt_solve, pd_solve, run_experiment
+from cmpc import (
+    ExperimentConfig,
+    GenConfig,
+    Instance,
+    Point,
+    PowerParams,
+    Server,
+    User,
+    gen_instance,
+    opt_solve,
+    pd_solve,
+    run_experiment,
+)
 from cmpc.bench import rows_to_csv_text
 
 # SHA-256 of each config's bench CSV as the per-pair Disk implementation
@@ -64,8 +77,7 @@ GOLDEN_CSV = [
 
 
 @pytest.mark.parametrize("config, digest", GOLDEN_CSV, ids=[c.experiment_id for c, _ in GOLDEN_CSV])
-def test_bench_csv_digest_is_pinned(config, digest, monkeypatch):
-    monkeypatch.delenv("CMPC_SEED", raising=False)
+def test_bench_csv_digest_is_pinned(config, digest):
     text = rows_to_csv_text(run_experiment(config))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
@@ -83,3 +95,39 @@ def test_known_m_opt_exceedance_is_pinned():
     assert pd_power == pytest.approx(15457.800512195146, rel=1e-12)
     assert result.value == pytest.approx(3273.316131872016, rel=1e-12)
     assert pd_power / (inst.m * result.value) == pytest.approx(1.1806, abs=1e-4)
+
+
+def ascent_instances():
+    # Ample (kbar 2n) and tight (kbar n/m, total capacity about n) capacity
+    # alternate; alpha cycles through 1, 2 and 3.3.
+    for i in range(20):
+        m, n = 2 + i % 7, 15 + 9 * i
+        kbar = float(n) / m if i % 2 else 2.0 * n
+        yield gen_instance(GenConfig(m=m, n=n, kbar=kbar, seed=4000 + i, alpha=(1.0, 2.0, 3.3)[i % 3]))
+    # Users on an integer grid: many disks go tight at the same clock.
+    users = tuple(User(j, Point(float(j % 5), float(j // 5))) for j in range(20))
+    for capacities in ((20, 20, 20), (8, 6, 6)):
+        servers = tuple(
+            Server(i, Point(x, y), k) for i, ((x, y), k) in enumerate(zip(((0.0, 0.0), (4.0, 0.0), (2.0, 3.0)), capacities))
+        )
+        yield Instance(PowerParams(1.0, 2.0), servers, users)
+
+
+# SHA-256 of the ascent's event traces and closed-form prices on
+# ascent_instances(), as the ascent with an incrementally patched uncovered
+# census produced them. mu is left out: it depends on the summation order of
+# finalize, which test_finalize_matches_per_disk_reference checks instead.
+ASCENT_DIGEST = "44cd7b5ef71737e89ccdc5e3a8781b4b1102536fb4faf2528cf96916dec6dd80"
+
+
+def test_ascent_traces_and_prices_are_pinned():
+    digest = hashlib.sha256()
+    for instance in ascent_instances():
+        _, duals, trace = pd_solve(instance)
+        for ev in trace:
+            fields = (ev.clock, ev.server, ev.boundary_user, ev.rank, ev.disk_index,
+                      ev.newly_covered, ev.power, ev.remaining_after)
+            digest.update(repr(fields).encode("utf-8"))
+        for prices in (duals.theta, duals.beta, duals.gamma_start, duals.covered_at):
+            digest.update(np.ascontiguousarray(prices, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == ASCENT_DIGEST

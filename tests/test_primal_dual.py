@@ -18,7 +18,7 @@ from cmpc import (
 )
 from cmpc import primal_dual
 from cmpc.model import build_disks, order_table
-from cmpc.primal_dual import _advance, apply_selection, init_solver, next_event, trace_to_json_list
+from cmpc.primal_dual import apply_selection, init_solver, next_event, trace_to_json_list
 
 from _oracles import ManualDuals
 
@@ -89,7 +89,7 @@ def test_next_event_gamma_rate():
     state.active[0] = False
     delta, tights = next_event(state, duals)
     assert delta == 2.0
-    assert [d.rank for d in tights] == [1]
+    assert tights == [1]
 
 
 def test_next_event_capacity_clamped_rate():
@@ -103,7 +103,7 @@ def test_next_event_capacity_clamped_rate():
     state.active[:3] = False
     delta, tights = next_event(state, duals)
     assert delta == pytest.approx(3.0, rel=1e-12)
-    assert [d.rank for d in tights] == [3]
+    assert tights == [3]
 
 
 def test_next_event_simultaneous_ties_ordered():
@@ -114,7 +114,7 @@ def test_next_event_simultaneous_ties_ordered():
     state, duals = init_solver(inst)
     delta, tights = next_event(state, duals)
     assert delta == 1.0
-    assert [(d.server, d.rank) for d in tights] == [(0, 0), (1, 0)]
+    assert tights == [0, 2]  # flat indices s*n + rank of (0, 0) and (1, 0)
 
 
 # --- apply_selection --------------------------------------------------------
@@ -124,9 +124,8 @@ def test_apply_selection_updates_state():
     inst = two_user_line()
     state, duals = init_solver(inst)
     delta, tights = next_event(state, duals)
-    _advance(state, duals, delta)
     newly = apply_selection(state, duals, tights[0])
-    assert newly == {0}
+    assert newly == [0]
     assert state.remaining_capacity[0] == 1
     assert not state.active[0] and state.active[1]
     assert state.lhs[1] == 2.0
@@ -154,21 +153,22 @@ def test_exhausted_server_disks_stop_ascending():
     )
     state, duals = init_solver(inst)
     delta, tights = next_event(state, duals)
-    _advance(state, duals, delta)
     apply_selection(state, duals, tights[0])
     assert state.remaining_capacity[0] == 0
-    rates = state.rates()
-    assert rates[: inst.n].sum() == 0  # all of server 0's disks
+    charge = state.lhs.copy()
+    delta, _ = next_event(state, duals)
+    assert delta > 0
+    assert np.array_equal(state.lhs[: inst.n], charge[: inst.n])  # all of server 0's disks
 
 
 def test_apply_selection_requires_tight_active_disk():
     inst = two_user_line()
     state, duals = init_solver(inst)
     with pytest.raises(ValueError, match="not tight"):
-        apply_selection(state, duals, state.table.disk(0, 0))
+        apply_selection(state, duals, 0)
     state.active[0] = False
     with pytest.raises(ValueError, match="active"):
-        apply_selection(state, duals, state.table.disk(0, 0))
+        apply_selection(state, duals, 0)
 
 
 def test_next_event_stall_detection():
