@@ -27,7 +27,9 @@ CSV_HEADER = (
     "total_power,runtime_ms,ratio_vs_opt,util_variance"
 )
 
-SWEEP_VARIABLES = ("n", "m_K", "m_lambda", "alpha")
+# Sweep variables and the types of one sweep point: a number, or a list of two.
+_SWEEP_POINTS = {"n": (int,), "m_K": (int, float), "m_lambda": (int, float), "alpha": (float,)}
+SWEEP_VARIABLES = tuple(_SWEEP_POINTS)
 
 
 class BenchValidationError(RuntimeError):
@@ -86,13 +88,18 @@ class ExperimentConfig:
             raise ValueError(f"experiment config: sweep.values must be a list, got {sweep['values']!r}")
         fixed = data.get("fixed", {})
         _check_keys(fixed, _FIXED_FIELDS, "fixed")
-        fields = {name: _convert(fixed, key, kind, "fixed.") for key, (name, kind) in _FIXED_FIELDS.items() if key in fixed}
-        fields.update({key: _convert(data, key, kind, "") for key, kind in _RUN_FIELDS.items() if key in data})
+        fields = {name: _convert(fixed[key], kind, f"fixed.{key}") for key, (name, kind) in _FIXED_FIELDS.items() if key in fixed}
+        fields.update({key: _convert(data[key], kind, key) for key, kind in _RUN_FIELDS.items() if key in data})
+        if "out" in data:
+            fields["out"] = _convert(data["out"], str, "out")
+        variable = sweep["variable"]
+        kinds = _SWEEP_POINTS.get(variable) if isinstance(variable, str) else None
+        # __post_init__ rejects an unknown variable before it looks at the points.
+        points = tuple(_sweep_point(v, kinds, f"sweep.values[{i}]") for i, v in enumerate(sweep["values"])) if kinds else ()
         return ExperimentConfig(
             experiment_id=str(data["experiment_id"]),
-            sweep_variable=str(sweep["variable"]),
-            sweep_values=tuple(tuple(v) if isinstance(v, list) else v for v in sweep["values"]),
-            out=data.get("out"),
+            sweep_variable=str(variable),
+            sweep_values=points,
             **fields,
         )
 
@@ -120,11 +127,29 @@ def _check_keys(record, allowed, where: str) -> None:
             raise ValueError(f"experiment config: unknown key '{key}' in {where}")
 
 
-def _convert(record: dict, key: str, kind, where: str):
-    try:
-        return kind(record[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"experiment config: {where}{key} must be {kind.__name__}, got {record[key]!r}") from None
+def _convert(value, kind, where: str):
+    """`value` as `kind`, by the instance JSON's rules, or a ValueError naming `where`.
+
+    int accepts JSON integers and integral floats, float any number, bool
+    only true/false and str only strings; bool is never taken for a number.
+    """
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    else:
+        ok = kind is float or isinstance(value, int) or value.is_integer()
+    if not ok:
+        raise ValueError(f"experiment config: {where} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _sweep_point(value, kinds, where: str):
+    if len(kinds) == 1:
+        return _convert(value, kinds[0], where)
+    if not isinstance(value, list) or len(value) != len(kinds):
+        raise ValueError(f"experiment config: {where} must be a list of {len(kinds)} numbers, got {value!r}")
+    return tuple(_convert(v, kind, f"{where}[{j}]") for j, (v, kind) in enumerate(zip(value, kinds)))
 
 
 @dataclass(frozen=True)

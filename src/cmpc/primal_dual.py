@@ -48,6 +48,10 @@ TIGHTNESS_TOL = 1e-9
 # over blocks of a server's disks instead of an n x n matrix at once.
 FINALIZE_BLOCK_ELEMENTS = 1 << 16
 
+# Elements per [disks, members] block in verify_dual_feasibility. Larger
+# blocks save little time and raise peak memory.
+CHECK_BLOCK_ELEMENTS = 1 << 14
+
 
 class InsufficientCapacityError(ValueError):
     """Total capacity is below the number of users."""
@@ -163,13 +167,18 @@ class DualState:
         phase_end = np.where(np.isnan(self.gamma_start), self.clock, self.gamma_start)
         return np.where(self.born_beta, phase_end, 0.0)
 
-    def gamma_members_array(self, disk_index: int, members: np.ndarray) -> np.ndarray:
-        """Gamma prices of `members` (the disk's users, in any order) in that disk."""
-        g = self.gamma_start[disk_index]
-        if math.isnan(g):
-            return np.zeros(len(members))
-        paid_until = np.where(np.isnan(self.covered_at[members]), self.clock, self.covered_at[members])
-        return np.maximum(0.0, paid_until - g)
+    def gamma_block(self, lo: int, hi: int, members: np.ndarray) -> np.ndarray:
+        """Gamma prices of `members` in the disks with flat indices lo..hi-1.
+
+        Returns a [hi - lo, len(members)] array. Entries of users outside a
+        disk carry no meaning; callers mask them by rank.
+        """
+        covered_at = self.covered_at[members]
+        paid_until = np.where(np.isnan(covered_at), self.clock, covered_at)
+        # A disk still in its beta phase (start NaN) has no gamma prices.
+        start = np.nan_to_num(self.gamma_start[lo:hi], nan=np.inf)
+        gap = paid_until[None, :] - start[:, None]
+        return np.maximum(gap, 0.0, out=gap)
 
     def finalize(self) -> None:
         """Set mu to the least slack making every disk constraint feasible.
@@ -348,9 +357,12 @@ class DualViolation:
     amount: float
     user: Optional[int] = None
     disk: Optional[int] = None
+    server: Optional[int] = None
 
     def __str__(self) -> str:
         where = []
+        if self.server is not None:
+            where.append(f"server {self.server}")
         if self.user is not None:
             where.append(f"user {self.user}")
         if self.disk is not None:
@@ -364,10 +376,12 @@ def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> lis
     For every user h inside disk D: theta_h <= beta_D + gamma_{h,D} + tol.
     For every disk D of server i: k_i * beta_D + sum_h gamma_{h,D} <= p_D + mu_i + tol.
     All prices must be >= -tol. Returns every violation found (empty means
-    feasible); this checker is independent of the ascent bookkeeping.
-    `duals` provides `theta`, `beta`, `mu` and
-    `gamma_members_array(disk_index, members)`, the gamma prices of the
-    given members (read from this checker's own order table) in that disk.
+    feasible), disk by disk in flat index order; this checker is independent
+    of the ascent bookkeeping. `duals` provides `theta`, `beta`, `mu` and
+    `gamma_block(lo, hi, members)`, the [hi - lo, len(members)] gamma prices
+    of `members` in the disks with flat indices lo..hi-1. Each server's disks
+    are checked in blocks of ranks, one gamma_block call per block, against
+    this checker's own order table.
     """
     m, n = instance.m, instance.n
     table = order_table(instance)
@@ -380,24 +394,38 @@ def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> lis
         violations.append(DualViolation("negative user price", float(-theta[h]), user=h))
     for idx in np.nonzero(beta < -tol)[0].tolist():
         violations.append(DualViolation("negative flat price", float(-beta[idx]), disk=idx))
-    for i in np.nonzero(mu < 0)[0].tolist():
-        violations.append(DualViolation("negative slack price", float(-mu[i]), disk=None, user=None))
+    for s in np.nonzero(mu < -tol)[0].tolist():
+        violations.append(DualViolation("negative slack price", float(-mu[s]), server=s))
 
-    for idx in range(m * n):
-        s, rank = divmod(idx, n)
-        members = table.order[s, : rank + 1]
-        gammas = np.asarray(duals.gamma_members_array(idx, members), dtype=np.float64)
-        slack = theta[members] - beta[idx] - gammas
-        for pos in np.nonzero((gammas < -tol) | (slack > tol))[0].tolist():
-            h, g = int(members[pos]), float(gammas[pos])
-            if g < -tol:
-                violations.append(DualViolation("negative individual price", -g, user=h, disk=idx))
-            if slack[pos] > tol:
-                violations.append(DualViolation("user price exceeds disk prices", float(slack[pos]), user=h, disk=idx))
-        lhs = instance.servers[s].capacity * beta[idx] + float(gammas.sum())
-        budget_slack = lhs - table.power[s, rank] - mu[s]
-        if budget_slack > tol:
-            violations.append(DualViolation("disk budget exceeded", float(budget_slack), disk=idx))
+    step = min(n, max(1, CHECK_BLOCK_ELEMENTS // n))
+    for s in range(m):
+        theta_s = theta[table.order[s]]
+        capacity = instance.servers[s].capacity
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            # Row r is the disk at rank lo + r; it contains members[:lo + r + 1].
+            members = table.order[s, :hi]
+            inside = np.arange(hi)[None, :] <= np.arange(lo, hi)[:, None]
+            gammas = np.asarray(duals.gamma_block(s * n + lo, s * n + hi, members), dtype=np.float64)
+            row_beta = beta[s * n + lo : s * n + hi]
+            slack = theta_s[None, :hi] - row_beta[:, None]
+            slack -= gammas
+            negative = inside & (gammas < -tol)
+            exceeds = inside & (slack > tol)
+            flagged = negative | exceeds
+            lhs = capacity * row_beta + gammas.sum(axis=1, where=inside)
+            budget_slack = lhs - table.power[s, lo:hi] - mu[s]
+            over_budget = budget_slack > tol
+            for r in np.flatnonzero(flagged.any(axis=1) | over_budget).tolist():
+                idx = s * n + lo + r
+                for pos in np.flatnonzero(flagged[r]).tolist():
+                    h = int(members[pos])
+                    if negative[r, pos]:
+                        violations.append(DualViolation("negative individual price", float(-gammas[r, pos]), user=h, disk=idx))
+                    if exceeds[r, pos]:
+                        violations.append(DualViolation("user price exceeds disk prices", float(slack[r, pos]), user=h, disk=idx))
+                if over_budget[r]:
+                    violations.append(DualViolation("disk budget exceeded", float(budget_slack[r]), disk=idx))
     return violations
 
 
@@ -426,33 +454,33 @@ def charge_breakdown(
     individual price until covered. The charges are rebuilt from the event
     trace and closed-form prices, independently of the ascent's running sums;
     they sum to the disk's power and never exceed a user's theta. `table`
-    is the instance's OrderTable, built here when not given.
+    is the instance's OrderTable, built here when not given. Returns the
+    charges keyed by member, in rank order.
     """
     ev = trace[event_index]
     if table is None:
         table = order_table(instance)
-    members = table.order[ev.server, : ev.rank + 1].tolist()
-    covered_at = np.asarray(duals.covered_at, dtype=np.float64)
+    members = table.order[ev.server, : ev.rank + 1]
+    covered_at = np.asarray(duals.covered_at, dtype=np.float64)[members]
     g = float(duals.gamma_start[ev.disk_index])
 
-    charges = {h: float(max(0.0, covered_at[h] - g)) for h in members}
-
+    # fmax: a NaN price (uncovered user, or no gamma phase) charges nothing.
+    charges = np.fmax(0.0, covered_at - g)
     if g > 0:
-        # Remaining capacity of this server over time, from the trace.
-        timeline: list[tuple[float, int]] = [(0.0, instance.servers[ev.server].capacity)]
-        for other in trace:
-            if other.server == ev.server:
-                timeline.append((other.clock, other.remaining_after))
-        # Segment boundaries: any event can change the uncovered census.
-        cuts = sorted({0.0} | {e.clock for e in trace if e.clock < g}) + [g]
-        for a, b in zip(cuts, cuts[1:]):
-            if b <= a:
-                continue
-            kp = next(kp for start, kp in reversed(timeline) if start <= a)
-            paying = [h for h in members if covered_at[h] > a][:kp]
-            for h in paying:
-                charges[h] += b - a
-    return charges
+        # Segments of the flat-price phase: any event can change the census.
+        cuts = np.array(sorted({0.0} | {e.clock for e in trace if e.clock < g}) + [g])
+        a, b = cuts[:-1], cuts[1:]
+        # Remaining capacity of this server at the start of each segment:
+        # the value after the last of its events at or before that time.
+        own = [e for e in trace if e.server == ev.server]
+        starts = np.array([0.0] + [e.clock for e in own])
+        after = np.array([instance.servers[ev.server].capacity] + [e.remaining_after for e in own])
+        kp = after[np.searchsorted(starts, a, side="right") - 1]
+        # In each segment the kp lowest-key uncovered members pay.
+        alive = covered_at[None, :] > a[:, None]
+        paying = alive & (np.cumsum(alive, axis=1) <= kp[:, None])
+        charges += (b - a) @ paying
+    return dict(zip(members.tolist(), charges.tolist()))
 
 
 def check_charging(
@@ -475,6 +503,7 @@ def check_charging(
     table = order_table(instance)
     theta = np.asarray(duals.theta, dtype=np.float64)
     covered_at = np.asarray(duals.covered_at, dtype=np.float64)
+    theta_scale = max(1.0, float(theta.max(initial=1.0)))
 
     timelines: dict[int, list[tuple[float, int]]] = {
         s.id: [(0.0, s.capacity)] for s in instance.servers
@@ -492,6 +521,11 @@ def check_charging(
                 total += kp * (hi - lo)
         return total
 
+    # The last event of each server selects its disk in the final cover;
+    # across that cover, each user pays for at most one disk per server.
+    final_events = {ev.server: ev_i for ev_i, ev in enumerate(trace)}
+    charged_count = np.zeros(n, dtype=np.int64)
+
     violations: list[ChargingViolation] = []
     for ev_i, ev in enumerate(trace):
         idx = ev.disk_index
@@ -504,22 +538,16 @@ def check_charging(
             violations.append(ChargingViolation(ev_i, "power vs beta-charge + gamma", abs(ev.power - charge)))
 
         charges = charge_breakdown(instance, trace, duals, ev_i, table)
+        paid = np.fromiter(charges.values(), np.float64, len(charges))
+        if final_events[ev.server] == ev_i:
+            charged_count[members[paid > 0]] += 1
         total = sum(charges.values())
         if abs(ev.power - total) > tol * scale:
             violations.append(ChargingViolation(ev_i, "power vs per-user charges", abs(ev.power - total)))
-        overpaid = max((c - theta[h] for h, c in charges.items()), default=0.0)
-        if overpaid > tol * max(1.0, float(theta.max(initial=1.0))):
-            violations.append(ChargingViolation(ev_i, "charge exceeds a user's theta", float(overpaid)))
+        overpaid = float((paid - theta[members]).max(initial=0.0))
+        if overpaid > tol * theta_scale:
+            violations.append(ChargingViolation(ev_i, "charge exceeds a user's theta", overpaid))
 
-    # Across the final cover, each user pays for at most one disk per server.
-    final_events: dict[int, int] = {}
-    for ev_i, ev in enumerate(trace):
-        final_events[ev.server] = ev_i
-    charged_count = np.zeros(n, dtype=np.int64)
-    for ev_i in final_events.values():
-        for h, c in charge_breakdown(instance, trace, duals, ev_i, table).items():
-            if c > 0:
-                charged_count[h] += 1
     for h in np.nonzero(charged_count > instance.m)[0]:
         violations.append(
             ChargingViolation(-1, f"user {h} charged by more than m disks", float(charged_count[h]))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -296,12 +297,28 @@ GOOD_CONFIG = {"experiment_id": "x", "sweep": {"variable": "n", "values": [5]}, 
         ({"sweep": {"variable": "n", "values": 5}}, "sweep.values must be a list"),
         ({"fixed": {"m": None}}, "fixed.m must be int"),
         ({"trials": [1]}, "trials must be int"),
+        ({"trials": 2.7}, "trials must be int, got 2.7"),
+        ({"trials": "2"}, "trials must be int, got '2'"),
+        ({"timing": "false"}, "timing must be bool, got 'false'"),
+        ({"timing": 0}, "timing must be bool, got 0"),
+        ({"fixed": {"m": True}}, "fixed.m must be int, got True"),
+        ({"fixed": {"m": 2, "kbar": "4.0"}}, "fixed.kbar must be float, got '4.0'"),
+        ({"fixed": {"m": 2, "alpha": False}}, "fixed.alpha must be float, got False"),
+        ({"out": 5}, "out must be str, got 5"),
+        ({"sweep": {"variable": "n", "values": [20.5]}}, "sweep.values[0] must be int, got 20.5"),
+        ({"sweep": {"variable": "alpha", "values": [2.0, "2"]}}, "sweep.values[1] must be float, got '2'"),
+        ({"sweep": {"variable": "m_K", "values": [[2.5, 10.0]]}}, "sweep.values[0][0] must be int, got 2.5"),
+        ({"sweep": {"variable": "m_lambda", "values": [3]}}, "sweep.values[0] must be a list of 2 numbers, got 3"),
     ],
-    ids=["top-level-key", "sweep-key", "fixed-key", "sweep-list", "fixed-list", "values-int", "fixed-null", "trials-list"],
+    ids=[
+        "top-level-key", "sweep-key", "fixed-key", "sweep-list", "fixed-list", "values-int", "fixed-null", "trials-list",
+        "trials-fraction", "trials-string", "timing-string", "timing-int", "fixed-bool", "kbar-string", "alpha-bool",
+        "out-number", "n-point-fraction", "alpha-point-string", "m_K-point-fraction", "m_lambda-point-scalar",
+    ],
 )
 def test_cli_bench_rejects_malformed_config(tmp_path, capsys, changes, message):
     config = {**GOOD_CONFIG, **changes}
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig.from_json_dict(config)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -310,6 +327,23 @@ def test_cli_bench_rejects_malformed_config(tmp_path, capsys, changes, message):
     assert err.startswith(f"{path}: ") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_config_accepts_integral_floats_and_int_floats():
+    config = ExperimentConfig.from_json_dict(
+        {
+            "experiment_id": "x",
+            "sweep": {"variable": "m_K", "values": [[2.0, 10]]},
+            "fixed": {"n": 8.0, "kbar": 4},
+            "trials": 2.0,
+            "timing": False,
+            "out": "r.csv",
+        }
+    )
+    assert (config.n, config.kbar, config.trials, config.timing, config.out) == (8, 4.0, 2, False, "r.csv")
+    assert config.sweep_values == ((2, 10.0),)
+    assert all(type(v) is t for v, t in zip(config.sweep_values[0], (int, float)))
+    assert type(config.n) is int and type(config.kbar) is float and type(config.trials) is int
 
 
 def failing_validate(instance, solution):

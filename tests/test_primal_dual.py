@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,10 +20,11 @@ from cmpc import (
     verify_dual_feasibility,
 )
 from cmpc import primal_dual
-from cmpc.model import build_disks, order_table
-from cmpc.primal_dual import apply_selection, init_solver, next_event, trace_to_json_list
+from cmpc.cli import cli
+from cmpc.model import build_disks, dump_instance, order_table
+from cmpc.primal_dual import apply_selection, charge_breakdown, init_solver, next_event, trace_to_json_list
 
-from _oracles import ManualDuals
+from _oracles import ManualDuals, reference_charge_breakdown, reference_dual_violations
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -230,6 +234,19 @@ def test_verify_flags_overcharged_disk():
     assert any(v.constraint == "disk budget exceeded" for v in violations)
 
 
+def test_verify_flags_negative_slack_price_on_its_server():
+    inst = make_instance([(0.0, 0.0, 2), (10.0, 0.0, 2)], [(1.0, 0.0), (2.0, 0.0)])
+    manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(4), mu=np.array([0.0, -0.5]))
+    violations = verify_dual_feasibility(inst, manual)
+    assert [(v.constraint, v.amount, v.server, v.user, v.disk) for v in violations] == [
+        ("negative slack price", 0.5, 1, None, None)
+    ]
+    assert str(violations[0]) == "negative slack price violated by 5.000e-01 (server 1)"
+    # Like every other sign check, it allows rounding down to -tol.
+    manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(4), mu=np.array([0.0, -1e-8]))
+    assert verify_dual_feasibility(inst, manual, tol=1e-7) == []
+
+
 def test_mu_absorbs_depleted_server_pressure():
     # Server 0 fills up while users remain near it; its retired larger disks
     # keep collecting gamma, so mu must rise to keep the disk constraints
@@ -256,7 +273,7 @@ def finalize_reference_mu(inst, duals):
     for idx in range(inst.m * n):
         s, rank = divmod(idx, n)
         members = table.order[s, : rank + 1]
-        lhs = inst.servers[s].capacity * duals.beta[idx] + float(duals.gamma_members_array(idx, members).sum())
+        lhs = inst.servers[s].capacity * duals.beta[idx] + float(duals.gamma_block(idx, idx + 1, members).sum())
         mu[s] = max(mu[s], lhs - powers[idx])
     return mu
 
@@ -317,3 +334,132 @@ def test_random_instances_feasible_and_priced(seed):
         last_rank[ev.server] = ev.rank
     # The cover's power never exceeds m times the total user prices.
     assert sol.total_power <= inst.m * float(duals.theta.sum()) + 1e-7
+
+
+# --- blocked checkers against the per-disk and per-segment references -------
+
+
+def checker_instance(seed):
+    kbar = [2.0, 5.0, 11.0][seed % 3]
+    return gen_instance(GenConfig(m=1 + seed % 5, n=6 + seed % 17, kbar=kbar, seed=700 + seed))
+
+
+def perturbed_duals(inst, seed):
+    """pd_solve's duals as ManualDuals, with noise on a tenth of the prices.
+
+    Half of the mu values get noise, as there are only m of them. Each disk
+    also gets a price for a user outside it, which both checkers must ignore.
+    """
+    _, duals, _ = pd_solve(inst)
+    rng = np.random.default_rng(seed)
+    table = order_table(inst)
+    m, n = inst.m, inst.n
+    sigma = 0.05 * float(table.power.max())
+
+    def noisy(values, share=0.1):
+        values = np.array(values, dtype=np.float64)
+        return values + (rng.random(values.shape) < share) * rng.normal(0.0, sigma, values.shape)
+
+    gamma = {}
+    for s in range(m):
+        members = table.order[s]
+        prices = noisy(duals.gamma_block(s * n, (s + 1) * n, members))
+        for t in range(n):
+            gamma.update({(int(members[j]), s * n + t): float(prices[t, j]) for j in range(t + 1) if prices[t, j]})
+            if t + 1 < n:
+                gamma[(int(members[-1]), s * n + t)] = -sigma
+    return ManualDuals(theta=noisy(duals.theta), beta=noisy(duals.beta), mu=noisy(duals.mu, 0.5), gamma=gamma)
+
+
+@pytest.mark.parametrize("block_elements", [1, 64, primal_dual.CHECK_BLOCK_ELEMENTS])
+@pytest.mark.parametrize("seed", range(40))
+def test_blocked_verify_matches_per_disk_reference(seed, block_elements, monkeypatch):
+    # Small blocks split each server's disks into many row blocks, one row
+    # each at block_elements=1. Budget sums change association order, so
+    # amounts may differ from the reference by rounding only.
+    monkeypatch.setattr(primal_dual, "CHECK_BLOCK_ELEMENTS", block_elements)
+    inst = checker_instance(seed)
+    duals = perturbed_duals(inst, seed)
+    got = verify_dual_feasibility(inst, duals)
+    expected = reference_dual_violations(inst, duals)
+    where = [(v.constraint, v.user, v.disk, v.server) for v in got]
+    assert where == [(v.constraint, v.user, v.disk, v.server) for v in expected]
+    power = order_table(inst).power.ravel()
+    for v, ref in zip(got, expected):
+        scale = max(1.0, float(power[v.disk] if v.disk is not None else power.max()))
+        assert abs(v.amount - ref.amount) <= 1e-9 * scale
+
+
+def test_perturbed_duals_raise_every_violation_kind():
+    kinds = set()
+    for seed in range(40):
+        inst = checker_instance(seed)
+        kinds.update(v.constraint for v in verify_dual_feasibility(inst, perturbed_duals(inst, seed)))
+    assert kinds == {
+        "negative user price",
+        "negative flat price",
+        "negative slack price",
+        "negative individual price",
+        "user price exceeds disk prices",
+        "disk budget exceeded",
+    }
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_charge_breakdown_matches_per_segment_reference(seed):
+    inst = checker_instance(seed)
+    _, duals, trace = pd_solve(inst)
+    table = order_table(inst)
+    for i, ev in enumerate(trace):
+        got = charge_breakdown(inst, trace, duals, i, table)
+        expected = reference_charge_breakdown(inst, trace, duals, i)
+        assert list(got) == list(expected)
+        assert all(abs(got[h] - expected[h]) <= 1e-12 * max(1.0, ev.power) for h in expected)
+
+
+# --- checkers at bench scale ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bench_scale():
+    # m=10, n=400 with total capacity ~n, the certify-tight benchmark's first size.
+    inst = gen_instance(GenConfig(m=10, n=400, kbar=40.0, seed=3000))
+    solution, duals, trace = pd_solve(inst)
+    return inst, solution, duals, trace
+
+
+def test_checkers_accept_bench_scale_solve(bench_scale):
+    inst, _, duals, trace = bench_scale
+    assert verify_dual_feasibility(inst, duals) == []
+    assert check_charging(inst, trace, duals) == []
+
+
+def test_verify_pins_lowered_mu_to_its_server(bench_scale):
+    inst, solution, duals, _ = bench_scale
+    s = int(np.argmax(duals.mu))
+    assert duals.mu[s] > 1.0
+    assert solution.loads(inst.m)[s] == inst.servers[s].capacity
+    lowered = copy.copy(duals)
+    lowered.mu = duals.mu.copy()
+    lowered.mu[s] -= 1.0
+    violations = verify_dual_feasibility(inst, lowered)
+    assert violations
+    assert {v.constraint for v in violations} == {"disk budget exceeded"}
+    assert {v.disk // inst.n for v in violations} == {s}
+
+
+def test_check_charging_pins_raised_power_to_its_event(bench_scale):
+    inst, _, duals, trace = bench_scale
+    i = len(trace) // 2
+    bumped = list(trace)
+    bumped[i] = dataclasses.replace(trace[i], power=trace[i].power + 1.0)
+    violations = check_charging(inst, bumped, duals)
+    assert {v.event_index for v in violations} == {i}
+    assert "power vs beta-charge + gamma" in {v.kind for v in violations}
+
+
+def test_cli_verify_bench_scale_instance(bench_scale, tmp_path, capsys):
+    path = tmp_path / "bench_scale.json"
+    dump_instance(bench_scale[0], str(path))
+    assert cli(["verify", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("verify: ok")
