@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .generate import GenConfig, gen_instance
@@ -169,26 +169,14 @@ class ResultRow:
     util_variance: float
 
     def to_csv_line(self) -> str:
-        def num(x) -> str:
-            return "" if x is None else str(x)
+        values = (getattr(self, name) for name in _ROW_FIELDS)
+        return ",".join("" if v is None else str(v) for v in values)
 
-        return ",".join(
-            [
-                self.experiment_id,
-                num(self.seed),
-                str(self.m),
-                str(self.n),
-                str(self.K),
-                str(self.lam),
-                str(self.alpha),
-                str(self.c),
-                self.algo,
-                str(self.total_power),
-                num(self.runtime_ms),
-                num(self.ratio_vs_opt),
-                str(self.util_variance),
-            ]
-        )
+
+# ResultRow's field names, declared in CSV_HEADER's column order. Taken once:
+# a fields() call per row builds a fresh 13-tuple, and the interpreter keeps
+# up to 2000 freed ones on its free list (0.3 MB over one user sweep).
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 def _resolve_point(config: ExperimentConfig, point) -> GenConfig:

@@ -142,7 +142,7 @@ def _cmd_solve(args) -> int:
         "total_power": solution.total_power,
         "runtime_ms": runtime_ms if args.timing else None,
         "util_variance": util_variance(instance, solution),
-        "per_server_load": solution.loads(instance.m),
+        "per_server_load": solution.loads(),
         "solution": solution.to_json_dict(),
     }
     if args.trace and trace is not None:

@@ -52,7 +52,7 @@ def validate(instance: Instance, solution: Solution) -> ValidationReport:
             violations.append(("coverage", f"user {u} lies outside server {s}'s chosen disk"))
             violations.append(("containment", f"server {s}'s disk does not contain assigned user {u}"))
 
-    loads = solution.loads(instance.m)
+    loads = solution.loads()
     for s, srv in enumerate(instance.servers):
         if loads[s] > srv.capacity:
             capacity_ok = False
@@ -73,7 +73,7 @@ def util_variance(instance: Instance, solution: Solution) -> float:
     """
     m = instance.m
     target = instance.n / m
-    loads = solution.loads(m)
+    loads = solution.loads()
     return sum((load - target) ** 2 for load in loads) / m
 
 

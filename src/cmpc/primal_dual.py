@@ -9,9 +9,10 @@ clock. A disk accumulates charge at rate
     min(remaining capacity of its server, uncovered users it contains)
 
 and is selected the moment its accumulated charge reaches its power. A
-selection assigns the disk's uncovered users to its server, consumes that much
-remaining capacity, and retires every smaller concentric disk. The last disk a
-server selects is its final power assignment.
+selection assigns the disk's uncovered users to its server and consumes that
+much remaining capacity; every smaller concentric disk then holds no uncovered
+user and stops ascending. The last disk a server selects is its final power
+assignment.
 
 Instead of stepping time, the solver jumps between selection events with
 closed-form inter-event times; the piecewise-constant rates make this exact.
@@ -19,9 +20,9 @@ closed-form inter-event times; the piecewise-constant rates make this exact.
 Two bookkeeping rules keep the final prices feasible for the covering dual
 even though remaining capacity (not nominal capacity) drives the ascent:
 
-* gamma prices of a retired disk's uncovered members keep rising until those
-  users are covered elsewhere, so no user's theta ever outruns the prices of
-  a disk containing it;
+* gamma prices of the uncovered members of an exhausted server's disks keep
+  rising until those users are covered elsewhere, so no user's theta ever
+  outruns the prices of a disk containing it;
 * any excess this creates over a disk's power is absorbed by the per-server
   slack price mu (the dual variable of the one-disk-per-server constraint),
   which is zero unless a server exhausts its capacity while users linger
@@ -105,39 +106,19 @@ def trace_to_json_list(trace: EventTrace) -> list[dict]:
     return [ev.to_json_dict() for ev in trace]
 
 
-class SolverState:
-    """Mutable ascent state: accumulated charge, retired disks, capacities.
+class DualState:
+    """The ascent's state: charges, capacities, cover and dual prices.
 
     The disk of server s at rank t lives at flat index s*n + t (see
     OrderTable); `lhs[idx]` is its accumulated charge and `tight_tol[idx]`
-    the charge gap below which it counts as tight.
-    """
-
-    def __init__(self, instance: Instance):
-        m, n = instance.m, instance.n
-        self.n = n
-        self.m = m
-        self.table = order_table(instance)
-        self.powers = self.table.power.ravel()
-        self.tight_tol = TIGHTNESS_TOL * np.maximum(1.0, self.powers)
-        self.lhs = np.zeros(m * n, dtype=np.float64)
-        self.active = np.ones(m * n, dtype=bool)
-        self.capacity = np.array([s.capacity for s in instance.servers], dtype=np.int64)
-        self.remaining_capacity = self.capacity.copy()
-        self.last_selected: list[Optional[int]] = [None] * m
-        self.covered = np.zeros(n, dtype=bool)
-        self.assignment = np.full(n, -1, dtype=np.int64)
-        self.trace: EventTrace = []
-
-
-class DualState:
-    """Dual prices of a run, reconstructable at any clock value.
+    the charge gap below which it counts as tight. `last_selected[s]` is the
+    flat index of server s's last selection, -1 before its first.
 
     Prices follow the clock in lockstep, so they are stored in closed form:
     a disk born with more uncovered members than remaining capacity pays into
     beta from clock 0 until `gamma_start`, after which (or from 0 otherwise)
     each still-uncovered member h pays gamma at unit rate until covered_at[h].
-    Hence beta = gamma_start for beta-phase disks and
+    Hence beta = gamma_start (the clock while still NaN) and
 
         gamma[h, disk] = max(0, covered_at[h] - gamma_start[disk]).
 
@@ -145,18 +126,21 @@ class DualState:
     absorb any overshoot of k_s * beta + sum(gamma) over a disk's power.
     """
 
-    def __init__(self, state: SolverState):
-        self.n = state.n
-        self.m = state.m
-        self._table = state.table
-        self._capacity = state.capacity
-        self._powers = state.powers
+    def __init__(self, instance: Instance):
+        n = instance.n
+        self.table = order_table(instance)
+        self.powers = self.table.power.ravel()
+        self.tight_tol = TIGHTNESS_TOL * np.maximum(1.0, self.powers)
+        self.lhs = np.zeros(self.powers.size, dtype=np.float64)
+        self.capacity = np.array([s.capacity for s in instance.servers], dtype=np.int64)
+        self.remaining_capacity = self.capacity.copy()
+        self.last_selected = [-1] * instance.m
+        self.assignment = np.full(n, -1, dtype=np.int64)
         self.clock = 0.0
-        self.covered_at = np.full(state.n, np.nan, dtype=np.float64)
+        self.covered_at = np.full(n, np.nan, dtype=np.float64)
         # Before any selection the disk at rank t holds t + 1 uncovered users.
-        self.born_beta = (np.arange(1, state.n + 1) > state.capacity[:, None]).ravel()
-        self.gamma_start = np.where(self.born_beta, np.nan, 0.0)
-        self.mu = np.zeros(state.m, dtype=np.float64)
+        self.gamma_start = np.where(np.arange(1, n + 1) > self.capacity[:, None], np.nan, 0.0).ravel()
+        self.mu = np.zeros(instance.m, dtype=np.float64)
 
     @property
     def theta(self) -> np.ndarray:
@@ -164,8 +148,16 @@ class DualState:
 
     @property
     def beta(self) -> np.ndarray:
-        phase_end = np.where(np.isnan(self.gamma_start), self.clock, self.gamma_start)
-        return np.where(self.born_beta, phase_end, 0.0)
+        return np.where(np.isnan(self.gamma_start), self.clock, self.gamma_start)
+
+    def is_active(self, idx: int) -> bool:
+        """Whether the disk at flat index `idx` can still be selected.
+
+        It can while its server has capacity left and it is larger than the
+        server's last selection.
+        """
+        s = idx // self.table.order.shape[1]
+        return bool(self.remaining_capacity[s] > 0) and idx > self.last_selected[s]
 
     def gamma_block(self, lo: int, hi: int, members: np.ndarray) -> np.ndarray:
         """Gamma prices of `members` in the disks with flat indices lo..hi-1.
@@ -187,109 +179,91 @@ class DualState:
         j <= t of max(0, paid_j - gamma_start) <= power + mu_s. The sums are
         taken over blocks of ranks, so temporaries stay O(block * n).
         """
-        m, n = self.m, self.n
+        m, n = self.table.order.shape
         paid = self.theta
         # A disk still in its beta phase has no gamma prices.
         start = np.nan_to_num(self.gamma_start.reshape(m, n), nan=np.inf)
-        lhs = self._capacity[:, None] * self.beta.reshape(m, n)
+        lhs = self.capacity[:, None] * self.beta.reshape(m, n)
         step = min(n, max(1, FINALIZE_BLOCK_ELEMENTS // n))
         later_member = np.triu(np.ones((step, step), dtype=bool), 1)
         for s in range(m):
-            paid_s = paid[self._table.order[s]]
+            paid_s = paid[self.table.order[s]]
             for lo in range(0, n, step):
                 hi = min(lo + step, n)
                 gap = paid_s[None, :hi] - start[s, lo:hi, None]
                 np.maximum(gap, 0.0, out=gap)
                 gap[:, lo:][later_member[: hi - lo, : hi - lo]] = 0.0
                 lhs[s, lo:hi] += gap.sum(axis=1)
-        excess = (lhs - self._powers.reshape(m, n)).max(axis=1)
+        excess = (lhs - self.table.power).max(axis=1)
         self.mu = np.maximum(0.0, excess)
 
 
-def init_solver(instance: Instance) -> tuple[SolverState, DualState]:
-    state = SolverState(instance)
-    duals = DualState(state)
-    return state, duals
+def init_solver(instance: Instance) -> DualState:
+    return DualState(instance)
 
 
-def next_event(state: SolverState, duals: DualState) -> tuple[float, list[int]]:
+def next_event(duals: DualState) -> tuple[float, list[int]]:
     """Advance the clock to the next time a disk goes tight.
 
-    Ascent rates are min(remaining capacity, uncovered members), zero for
-    retired disks, emptied disks and exhausted servers. Disks still in their
-    beta phase whose uncovered members fit the remaining capacity leave it at
-    the current clock, before the rates apply. Returns the time advanced and
-    the flat indices of every disk tight at the new clock, ascending: that is
-    (server id, key) order, the processing order.
+    Ascent rates are min(remaining capacity, uncovered members): zero for
+    disks at or below their server's last selection, whose members are all
+    covered, and for exhausted servers. Disks still in their beta phase whose
+    uncovered members fit the remaining capacity, or whose server is
+    exhausted, leave it at the current clock, before the rates apply. Returns
+    the time advanced and the flat indices of every disk tight at the new
+    clock, ascending: that is (server id, key) order, the processing order.
     """
-    census = np.cumsum(~state.covered[state.table.order], axis=1)
-    room = state.remaining_capacity[:, None]
-    # gamma_start is NaN exactly on active disks in their beta phase (retiring
-    # sets it). Within one event "fits the remaining capacity" only turns
-    # true, so checking it once per event records the same clock as checking
-    # it after every selection.
-    duals.gamma_start[np.isnan(duals.gamma_start) & (census <= room).ravel()] = duals.clock
+    census = np.cumsum(np.isnan(duals.covered_at)[duals.table.order], axis=1)
+    room = duals.remaining_capacity[:, None]
+    # Within one event "fits the remaining capacity" only turns true, so
+    # checking it once per event records the same clock as checking it after
+    # every selection. An exhausted server's disks get a gamma phase from now
+    # on, so lingering uncovered members keep paying; finalize() routes any
+    # excess over the disk power into mu.
+    leaves_beta = ((census <= room) | (room == 0)).ravel()
+    duals.gamma_start[np.isnan(duals.gamma_start) & leaves_beta] = duals.clock
     rates = np.minimum(room, census).ravel()
-    rates[~state.active] = 0
     positive = rates > 0
     if not positive.any():
         raise AscentStalledError("no disk can ascend but users remain uncovered")
-    residual = state.powers - state.lhs
+    residual = duals.powers - duals.lhs
     delta = max(float(np.min(residual[positive] / rates[positive])), 0.0)
     after = residual - rates * delta
-    state.lhs += rates * delta
+    duals.lhs += rates * delta
     duals.clock += delta
-    return delta, np.flatnonzero(positive & (after <= state.tight_tol)).tolist()
+    return delta, np.flatnonzero(positive & (after <= duals.tight_tol)).tolist()
 
 
-def _retire(state: SolverState, duals: DualState, lo: int, hi: int) -> None:
-    # Retired beta-phase disks get a synthetic gamma phase from now on, so
-    # lingering uncovered members keep paying; finalize() routes any excess
-    # over the disk power into mu.
-    state.active[lo:hi] = False
-    start = duals.gamma_start[lo:hi]
-    start[np.isnan(start)] = duals.clock
-
-
-def apply_selection(state: SolverState, duals: DualState, idx: int) -> list[int]:
-    """Select a tight disk: assign its uncovered users, retire smaller disks.
+def apply_selection(duals: DualState, idx: int) -> list[int]:
+    """Select a tight disk: assign its uncovered users to its server.
 
     `idx` is the disk's flat index. Returns the newly covered users,
     ascending. A tight disk whose uncovered set was emptied by an earlier
-    selection in the same event is only retired; nothing else changes.
+    selection in the same event changes nothing. Smaller disks of the server
+    stop ascending, as their members are all covered.
     """
-    if not state.active[idx]:
+    if not duals.is_active(idx):
         raise ValueError("apply_selection: disk is no longer active")
-    if state.powers[idx] - state.lhs[idx] > state.tight_tol[idx]:
+    if duals.powers[idx] - duals.lhs[idx] > duals.tight_tol[idx]:
         raise ValueError("apply_selection: disk is not tight")
-    n = state.n
-    s, rank = divmod(idx, n)
-    members = state.table.order[s, : rank + 1]
-    newly = members[~state.covered[members]]
+    s, rank = divmod(idx, duals.table.order.shape[1])
+    members = duals.table.order[s, : rank + 1]
+    newly = members[np.isnan(duals.covered_at[members])]
     if not len(newly):
-        _retire(state, duals, idx, idx + 1)
         return []
-    if len(newly) > state.remaining_capacity[s]:
+    if len(newly) > duals.remaining_capacity[s]:
         raise CapacityInvariantError(
             f"tight disk (server {s}, rank {rank}) holds {len(newly)} uncovered "
-            f"users but only {state.remaining_capacity[s]} capacity remains",
-            state.table.disk(s, rank),
+            f"users but only {duals.remaining_capacity[s]} capacity remains",
+            duals.table.disk(s, rank),
             newly.tolist(),
-            int(state.remaining_capacity[s]),
+            int(duals.remaining_capacity[s]),
         )
 
-    state.covered[newly] = True
-    state.assignment[newly] = s
+    duals.assignment[newly] = s
     duals.covered_at[newly] = duals.clock
-    state.remaining_capacity[s] -= len(newly)
-
-    prev = state.last_selected[s]
-    assert prev is None or prev < idx, "selected disks of a server must grow"
-    state.last_selected[s] = idx
-
-    _retire(state, duals, s * n, idx + 1)
-    if state.remaining_capacity[s] == 0:
-        _retire(state, duals, s * n, (s + 1) * n)
+    duals.remaining_capacity[s] -= len(newly)
+    duals.last_selected[s] = idx
     return sorted(newly.tolist())
 
 
@@ -304,32 +278,33 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
         raise InsufficientCapacityError(
             f"total capacity {instance.total_capacity} < {instance.n} users"
         )
-    state, duals = init_solver(instance)
+    duals = init_solver(instance)
     n = instance.n
-    while not state.covered.all():
-        _, tights = next_event(state, duals)
+    trace: EventTrace = []
+    while np.isnan(duals.covered_at).any():
+        _, tights = next_event(duals)
         progressed = False
         for idx in tights:
-            if not state.active[idx]:
+            if not duals.is_active(idx):
                 continue
             try:
-                newly = apply_selection(state, duals, idx)
+                newly = apply_selection(duals, idx)
             except CapacityInvariantError as err:
-                err.trace = list(state.trace)
+                err.trace = list(trace)
                 raise
             if newly:
                 progressed = True
                 s, rank = divmod(idx, n)
-                state.trace.append(
+                trace.append(
                     SelectionEvent(
                         clock=duals.clock,
                         server=s,
-                        boundary_user=int(state.table.order[s, rank]),
+                        boundary_user=int(duals.table.order[s, rank]),
                         rank=rank,
                         disk_index=idx,
                         newly_covered=tuple(newly),
-                        power=float(state.powers[idx]),
-                        remaining_after=int(state.remaining_capacity[s]),
+                        power=float(duals.powers[idx]),
+                        remaining_after=int(duals.remaining_capacity[s]),
                     )
                 )
         assert progressed, "an event must cover at least one user"
@@ -340,10 +315,10 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
     duals.finalize()
 
     chosen: list[Optional[Disk]] = [
-        state.table.disk(*divmod(i, n)) if i is not None else None for i in state.last_selected
+        duals.table.disk(*divmod(i, n)) if i >= 0 else None for i in duals.last_selected
     ]
-    solution = make_solution(instance, chosen, [int(s) for s in state.assignment])
-    return solution, duals, list(state.trace)
+    solution = make_solution(instance, chosen, [int(s) for s in duals.assignment])
+    return solution, duals, trace
 
 
 def dual_objective(duals) -> float:

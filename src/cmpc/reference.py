@@ -44,26 +44,28 @@ class OptResult:
 
 
 def feasible_assignment(
-    choice: list[Optional[Disk]],
+    ranks: list[Optional[int]],
     instance: Instance,
     table: Optional[OrderTable] = None,
 ) -> Optional[list[int]]:
     """Capacity-respecting user->server assignment under the chosen disks.
 
-    Each user may go to any server whose chosen disk contains it; a server
-    holds at most its capacity. Solved as bipartite matching with server-side
-    capacities (augmenting paths); returns the assignment or None. `table`
-    is the instance's OrderTable, built here when not given.
+    `ranks[s]` is the rank of server s's chosen disk in the order table, or
+    None when the server is off. Each user may go to any server whose chosen
+    disk contains it; a server holds at most its capacity. Solved as
+    bipartite matching with server-side capacities (augmenting paths);
+    returns the assignment or None. `table` is the instance's OrderTable,
+    built here when not given.
     """
     n = instance.n
     m = instance.m
     if table is None:
         table = order_table(instance)
     allowed: list[list[int]] = [[] for _ in range(n)]
-    for s, disk in enumerate(choice):
-        if disk is None:
+    for s, rank in enumerate(ranks):
+        if rank is None:
             continue
-        for h in table.order[s, : disk.rank + 1].tolist():
+        for h in table.order[s, : rank + 1].tolist():
             allowed[h].append(s)
 
     capacity = [srv.capacity for srv in instance.servers]
@@ -93,18 +95,6 @@ def feasible_assignment(
     return assignment
 
 
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-
 def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResult:
     """Exact minimum-power cover by exhaustive radius enumeration.
 
@@ -119,6 +109,8 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
 
     n, m = instance.n, instance.m
     table = order_table(instance)
+    power = table.power.tolist()
+    capacity = [srv.capacity for srv in instance.servers]
     all_users_mask = (1 << n) - 1
 
     # member_mask[s * n + t]: bit set of the users inside server s's disk at rank t.
@@ -129,26 +121,25 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
             mask |= 1 << h
             member_mask.append(mask)
 
-    # Per-server options sorted by power so cheap subtrees come first; "off"
-    # is the zero-power first option.
-    options: list[list[Optional[Disk]]] = []
-    for s in range(m):
-        opts: list[Optional[Disk]] = [None]
-        opts.extend(sorted((table.disk(s, t) for t in range(n)), key=lambda d: (d.power, d.rank)))
-        options.append(opts)
+    # Per-server ranks sorted by power so cheap subtrees come first; "off"
+    # (None) is the zero-power first option.
+    options: list[list[Optional[int]]] = [
+        [None] + sorted(range(n), key=lambda t: (power[s][t], t)) for s in range(m)
+    ]
 
     # Power of the cheapest nonempty choice per suffix is 0 ("off" allowed),
     # so the only sound lower bound on a partial choice is its own power.
-    budget_state = _Budget(budget)
+    nodes = 0
     best_power = math.inf
-    best: Optional[tuple[list[Optional[Disk]], list[int]]] = None
+    best: Optional[tuple[list[Optional[int]], list[int]]] = None
     exhausted = False
 
-    def descend(s: int, power_so_far: float, choice: list[Optional[Disk]], covered: int, cap: int) -> None:
-        nonlocal best_power, best, exhausted
+    def descend(s: int, power_so_far: float, choice: list[Optional[int]], covered: int, cap: int) -> None:
+        nonlocal nodes, best_power, best, exhausted
         if exhausted:
             return
-        if not budget_state.spend():
+        nodes += 1
+        if nodes > budget:
             exhausted = True
             return
         if power_so_far >= best_power:
@@ -161,23 +152,16 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
                 best_power = power_so_far
                 best = (list(choice), assignment)
             return
-        for opt in options[s]:
-            if opt is None:
+        for rank in options[s]:
+            if rank is None:
                 choice.append(None)
                 descend(s + 1, power_so_far, choice, covered, cap)
             else:
-                extra = opt.power
+                extra = power[s][rank]
                 if power_so_far + extra >= best_power:
                     break  # options are power-sorted: every later one prunes too
-                choice.append(opt)
-                idx = opt.server * n + opt.rank
-                descend(
-                    s + 1,
-                    power_so_far + extra,
-                    choice,
-                    covered | member_mask[idx],
-                    cap + instance.servers[s].capacity,
-                )
+                choice.append(rank)
+                descend(s + 1, power_so_far + extra, choice, covered | member_mask[s * n + rank], cap + capacity[s])
             choice.pop()
             if exhausted:
                 return
@@ -185,15 +169,12 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
     descend(0, 0.0, [], 0, 0)
 
     if exhausted:
-        return OptResult(status="budget_exceeded", nodes_explored=budget_state.used)
+        return OptResult(status="budget_exceeded", nodes_explored=nodes)
     if best is None:
-        return OptResult(status="infeasible", nodes_explored=budget_state.used)
+        return OptResult(status="infeasible", nodes_explored=nodes)
     choice, assignment = best
-    return OptResult(
-        status="optimal",
-        nodes_explored=budget_state.used,
-        solution=make_solution(instance, choice, assignment),
-    )
+    chosen = [None if rank is None else table.disk(s, rank) for s, rank in enumerate(choice)]
+    return OptResult(status="optimal", nodes_explored=nodes, solution=make_solution(instance, chosen, assignment))
 
 
 def ncs_solve(instance: Instance) -> Solution:

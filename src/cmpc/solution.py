@@ -16,12 +16,12 @@ class Solution:
     assignment: tuple[int, ...]
     total_power: float
 
-    def loads(self, m: int | None = None) -> list[int]:
-        """Users served per server."""
-        size = len(self.chosen) if m is None else m
-        counts = [0] * size
+    def loads(self) -> list[int]:
+        """Users served per server; an unassigned user (-1) counts for none."""
+        counts = [0] * len(self.chosen)
         for s in self.assignment:
-            counts[s] += 1
+            if 0 <= s < len(counts):
+                counts[s] += 1
         return counts
 
     def to_json_dict(self) -> dict:

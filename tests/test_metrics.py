@@ -65,6 +65,21 @@ def test_validate_flags_assignment_to_diskless_server():
     assert {code for code, _ in report.violations} == {"no-disk"}
 
 
+def test_validate_unassigned_user_loads_no_server():
+    # User 1 is unassigned (-1); server 1 serves user 2 alone, within its
+    # capacity of 1.
+    inst = make_instance(
+        [(0.0, 0.0, 2), (5.0, 0.0, 1)],
+        [(1.0, 0.0), (4.0, 0.0), (6.0, 0.0)],
+    )
+    disks = build_disks(inst)
+    bad = solution_with(inst, [disks[1], disks[4]], [0, -1, 1])
+    assert bad.loads() == [1, 1]
+    report = validate(inst, bad)
+    assert report.capacity_ok
+    assert report.violations == (("coverage", "user 1 is not assigned to any server"),)
+
+
 def test_util_variance_values():
     balanced = make_instance(
         [(0.0, 0.0, 2), (5.0, 0.0, 2)],
@@ -93,7 +108,7 @@ def test_util_variance_uneven_three_servers():
 def test_util_variance_invariant_under_server_relabeling():
     inst = gen_instance(GenConfig(m=4, n=12, kbar=4.0, seed=9))
     sol, _, _ = pd_solve(inst)
-    loads = sol.loads(inst.m)
+    loads = sol.loads()
     base = util_variance(inst, sol)
     target = inst.n / inst.m
     assert base == pytest.approx(

@@ -87,27 +87,28 @@ def test_insufficient_capacity_rejected():
 
 
 def test_next_event_gamma_rate():
-    # One active disk: p=4, two uncovered members, capacity 5 -> delta 2.
+    # Both disks have p=4. Disk 1 holds two uncovered members, capacity 5
+    # -> delta 2; disk 0 holds one and is half charged by then.
     inst = make_instance([(0.0, 0.0, 5)], [(0.0, 2.0), (2.0, 0.0)])
-    state, duals = init_solver(inst)
-    state.active[0] = False
-    delta, tights = next_event(state, duals)
+    duals = init_solver(inst)
+    delta, tights = next_event(duals)
     assert delta == 2.0
     assert tights == [1]
+    assert duals.lhs[0] == 2.0
 
 
 def test_next_event_capacity_clamped_rate():
-    # p=6, four uncovered members, remaining capacity 2 -> rate 2, delta 3.
+    # p=6 for every disk, remaining capacity 2 -> rate 2 for the disks with
+    # two or more uncovered members, delta 3 (unclamped, rate 4 would give 1.5).
     r = 6.0**0.5
     inst = make_instance(
         [(0.0, 0.0, 2)],
         [(r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)],
     )
-    state, duals = init_solver(inst)
-    state.active[:3] = False
-    delta, tights = next_event(state, duals)
+    duals = init_solver(inst)
+    delta, tights = next_event(duals)
     assert delta == pytest.approx(3.0, rel=1e-12)
-    assert tights == [3]
+    assert tights == [1, 2, 3]
 
 
 def test_next_event_simultaneous_ties_ordered():
@@ -115,8 +116,8 @@ def test_next_event_simultaneous_ties_ordered():
         [(0.0, 0.0, 1), (10.0, 0.0, 1)],
         [(1.0, 0.0), (9.0, 0.0)],
     )
-    state, duals = init_solver(inst)
-    delta, tights = next_event(state, duals)
+    duals = init_solver(inst)
+    delta, tights = next_event(duals)
     assert delta == 1.0
     assert tights == [0, 2]  # flat indices s*n + rank of (0, 0) and (1, 0)
 
@@ -126,13 +127,13 @@ def test_next_event_simultaneous_ties_ordered():
 
 def test_apply_selection_updates_state():
     inst = two_user_line()
-    state, duals = init_solver(inst)
-    delta, tights = next_event(state, duals)
-    newly = apply_selection(state, duals, tights[0])
+    duals = init_solver(inst)
+    delta, tights = next_event(duals)
+    newly = apply_selection(duals, tights[0])
     assert newly == [0]
-    assert state.remaining_capacity[0] == 1
-    assert not state.active[0] and state.active[1]
-    assert state.lhs[1] == 2.0
+    assert duals.remaining_capacity[0] == 1
+    assert not duals.is_active(0) and duals.is_active(1)
+    assert duals.lhs[1] == 2.0
     assert duals.covered_at[0] == 1.0
 
 
@@ -155,34 +156,70 @@ def test_exhausted_server_disks_stop_ascending():
         [(0.0, 0.0, 1), (50.0, 0.0, 1)],
         [(1.0, 0.0), (2.0, 0.0)],
     )
-    state, duals = init_solver(inst)
-    delta, tights = next_event(state, duals)
-    apply_selection(state, duals, tights[0])
-    assert state.remaining_capacity[0] == 0
-    charge = state.lhs.copy()
-    delta, _ = next_event(state, duals)
+    duals = init_solver(inst)
+    delta, tights = next_event(duals)
+    apply_selection(duals, tights[0])
+    assert duals.remaining_capacity[0] == 0
+    charge = duals.lhs.copy()
+    delta, _ = next_event(duals)
     assert delta > 0
-    assert np.array_equal(state.lhs[: inst.n], charge[: inst.n])  # all of server 0's disks
+    assert np.array_equal(duals.lhs[: inst.n], charge[: inst.n])  # all of server 0's disks
 
 
 def test_apply_selection_requires_tight_active_disk():
     inst = two_user_line()
-    state, duals = init_solver(inst)
+    duals = init_solver(inst)
     with pytest.raises(ValueError, match="not tight"):
-        apply_selection(state, duals, 0)
-    state.active[0] = False
+        apply_selection(duals, 0)
+    duals.remaining_capacity[0] = 0
     with pytest.raises(ValueError, match="active"):
-        apply_selection(state, duals, 0)
+        apply_selection(duals, 0)
 
 
 def test_next_event_stall_detection():
     from cmpc import AscentStalledError
 
     inst = two_user_line()
-    state, duals = init_solver(inst)
-    state.active[:] = False
+    duals = init_solver(inst)
+    duals.remaining_capacity[:] = 0
     with pytest.raises(AscentStalledError):
-        next_event(state, duals)
+        next_event(duals)
+
+
+def test_inactive_disks_stop_ascending_and_refuse_selection():
+    # Ample (kbar 2n) and tight (kbar n/m) capacity alternate. A disk that is
+    # not active must keep its charge and stay out of the tight list at the
+    # next event. Selecting a selected disk again, a smaller disk of the same
+    # server, or the largest disk of an exhausted server must fail.
+    checked = exhausted = 0
+    for i in range(30):
+        m, n = 2 + i % 5, 10 + 2 * i
+        kbar = float(n) / m if i % 2 else 2.0 * n
+        inst = gen_instance(GenConfig(m=m, n=n, kbar=kbar, seed=6000 + i, alpha=(1.0, 2.0, 3.3)[i % 3]))
+        duals = init_solver(inst)
+        inactive = np.zeros(m * n, dtype=bool)
+        charge = duals.lhs.copy()
+        while np.isnan(duals.covered_at).any():
+            _, tights = next_event(duals)
+            assert np.array_equal(duals.lhs[inactive], charge[inactive])
+            assert not inactive[tights].any()
+            checked += int(inactive.sum())
+            for idx in tights:
+                if duals.is_active(idx):
+                    apply_selection(duals, idx)
+            inactive = np.array([not duals.is_active(idx) for idx in range(m * n)])
+            charge = duals.lhs.copy()
+            for s, last in enumerate(duals.last_selected):
+                if last < 0:
+                    continue
+                refused = {last, s * n + (last - s * n) // 2}
+                if duals.remaining_capacity[s] == 0:
+                    refused.add((s + 1) * n - 1)
+                    exhausted += 1
+                for idx in refused:
+                    with pytest.raises(ValueError, match="active"):
+                        apply_selection(duals, idx)
+    assert checked > 0 and exhausted > 0
 
 
 # --- dual bookkeeping -------------------------------------------------------
@@ -192,7 +229,7 @@ def test_dual_objective_values():
     _, duals, _ = pd_solve(two_user_line())
     assert dual_objective(duals) == 4.0
 
-    state, fresh = init_solver(two_user_line())
+    fresh = init_solver(two_user_line())
     assert dual_objective(fresh) == 0.0
 
     manual = ManualDuals(
@@ -324,7 +361,7 @@ def test_random_instances_feasible_and_priced(seed):
     assert report.ok, report.violations
     assert verify_dual_feasibility(inst, duals, tol=1e-7) == []
     assert check_charging(inst, trace, duals, tol=1e-7) == []
-    loads = sol.loads(inst.m)
+    loads = sol.loads()
     for s, srv in enumerate(inst.servers):
         assert loads[s] <= srv.capacity
     # Selected radii only grow per server.
@@ -438,7 +475,7 @@ def test_verify_pins_lowered_mu_to_its_server(bench_scale):
     inst, solution, duals, _ = bench_scale
     s = int(np.argmax(duals.mu))
     assert duals.mu[s] > 1.0
-    assert solution.loads(inst.m)[s] == inst.servers[s].capacity
+    assert solution.loads()[s] == inst.servers[s].capacity
     lowered = copy.copy(duals)
     lowered.mu = duals.mu.copy()
     lowered.mu[s] -= 1.0

@@ -43,8 +43,7 @@ def test_forced_assignment():
         [(0.0, 0.0, 1), (10.0, 0.0, 1)],
         [(1.0, 0.0), (9.0, 0.0)],
     )
-    disks = build_disks(inst)
-    choice = [disks[0], disks[2]]  # each server's nearest-user disk
+    choice = [0, 0]  # each server's nearest-user disk
     assignment = feasible_assignment(choice, inst)
     assert assignment == [0, 1]
 
@@ -56,8 +55,7 @@ def test_halls_condition_assignment():
         [(0.0, 0.0, 1), (3.0, 0.0, 1)],
         [(1.0, 0.0), (2.0, 0.0)],
     )
-    disks = build_disks(inst)
-    choice = [disks[1], disks[3]]  # rank-1 (outer) disk of each server
+    choice = [1, 1]  # rank-1 (outer) disk of each server
     assignment = feasible_assignment(choice, inst)
     assert assignment is not None
     assert sorted(assignment) == [0, 1]
@@ -65,8 +63,7 @@ def test_halls_condition_assignment():
 
 def test_capacity_deficit_assignment():
     inst = make_instance([(0.0, 0.0, 1)], [(1.0, 0.0), (2.0, 0.0)])
-    disks = build_disks(inst)
-    assert feasible_assignment([disks[1]], inst) is None
+    assert feasible_assignment([1], inst) is None
 
 
 def test_unchosen_server_takes_no_users():
@@ -74,8 +71,7 @@ def test_unchosen_server_takes_no_users():
         [(0.0, 0.0, 2), (10.0, 0.0, 2)],
         [(1.0, 0.0), (2.0, 0.0)],
     )
-    disks = build_disks(inst)
-    assignment = feasible_assignment([disks[1], None], inst)
+    assignment = feasible_assignment([1, None], inst)
     assert assignment == [0, 0]
     assert feasible_assignment([None, None], inst) is None
 
@@ -99,14 +95,14 @@ def test_matching_agrees_with_brute_force(servers, users, picks):
     choice = []
     for s in range(inst.m):
         rank = picks.draw(st.integers(-1, n - 1), label=f"rank_{s}")
-        choice.append(None if rank < 0 else disks[s * n + rank])
+        choice.append(None if rank < 0 else rank)
 
     allowed = [[] for _ in range(n)]
-    for s, disk in enumerate(choice):
-        if disk is None:
+    for s, rank in enumerate(choice):
+        if rank is None:
             continue
         for u in range(n):
-            if order_key(inst.servers[s], inst.users[u]) <= disk.key:
+            if order_key(inst.servers[s], inst.users[u]) <= disks[s * n + rank].key:
                 allowed[u].append(s)
     capacities = [srv.capacity for srv in inst.servers]
 
