@@ -3,7 +3,7 @@
 The package namespace holds the instance types, the solvers, the checkers
 and the sweep harness. Internals (the step-wise ascent, candidate disks, the
 order table, JSON helpers) are imported from their submodules, for example
-`cmpc.primal_dual.init_solver` or `cmpc.model.build_disks`.
+`cmpc.primal_dual.init_solver` or `cmpc.model.order_table`.
 """
 
 from .bench import ExperimentConfig, ResultRow, run_experiment, write_csv

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .generate import GenConfig, gen_instance
 from .metrics import approximation_ratio, util_variance, validate
-from .model import Instance, dump_instance
+from .model import Instance, dump_instance, is_json_kind
 from .primal_dual import pd_solve
 from .reference import ncs_solve, opt_solve
 from .solution import Solution
@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("sweep needs at least one point")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed_base < 0:
+            raise ValueError(f"seed_base must be >= 0, got {self.seed_base}")
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
@@ -128,18 +130,8 @@ def _check_keys(record, allowed, where: str) -> None:
 
 
 def _convert(value, kind, where: str):
-    """`value` as `kind`, by the instance JSON's rules, or a ValueError naming `where`.
-
-    int accepts JSON integers and integral floats, float any number, bool
-    only true/false and str only strings; bool is never taken for a number.
-    """
-    if kind is bool or kind is str:
-        ok = isinstance(value, kind)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        ok = False
-    else:
-        ok = kind is float or isinstance(value, int) or value.is_integer()
-    if not ok:
+    """`value` as `kind`, by the instance JSON's rules, or a ValueError naming `where`."""
+    if not is_json_kind(value, kind):
         raise ValueError(f"experiment config: {where} must be {kind.__name__}, got {value!r}")
     return kind(value)
 

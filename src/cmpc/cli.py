@@ -181,7 +181,11 @@ def _cmd_verify(args) -> int:
         failures += len(report.violations)
         for code, detail in report.violations:
             print(f"constraint {code}: {detail}")
-    dual_violations = verify_dual_feasibility(instance, duals, tol=args.tol)
+    try:
+        dual_violations = verify_dual_feasibility(instance, duals, tol=args.tol)
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     for v in dual_violations:
         print(str(v))
     failures += len(dual_violations)

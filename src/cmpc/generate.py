@@ -45,6 +45,8 @@ class GenConfig:
             raise ValueError("m must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.kbar >= 0 and math.isfinite(self.kbar)):
             raise ValueError(f"kbar must be finite and >= 0, got {self.kbar}")
         lo, hi = _capacity_bounds(self.kbar)

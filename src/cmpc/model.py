@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,12 @@ class Instance:
 
     def has_sufficient_capacity(self) -> bool:
         return self.total_capacity >= self.n
+
+    @cached_property
+    def _order_table(self) -> "OrderTable":
+        # Not a field: equality, hashing and dataclasses.replace() ignore it,
+        # and a replaced instance builds its own table.
+        return _build_order_table(self)
 
 
 @dataclass(frozen=True, order=True)
@@ -200,6 +207,15 @@ class OrderTable:
 def order_table(instance: Instance) -> OrderTable:
     """The OrderTable of `instance`: every server's users sorted by OrderKey.
 
+    Built on the first call and kept on the instance, so every solver and
+    checker reads the same table; its arrays are read-only.
+    """
+    return instance._order_table
+
+
+def _build_order_table(instance: Instance) -> OrderTable:
+    """Build the OrderTable of `instance`, with read-only arrays.
+
     Keys and powers equal order_key() and power() bit for bit. Coordinate
     differences and the cosine division are single IEEE operations, so numpy
     computes them exactly as Python does; distances use math.hypot and powers
@@ -225,7 +241,7 @@ def order_table(instance: Instance) -> OrderTable:
     dist = dist[rows, order]
     c, alpha = instance.params.c, instance.params.alpha
     powers = np.fromiter((c * r**alpha for r in dist.ravel().tolist()), np.float64, m * n)
-    return OrderTable(
+    table = OrderTable(
         order=order,
         rank=rank,
         dist=dist,
@@ -233,20 +249,9 @@ def order_table(instance: Instance) -> OrderTable:
         tiebreak=tiebreak[rows, order],
         power=powers.reshape(m, n),
     )
-
-
-def server_order(instance: Instance, server_id: int) -> list[int]:
-    """User ids sorted by ascending OrderKey around one server."""
-    return order_table(instance).order[server_id].tolist()
-
-
-def build_disks(instance: Instance) -> list[Disk]:
-    """All m*n candidate disks, server-major, ascending key within a server.
-
-    The flat index of the disk for server s at rank t is s * n + t.
-    """
-    table = order_table(instance)
-    return [table.disk(s, t) for s in range(instance.m) for t in range(instance.n)]
+    for array in (table.order, table.rank, table.dist, table.cosine, table.tiebreak, table.power):
+        array.flags.writeable = False
+    return table
 
 
 # --- instance JSON format -------------------------------------------------
@@ -269,20 +274,26 @@ def instance_to_json_dict(instance: Instance) -> dict:
     }
 
 
-def _json_number(record: dict, field_name: str, where: str) -> float:
-    value = record[field_name]
-    # bool is an int subclass: without this check `true` would read as 1.
+def is_json_kind(value, kind: type) -> bool:
+    """Whether the JSON value `value` may be read as `kind` without coercion.
+
+    int takes JSON integers and integral floats, float any number, bool only
+    true/false and str only strings. bool is never a number, although Python
+    makes it an int subclass: `true` must not read as 1.
+    """
+    if kind is bool or kind is str:
+        return isinstance(value, kind)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}{field_name} must be a number, got {value!r}")
-    return float(value)
+        return False
+    return kind is float or isinstance(value, int) or value.is_integer()
 
 
-def _json_capacity(record: dict, where: str) -> int:
-    value = record["k"]
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{where}k must be an integer, got {value!r}")
-    return int(value)
+def _json_field(record: dict, field_name: str, kind: type, where: str):
+    value = record[field_name]
+    if not is_json_kind(value, kind):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}{field_name} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def instance_from_json_dict(data: dict) -> Instance:
@@ -295,17 +306,17 @@ def instance_from_json_dict(data: dict) -> Instance:
         if field_name not in data:
             raise ValueError(f"instance JSON: missing field '{field_name}'")
     try:
-        params = PowerParams(c=_json_number(data, "c", ""), alpha=_json_number(data, "alpha", ""))
+        params = PowerParams(c=_json_field(data, "c", float, ""), alpha=_json_field(data, "alpha", float, ""))
         servers = tuple(
             Server(
                 id=i,
-                pos=Point(_json_number(rec, "x", f"servers[{i}]."), _json_number(rec, "y", f"servers[{i}].")),
-                capacity=_json_capacity(rec, f"servers[{i}]."),
+                pos=Point(_json_field(rec, "x", float, f"servers[{i}]."), _json_field(rec, "y", float, f"servers[{i}].")),
+                capacity=_json_field(rec, "k", int, f"servers[{i}]."),
             )
             for i, rec in enumerate(data["servers"])
         )
         users = tuple(
-            User(id=j, pos=Point(_json_number(rec, "x", f"users[{j}]."), _json_number(rec, "y", f"users[{j}].")))
+            User(id=j, pos=Point(_json_field(rec, "x", float, f"users[{j}]."), _json_field(rec, "y", float, f"users[{j}].")))
             for j, rec in enumerate(data["users"])
         )
     except KeyError as exc:

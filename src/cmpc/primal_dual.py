@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Disk, Instance, OrderTable, order_table
+from .model import Disk, Instance, order_table
 from .solution import Solution, make_solution
 
 # A disk is tight when its remaining charge gap is below this, relative to
@@ -176,22 +176,19 @@ class DualState:
         """Set mu to the least slack making every disk constraint feasible.
 
         The disk of server s at rank t needs k_s * beta + sum over its members
-        j <= t of max(0, paid_j - gamma_start) <= power + mu_s. The sums are
-        taken over blocks of ranks, so temporaries stay O(block * n).
+        j <= t of gamma <= power + mu_s. The sums are taken over blocks of
+        ranks, one gamma_block call per block, so temporaries stay
+        O(block * n).
         """
         m, n = self.table.order.shape
-        paid = self.theta
-        # A disk still in its beta phase has no gamma prices.
-        start = np.nan_to_num(self.gamma_start.reshape(m, n), nan=np.inf)
         lhs = self.capacity[:, None] * self.beta.reshape(m, n)
         step = min(n, max(1, FINALIZE_BLOCK_ELEMENTS // n))
         later_member = np.triu(np.ones((step, step), dtype=bool), 1)
         for s in range(m):
-            paid_s = paid[self.table.order[s]]
             for lo in range(0, n, step):
                 hi = min(lo + step, n)
-                gap = paid_s[None, :hi] - start[s, lo:hi, None]
-                np.maximum(gap, 0.0, out=gap)
+                # Row r is the disk at rank lo + r; it contains order[s, :lo + r + 1].
+                gap = self.gamma_block(s * n + lo, s * n + hi, self.table.order[s, :hi])
                 gap[:, lo:][later_member[: hi - lo, : hi - lo]] = 0.0
                 lhs[s, lo:hi] += gap.sum(axis=1)
         excess = (lhs - self.table.power).max(axis=1)
@@ -345,6 +342,11 @@ class DualViolation:
         return f"{self.constraint} violated by {self.amount:.3e} ({', '.join(where) or 'global'})"
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):  # a NaN tol would hide every violation
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> list[DualViolation]:
     """Check the dual prices against the covering dual's constraints.
 
@@ -355,9 +357,10 @@ def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> lis
     of the ascent bookkeeping. `duals` provides `theta`, `beta`, `mu` and
     `gamma_block(lo, hi, members)`, the [hi - lo, len(members)] gamma prices
     of `members` in the disks with flat indices lo..hi-1. Each server's disks
-    are checked in blocks of ranks, one gamma_block call per block, against
-    this checker's own order table.
+    are checked in blocks of ranks, one gamma_block call per block. Raises
+    ValueError unless `tol` is finite and >= 0.
     """
+    _check_tol(tol)
     m, n = instance.m, instance.n
     table = order_table(instance)
     theta = np.asarray(duals.theta, dtype=np.float64)
@@ -414,13 +417,7 @@ class ChargingViolation:
         return f"event {self.event_index}: {self.kind} off by {self.amount:.3e}"
 
 
-def charge_breakdown(
-    instance: Instance,
-    trace: EventTrace,
-    duals,
-    event_index: int,
-    table: Optional[OrderTable] = None,
-) -> dict[int, float]:
+def charge_breakdown(instance: Instance, trace: EventTrace, duals, event_index: int) -> dict[int, float]:
     """Per-user charges paying for one selection event's disk power.
 
     While the disk held more uncovered members than its server's remaining
@@ -428,14 +425,11 @@ def charge_breakdown(
     into the flat price; afterwards every still-uncovered member paid its
     individual price until covered. The charges are rebuilt from the event
     trace and closed-form prices, independently of the ascent's running sums;
-    they sum to the disk's power and never exceed a user's theta. `table`
-    is the instance's OrderTable, built here when not given. Returns the
-    charges keyed by member, in rank order.
+    they sum to the disk's power and never exceed a user's theta. Returns
+    the charges keyed by member, in rank order.
     """
     ev = trace[event_index]
-    if table is None:
-        table = order_table(instance)
-    members = table.order[ev.server, : ev.rank + 1]
+    members = order_table(instance).order[ev.server, : ev.rank + 1]
     covered_at = np.asarray(duals.covered_at, dtype=np.float64)[members]
     g = float(duals.gamma_start[ev.disk_index])
 
@@ -472,8 +466,9 @@ def check_charging(
     per-user charges of at most theta_h each; and across the final cover no
     user may be charged by more than m disks. Everything is reconstructed
     from the trace and the closed-form prices, independently of the ascent's
-    running sums.
+    running sums. Raises ValueError unless `tol` is finite and >= 0.
     """
+    _check_tol(tol)
     n = instance.n
     table = order_table(instance)
     theta = np.asarray(duals.theta, dtype=np.float64)
@@ -512,7 +507,7 @@ def check_charging(
         if abs(ev.power - charge) > tol * scale:
             violations.append(ChargingViolation(ev_i, "power vs beta-charge + gamma", abs(ev.power - charge)))
 
-        charges = charge_breakdown(instance, trace, duals, ev_i, table)
+        charges = charge_breakdown(instance, trace, duals, ev_i)
         paid = np.fromiter(charges.values(), np.float64, len(charges))
         if final_events[ev.server] == ev_i:
             charged_count[members[paid > 0]] += 1

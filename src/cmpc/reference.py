@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Disk, Instance, OrderTable, order_table
+from .model import Disk, Instance, order_table
 from .primal_dual import InsufficientCapacityError
 from .solution import Solution, make_solution
 
@@ -43,29 +43,23 @@ class OptResult:
         return out
 
 
-def feasible_assignment(
-    ranks: list[Optional[int]],
-    instance: Instance,
-    table: Optional[OrderTable] = None,
-) -> Optional[list[int]]:
+def feasible_assignment(ranks: list[Optional[int]], instance: Instance) -> Optional[list[int]]:
     """Capacity-respecting user->server assignment under the chosen disks.
 
     `ranks[s]` is the rank of server s's chosen disk in the order table, or
     None when the server is off. Each user may go to any server whose chosen
     disk contains it; a server holds at most its capacity. Solved as
     bipartite matching with server-side capacities (augmenting paths);
-    returns the assignment or None. `table` is the instance's OrderTable,
-    built here when not given.
+    returns the assignment or None.
     """
     n = instance.n
     m = instance.m
-    if table is None:
-        table = order_table(instance)
+    order = order_table(instance).order
     allowed: list[list[int]] = [[] for _ in range(n)]
     for s, rank in enumerate(ranks):
         if rank is None:
             continue
-        for h in table.order[s, : rank + 1].tolist():
+        for h in order[s, : rank + 1].tolist():
             allowed[h].append(s)
 
     capacity = [srv.capacity for srv in instance.servers]
@@ -147,7 +141,7 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
         if s == m:
             if covered != all_users_mask or cap < n:
                 return
-            assignment = feasible_assignment(choice, instance, table)
+            assignment = feasible_assignment(choice, instance)
             if assignment is not None:
                 best_power = power_so_far
                 best = (list(choice), assignment)

@@ -199,7 +199,11 @@ def test_cli_solve_payload_metrics(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args, field",
-    [(["--m", "0", "--n", "2", "--kbar", "2"], "m"), (["--m", "12", "--n", "2", "--kbar", "0.5"], "kbar")],
+    [
+        (["--m", "0", "--n", "2", "--kbar", "2"], "m"),
+        (["--m", "12", "--n", "2", "--kbar", "0.5"], "kbar"),
+        (["--m", "2", "--n", "3", "--kbar", "4", "--seed", "-1"], "seed"),
+    ],
 )
 def test_cli_gen_bad_parameter_exit_1(tmp_path, capsys, args, field):
     out_dir = tmp_path / "instances"
@@ -309,11 +313,13 @@ GOOD_CONFIG = {"experiment_id": "x", "sweep": {"variable": "n", "values": [5]}, 
         ({"sweep": {"variable": "alpha", "values": [2.0, "2"]}}, "sweep.values[1] must be float, got '2'"),
         ({"sweep": {"variable": "m_K", "values": [[2.5, 10.0]]}}, "sweep.values[0][0] must be int, got 2.5"),
         ({"sweep": {"variable": "m_lambda", "values": [3]}}, "sweep.values[0] must be a list of 2 numbers, got 3"),
+        ({"seed_base": -1}, "seed_base must be >= 0, got -1"),
     ],
     ids=[
         "top-level-key", "sweep-key", "fixed-key", "sweep-list", "fixed-list", "values-int", "fixed-null", "trials-list",
         "trials-fraction", "trials-string", "timing-string", "timing-int", "fixed-bool", "kbar-string", "alpha-bool",
         "out-number", "n-point-fraction", "alpha-point-string", "m_K-point-fraction", "m_lambda-point-scalar",
+        "seed_base-negative",
     ],
 )
 def test_cli_bench_rejects_malformed_config(tmp_path, capsys, changes, message):

@@ -110,3 +110,5 @@ def test_config_validation():
         GenConfig(m=1, n=1, kbar=-1.0, seed=0)
     with pytest.raises(ValueError):
         GenConfig(m=1, n=1, kbar=1.0, seed=0, lam=1.5)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        GenConfig(m=1, n=1, kbar=1.0, seed=-1)

@@ -13,7 +13,7 @@ from cmpc import (
     validate,
 )
 from cmpc.metrics import approximation_ratio, util_variance
-from cmpc.model import build_disks
+from cmpc.model import order_table
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -37,8 +37,8 @@ def test_validate_accepts_solver_output():
 
 def test_validate_flags_user_outside_disk():
     inst = make_instance([(0.0, 0.0, 2)], [(1.0, 0.0), (2.0, 0.0)])
-    disks = build_disks(inst)
-    bad = solution_with(inst, [disks[0]], [0, 0])  # small disk excludes user 1
+    table = order_table(inst)
+    bad = solution_with(inst, [table.disk(0, 0)], [0, 0])  # small disk excludes user 1
     report = validate(inst, bad)
     assert not report.ok and not report.coverage_ok
     codes = {code for code, _ in report.violations}
@@ -50,8 +50,8 @@ def test_validate_flags_overloaded_server():
         [(0.0, 0.0, 1), (3.0, 0.0, 1)],
         [(1.0, 0.0), (2.0, 0.0)],
     )
-    disks = build_disks(inst)
-    bad = solution_with(inst, [disks[1], None], [0, 0])
+    table = order_table(inst)
+    bad = solution_with(inst, [table.disk(0, 1), None], [0, 0])
     report = validate(inst, bad)
     assert not report.capacity_ok
     assert ("capacity", "server 0 serves 2 users, capacity 1") in report.violations
@@ -72,8 +72,8 @@ def test_validate_unassigned_user_loads_no_server():
         [(0.0, 0.0, 2), (5.0, 0.0, 1)],
         [(1.0, 0.0), (4.0, 0.0), (6.0, 0.0)],
     )
-    disks = build_disks(inst)
-    bad = solution_with(inst, [disks[1], disks[4]], [0, -1, 1])
+    table = order_table(inst)
+    bad = solution_with(inst, [table.disk(0, 1), table.disk(1, 1)], [0, -1, 1])
     assert bad.loads() == [1, 1]
     report = validate(inst, bad)
     assert report.capacity_ok
@@ -85,11 +85,11 @@ def test_util_variance_values():
         [(0.0, 0.0, 2), (5.0, 0.0, 2)],
         [(0.1, 0.0), (0.2, 0.0), (4.9, 0.0), (4.8, 0.0)],
     )
-    disks = build_disks(balanced)
-    sol = solution_with(balanced, [disks[1], disks[5]], [0, 0, 1, 1])
+    table = order_table(balanced)
+    sol = solution_with(balanced, [table.disk(0, 1), table.disk(1, 1)], [0, 0, 1, 1])
     assert util_variance(balanced, sol) == 0.0
 
-    lopsided = solution_with(balanced, [disks[3], None], [0, 0, 0, 0])
+    lopsided = solution_with(balanced, [table.disk(0, 3), None], [0, 0, 0, 0])
     assert util_variance(balanced, lopsided) == 4.0
 
 
@@ -98,9 +98,9 @@ def test_util_variance_uneven_three_servers():
         [(0.0, 0.0, 3), (10.0, 0.0, 3), (20.0, 0.0, 3)],
         [(float(i), 0.0) for i in range(6)],
     )
-    disks = build_disks(inst)
+    table = order_table(inst)
     assignment = [0, 0, 0, 1, 2, 2]
-    chosen = [disks[0 * 6 + 2], disks[1 * 6 + 0], disks[2 * 6 + 1]]
+    chosen = [table.disk(0, 2), table.disk(1, 0), table.disk(2, 1)]
     sol = solution_with(inst, chosen, assignment)
     assert util_variance(inst, sol) == pytest.approx(2.0 / 3.0, rel=1e-12)
 

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,23 +14,35 @@ from cmpc import (
     PowerParams,
     Server,
     User,
+    check_charging,
     gen_instance,
+    ncs_solve,
+    opt_solve,
+    pd_solve,
+    verify_dual_feasibility,
 )
+from cmpc import model
 from cmpc.model import (
-    build_disks,
     instance_from_json_dict,
     instance_to_json_dict,
     order_key,
     order_table,
     power,
-    server_order,
 )
+from cmpc.primal_dual import charge_breakdown
+from cmpc.reference import feasible_assignment
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
     servers = tuple(Server(i, Point(x, y), k) for i, (x, y, k) in enumerate(server_specs))
     users = tuple(User(j, Point(x, y)) for j, (x, y) in enumerate(user_points))
     return Instance(PowerParams(c, alpha), servers, users)
+
+
+def all_disks(inst):
+    """All m*n candidate disks, server-major, ascending key within a server."""
+    table = order_table(inst)
+    return [table.disk(s, t) for s in range(inst.m) for t in range(inst.n)]
 
 
 # --- power law --------------------------------------------------------------
@@ -82,7 +96,7 @@ def test_equal_cosine_mirror_tiebreak():
     # Users mirrored across the x-axis through the server share distance and
     # cosine; exactly one of the two disks must contain both users.
     inst = make_instance([(0.0, 0.0, 2)], [(1.0, 1.0), (1.0, -1.0)])
-    disks = build_disks(inst)
+    disks = all_disks(inst)
     k0 = order_key(inst.servers[0], inst.users[0])
     k1 = order_key(inst.servers[0], inst.users[1])
     assert k0 != k1
@@ -115,7 +129,7 @@ def test_containment_is_monotone_in_key(server, users):
         [(float(server[0]), float(server[1]), 1)],
         [(float(x), float(y)) for x, y in users],
     )
-    disks = build_disks(inst)
+    disks = all_disks(inst)
     members = [
         {u.id for u in inst.users if order_key(inst.servers[d.server], u) <= d.key} for d in disks
     ]
@@ -128,9 +142,9 @@ def test_containment_is_monotone_in_key(server, users):
 # --- candidate disks --------------------------------------------------------
 
 
-def test_build_disks_nested_pair():
+def test_order_table_nested_pair():
     inst = make_instance([(0.0, 0.0, 2)], [(1.0, 0.0), (2.0, 0.0)])
-    disks = build_disks(inst)
+    disks = all_disks(inst)
     assert len(disks) == 2
     small, large = disks
     assert small.power == 1.0 and large.power == 4.0
@@ -139,12 +153,12 @@ def test_build_disks_nested_pair():
     assert k0 <= small.key and not k1 <= small.key
 
 
-def test_build_disks_cardinality():
+def test_order_table_cardinality():
     inst = make_instance(
         [(0.0, 0.0, 2), (5.0, 5.0, 1)],
         [(1.0, 0.0), (2.0, 0.0), (3.0, 3.0)],
     )
-    disks = build_disks(inst)
+    disks = all_disks(inst)
     assert len(disks) == 6
     for s in range(2):
         server_disks = [d for d in disks if d.server == s]
@@ -155,7 +169,7 @@ def test_build_disks_cardinality():
 
 def test_contains_key_comparison():
     inst = make_instance([(0.0, 0.0, 1)], [(2.0, 0.0)])
-    disk = build_disks(inst)[0]
+    disk = order_table(inst).disk(0, 0)
     key = disk.key
     smaller = type(key)(1.0, 0.0, 0)
     assert smaller <= disk.key
@@ -239,9 +253,9 @@ def test_instance_json_rejects_coerced_values(path, value, message):
         instance_from_json_dict(data)
 
 
-def test_server_order_sorts_by_key():
+def test_order_table_sorts_by_key():
     inst = make_instance([(0.0, 0.0, 3)], [(3.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-    assert server_order(inst, 0) == [1, 2, 0]
+    assert order_table(inst).order[0].tolist() == [1, 2, 0]
 
 
 # --- order table ------------------------------------------------------------
@@ -285,7 +299,6 @@ def assert_table_matches_scalar_path(inst):
         keys = [order_key(srv, u) for u in inst.users]
         reference = sorted(range(inst.n), key=keys.__getitem__)
         assert table.order[s].tolist() == reference
-        assert server_order(inst, s) == reference
         for t, uid in enumerate(reference):
             assert table.rank[s, uid] == t
             assert _bits(table.key(s, t)) == _bits(keys[uid])
@@ -305,3 +318,56 @@ def test_order_table_matches_scalar_keys_on_generated_instance(alpha):
     # 5000 pairs at random float coordinates: enough that np.hypot or
     # np.power in place of the scalar operations would differ on some.
     assert_table_matches_scalar_path(gen_instance(GenConfig(m=10, n=500, kbar=60.0, seed=11, alpha=alpha)))
+
+
+# --- one table per instance -------------------------------------------------
+
+
+def test_one_instance_builds_one_order_table(monkeypatch):
+    builds = []
+    build = model._build_order_table
+    monkeypatch.setattr(model, "_build_order_table", lambda inst: builds.append(inst) or build(inst))
+    inst = gen_instance(GenConfig(m=3, n=7, kbar=3.0, seed=5))
+    _, duals, trace = pd_solve(inst)
+    ncs_solve(inst)
+    assert opt_solve(inst).status == "optimal"
+    assert verify_dual_feasibility(inst, duals) == []
+    assert check_charging(inst, trace, duals) == []
+    charge_breakdown(inst, trace, duals, 0)
+    assert feasible_assignment([inst.n - 1] * inst.m, inst) is not None
+    assert len(builds) == 1
+    assert order_table(inst) is order_table(inst)
+
+
+def test_order_table_arrays_are_read_only():
+    table = order_table(gen_instance(GenConfig(m=2, n=4, kbar=2.0, seed=1)))
+    for f in dataclasses.fields(table):
+        array = getattr(table, f.name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = array[0, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            array.ravel()[0] = array[0, 1]
+
+
+def test_replaced_instance_gets_its_own_table():
+    inst = gen_instance(GenConfig(m=2, n=5, kbar=3.0, seed=2))
+    table = order_table(inst)
+    cubic = dataclasses.replace(inst, params=PowerParams(3.0, 3.0))
+    fresh = order_table(cubic)
+    assert fresh is not table
+    assert np.array_equal(fresh.order, table.order)
+    for s in range(inst.m):
+        for t in range(inst.n):
+            assert fresh.power[s, t] == power(cubic.params, fresh.dist[s, t])
+            assert table.power[s, t] == power(inst.params, table.dist[s, t])
+
+
+def test_cached_table_leaves_equality_and_hash_alone():
+    def fresh():
+        return make_instance([(0.0, 0.0, 2), (3.0, 1.0, 1)], [(1.0, 0.0), (2.0, 2.0)])
+
+    a, b = fresh(), fresh()
+    before = hash(a)
+    order_table(a)
+    assert a == b and hash(a) == hash(b) == before
+    assert a != dataclasses.replace(b, params=PowerParams(2.0, 2.0))

@@ -21,7 +21,7 @@ from cmpc import (
 )
 from cmpc import primal_dual
 from cmpc.cli import cli
-from cmpc.model import build_disks, dump_instance, order_table
+from cmpc.model import dump_instance, order_table
 from cmpc.primal_dual import apply_selection, charge_breakdown, init_solver, next_event, trace_to_json_list
 
 from _oracles import ManualDuals, reference_charge_breakdown, reference_dual_violations
@@ -248,7 +248,7 @@ def test_verify_zero_duals_feasible():
 
 def test_verify_flags_overpriced_user():
     inst = two_user_line()
-    p_min = min(d.power for d in build_disks(inst))
+    p_min = float(order_table(inst).power.min())
     manual = ManualDuals(
         theta=np.array([p_min + 1.0, 0.0]),
         beta=np.zeros(2),
@@ -282,6 +282,28 @@ def test_verify_flags_negative_slack_price_on_its_server():
     # Like every other sign check, it allows rounding down to -tol.
     manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(4), mu=np.array([0.0, -1e-8]))
     assert verify_dual_feasibility(inst, manual, tol=1e-7) == []
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-7])
+def test_checkers_reject_tol_that_is_not_finite_and_nonnegative(tol):
+    # A NaN tol makes every comparison false; a negative one flags exact prices.
+    inst = two_user_line()
+    _, duals, trace = pd_solve(inst)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        verify_dual_feasibility(inst, duals, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        check_charging(inst, trace, duals, tol=tol)
+    assert verify_dual_feasibility(inst, duals, tol=0.0) == []
+    assert check_charging(inst, trace, duals, tol=0.0) == []
+
+
+def test_cli_verify_rejects_nan_tol(tmp_path, capsys):
+    path = tmp_path / "line.json"
+    dump_instance(two_user_line(), str(path))
+    assert cli(["verify", "--in", str(path), "--tol", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("verify: tol must be finite and >= 0")
+    assert "verify: ok" not in captured.out
 
 
 def test_mu_absorbs_depleted_server_pressure():
@@ -446,9 +468,8 @@ def test_perturbed_duals_raise_every_violation_kind():
 def test_charge_breakdown_matches_per_segment_reference(seed):
     inst = checker_instance(seed)
     _, duals, trace = pd_solve(inst)
-    table = order_table(inst)
     for i, ev in enumerate(trace):
-        got = charge_breakdown(inst, trace, duals, i, table)
+        got = charge_breakdown(inst, trace, duals, i)
         expected = reference_charge_breakdown(inst, trace, duals, i)
         assert list(got) == list(expected)
         assert all(abs(got[h] - expected[h]) <= 1e-12 * max(1.0, ev.power) for h in expected)

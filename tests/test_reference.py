@@ -16,7 +16,7 @@ from cmpc import (
     pd_solve,
     validate,
 )
-from cmpc.model import build_disks, order_key
+from cmpc.model import order_key, order_table
 from cmpc.reference import feasible_assignment
 
 from _oracles import brute_force_assignment_exists, flat_enumeration_optimum
@@ -90,7 +90,7 @@ def test_matching_agrees_with_brute_force(servers, users, picks):
         [(float(x), float(y), k) for (x, y), k in servers],
         [(float(x), float(y)) for x, y in users],
     )
-    disks = build_disks(inst)
+    table = order_table(inst)
     n = inst.n
     choice = []
     for s in range(inst.m):
@@ -102,7 +102,7 @@ def test_matching_agrees_with_brute_force(servers, users, picks):
         if rank is None:
             continue
         for u in range(n):
-            if order_key(inst.servers[s], inst.users[u]) <= disks[s * n + rank].key:
+            if order_key(inst.servers[s], inst.users[u]) <= table.key(s, rank):
                 allowed[u].append(s)
     capacities = [srv.capacity for srv in inst.servers]
 
