@@ -25,6 +25,7 @@ from .model import dump_instance, instance_from_json_dict
 from .primal_dual import (
     InsufficientCapacityError,
     CapacityInvariantError,
+    _check_tol,
     check_charging,
     dual_objective,
     pd_solve,
@@ -100,6 +101,8 @@ def _cmd_gen(args) -> int:
             m=args.m, n=args.n, kbar=args.kbar, seed=args.seed,
             c=args.c, alpha=args.alpha, l=args.l, lam=args.lam,
         )
+        if args.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {args.trials}")
     except ValueError as exc:
         print(f"gen: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -168,6 +171,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    try:
+        _check_tol(args.tol)
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     instance = _load_json(args.infile, instance_from_json_dict)
     try:
         solution, duals, trace = pd_solve(instance)
@@ -181,11 +189,7 @@ def _cmd_verify(args) -> int:
         failures += len(report.violations)
         for code, detail in report.violations:
             print(f"constraint {code}: {detail}")
-    try:
-        dual_violations = verify_dual_feasibility(instance, duals, tol=args.tol)
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    dual_violations = verify_dual_feasibility(instance, duals, tol=args.tol)
     for v in dual_violations:
         print(str(v))
     failures += len(dual_violations)

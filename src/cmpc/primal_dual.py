@@ -45,10 +45,6 @@ from .solution import Solution, make_solution
 # rounding over many events.
 TIGHTNESS_TOL = 1e-9
 
-# Elements per temporary array in DualState.finalize, which sums gamma prices
-# over blocks of a server's disks instead of an n x n matrix at once.
-FINALIZE_BLOCK_ELEMENTS = 1 << 16
-
 # Elements per [disks, members] block in verify_dual_feasibility. Larger
 # blocks save little time and raise peak memory.
 CHECK_BLOCK_ELEMENTS = 1 << 14
@@ -176,21 +172,29 @@ class DualState:
         """Set mu to the least slack making every disk constraint feasible.
 
         The disk of server s at rank t needs k_s * beta + sum over its members
-        j <= t of gamma <= power + mu_s. The sums are taken over blocks of
-        ranks, one gamma_block call per block, so temporaries stay
-        O(block * n).
+        order[s, :t + 1] of gamma <= power + mu_s, where gamma[h, disk] =
+        max(0, theta_h - gamma_start[disk]). So the disks of a run [lo, hi) of
+        ranks that share one gamma start g take their gamma sums from one
+        prefix sum of max(0, theta - g) over order[s, :hi], whatever the
+        starts are. Called once every disk has left its beta phase.
+
+        The runs are few because gamma_start never decreases with rank: it
+        starts at 0 below the capacity and NaN above; each event stamps its
+        clock on the disks in beta that leave it, (census <= room) |
+        (room == 0), a rank prefix of them since census is a cumsum over rank;
+        and pd_solve stamps the rest with the last clock. So a server has at
+        most E + 1 runs for E events: O(m * n * (E + 1)) time, O(n)
+        temporaries.
         """
         m, n = self.table.order.shape
+        theta = self.theta[self.table.order]
+        starts = self.gamma_start.reshape(m, n)
         lhs = self.capacity[:, None] * self.beta.reshape(m, n)
-        step = min(n, max(1, FINALIZE_BLOCK_ELEMENTS // n))
-        later_member = np.triu(np.ones((step, step), dtype=bool), 1)
         for s in range(m):
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                # Row r is the disk at rank lo + r; it contains order[s, :lo + r + 1].
-                gap = self.gamma_block(s * n + lo, s * n + hi, self.table.order[s, :hi])
-                gap[:, lo:][later_member[: hi - lo, : hi - lo]] = 0.0
-                lhs[s, lo:hi] += gap.sum(axis=1)
+            edges = [0, *(np.flatnonzero(np.diff(starts[s])) + 1).tolist(), n]
+            for lo, hi in zip(edges, edges[1:]):
+                gamma = np.maximum(theta[s, :hi] - starts[s, lo], 0.0)
+                lhs[s, lo:hi] += np.cumsum(gamma)[lo:hi]
         excess = (lhs - self.table.power).max(axis=1)
         self.mu = np.maximum(0.0, excess)
 
@@ -417,6 +421,24 @@ class ChargingViolation:
         return f"event {self.event_index}: {self.kind} off by {self.amount:.3e}"
 
 
+def _flat_phase(instance: Instance, trace: EventTrace, server: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segments [a, b) of the flat-price phase [0, g), cut at every event clock
+    (any event can change a census), and `server`'s remaining capacity kp in
+    each: its value after the server's last event at or before a. `trace` is
+    in clock order, as pd_solve records it.
+    """
+    cuts, kp = [0.0], [instance.servers[server].capacity]
+    for e in trace:
+        if e.clock >= g:
+            break
+        if e.clock > cuts[-1]:
+            cuts.append(e.clock)
+            kp.append(kp[-1])
+        if e.server == server:
+            kp[-1] = e.remaining_after
+    return np.array(cuts), np.array(cuts[1:] + [g]), np.array(kp)
+
+
 def charge_breakdown(instance: Instance, trace: EventTrace, duals, event_index: int) -> dict[int, float]:
     """Per-user charges paying for one selection event's disk power.
 
@@ -436,15 +458,7 @@ def charge_breakdown(instance: Instance, trace: EventTrace, duals, event_index: 
     # fmax: a NaN price (uncovered user, or no gamma phase) charges nothing.
     charges = np.fmax(0.0, covered_at - g)
     if g > 0:
-        # Segments of the flat-price phase: any event can change the census.
-        cuts = np.array(sorted({0.0} | {e.clock for e in trace if e.clock < g}) + [g])
-        a, b = cuts[:-1], cuts[1:]
-        # Remaining capacity of this server at the start of each segment:
-        # the value after the last of its events at or before that time.
-        own = [e for e in trace if e.server == ev.server]
-        starts = np.array([0.0] + [e.clock for e in own])
-        after = np.array([instance.servers[ev.server].capacity] + [e.remaining_after for e in own])
-        kp = after[np.searchsorted(starts, a, side="right") - 1]
+        a, b, kp = _flat_phase(instance, trace, ev.server, g)
         # In each segment the kp lowest-key uncovered members pay.
         alive = covered_at[None, :] > a[:, None]
         paying = alive & (np.cumsum(alive, axis=1) <= kp[:, None])
@@ -461,48 +475,29 @@ def check_charging(
     """Audit the charging accounting of every selection event.
 
     For each selected disk, its power must equal the flat-price charge it
-    collected (remaining capacity integrated over its saturated phase) plus
+    collected (remaining capacity integrated over its flat-price phase) plus
     its members' individual payments; the same total must be recoverable as
-    per-user charges of at most theta_h each; and across the final cover no
-    user may be charged by more than m disks. Everything is reconstructed
-    from the trace and the closed-form prices, independently of the ascent's
-    running sums. Raises ValueError unless `tol` is finite and >= 0.
+    per-user charges of at most theta_h each; and the final cover (each
+    server's last selection) may charge each user h at most m * theta_h in
+    total, which gives total power <= m * sum(theta). Everything is
+    reconstructed from the trace and the closed-form prices, independently of
+    the ascent's running sums. Raises ValueError unless `tol` is finite and
+    >= 0.
     """
     _check_tol(tol)
-    n = instance.n
     table = order_table(instance)
     theta = np.asarray(duals.theta, dtype=np.float64)
     covered_at = np.asarray(duals.covered_at, dtype=np.float64)
     theta_scale = max(1.0, float(theta.max(initial=1.0)))
-
-    timelines: dict[int, list[tuple[float, int]]] = {
-        s.id: [(0.0, s.capacity)] for s in instance.servers
-    }
-    for ev in trace:
-        timelines[ev.server].append((ev.clock, ev.remaining_after))
-
-    def beta_charge(server: int, until: float) -> float:
-        total = 0.0
-        segments = timelines[server]
-        for seg_idx, (start, kp) in enumerate(segments):
-            end = segments[seg_idx + 1][0] if seg_idx + 1 < len(segments) else math.inf
-            lo, hi = start, min(end, until)
-            if hi > lo:
-                total += kp * (hi - lo)
-        return total
-
-    # The last event of each server selects its disk in the final cover;
-    # across that cover, each user pays for at most one disk per server.
     final_events = {ev.server: ev_i for ev_i, ev in enumerate(trace)}
-    charged_count = np.zeros(n, dtype=np.int64)
+    cover_charge = np.zeros(instance.n, dtype=np.float64)
 
     violations: list[ChargingViolation] = []
     for ev_i, ev in enumerate(trace):
-        idx = ev.disk_index
         members = table.order[ev.server, : ev.rank + 1]
-        g = float(duals.gamma_start[idx])
-        gamma_sum = float(np.maximum(0.0, covered_at[members] - g).sum())
-        charge = beta_charge(ev.server, g) + gamma_sum
+        g = float(duals.gamma_start[ev.disk_index])
+        a, b, kp = _flat_phase(instance, trace, ev.server, g)
+        charge = float((b - a) @ kp) + float(np.maximum(0.0, covered_at[members] - g).sum())
         scale = max(1.0, ev.power)
         if abs(ev.power - charge) > tol * scale:
             violations.append(ChargingViolation(ev_i, "power vs beta-charge + gamma", abs(ev.power - charge)))
@@ -510,7 +505,7 @@ def check_charging(
         charges = charge_breakdown(instance, trace, duals, ev_i)
         paid = np.fromiter(charges.values(), np.float64, len(charges))
         if final_events[ev.server] == ev_i:
-            charged_count[members[paid > 0]] += 1
+            cover_charge[members] += paid
         total = sum(charges.values())
         if abs(ev.power - total) > tol * scale:
             violations.append(ChargingViolation(ev_i, "power vs per-user charges", abs(ev.power - total)))
@@ -518,8 +513,7 @@ def check_charging(
         if overpaid > tol * theta_scale:
             violations.append(ChargingViolation(ev_i, "charge exceeds a user's theta", overpaid))
 
-    for h in np.nonzero(charged_count > instance.m)[0]:
-        violations.append(
-            ChargingViolation(-1, f"user {h} charged by more than m disks", float(charged_count[h]))
-        )
+    excess = cover_charge - instance.m * theta
+    for h in np.flatnonzero(excess > tol * theta_scale).tolist():
+        violations.append(ChargingViolation(-1, f"user {h} charged above m * theta", float(excess[h])))
     return violations

@@ -203,6 +203,8 @@ def test_cli_solve_payload_metrics(tmp_path, capsys):
         (["--m", "0", "--n", "2", "--kbar", "2"], "m"),
         (["--m", "12", "--n", "2", "--kbar", "0.5"], "kbar"),
         (["--m", "2", "--n", "3", "--kbar", "4", "--seed", "-1"], "seed"),
+        (["--m", "2", "--n", "3", "--kbar", "4", "--trials", "0"], "trials"),
+        (["--m", "2", "--n", "3", "--kbar", "4", "--trials=-2"], "trials"),
     ],
 )
 def test_cli_gen_bad_parameter_exit_1(tmp_path, capsys, args, field):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from cmpc import (
     validate,
     verify_dual_feasibility,
 )
+from cmpc import cli as cli_module
 from cmpc import primal_dual
 from cmpc.cli import cli
 from cmpc.model import dump_instance, order_table
 from cmpc.primal_dual import apply_selection, charge_breakdown, init_solver, next_event, trace_to_json_list
 
 from _oracles import ManualDuals, reference_charge_breakdown, reference_dual_violations
+from test_golden import ascent_instances
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -297,7 +300,11 @@ def test_checkers_reject_tol_that_is_not_finite_and_nonnegative(tol):
     assert check_charging(inst, trace, duals, tol=0.0) == []
 
 
-def test_cli_verify_rejects_nan_tol(tmp_path, capsys):
+def test_cli_verify_rejects_nan_tol(tmp_path, capsys, monkeypatch):
+    def solve_not_expected(instance):
+        raise AssertionError("verify solved before checking --tol")
+
+    monkeypatch.setattr(cli_module, "pd_solve", solve_not_expected)
     path = tmp_path / "line.json"
     dump_instance(two_user_line(), str(path))
     assert cli(["verify", "--in", str(path), "--tol", "nan"]) == 1
@@ -323,34 +330,61 @@ def test_mu_absorbs_depleted_server_pressure():
     assert dual_objective(duals) <= sol.total_power + 1e-9
 
 
-def finalize_reference_mu(inst, duals):
-    """mu by one Python-level sum per disk, the loop finalize() replaces."""
-    n = inst.n
+def finalize_reference_mu(inst, duals, block_elements):
+    """mu by one Python-level sum per disk over gamma_block reads.
+
+    Gamma prices are read per server in blocks of block_elements // n ranks
+    (at least one), each against all of the server's users; a disk's sum takes
+    the prefix of its row that holds its members.
+    """
+    m, n = inst.m, inst.n
     table = order_table(inst)
-    powers = table.power.ravel()
-    mu = np.zeros(inst.m)
-    for idx in range(inst.m * n):
-        s, rank = divmod(idx, n)
-        members = table.order[s, : rank + 1]
-        lhs = inst.servers[s].capacity * duals.beta[idx] + float(duals.gamma_block(idx, idx + 1, members).sum())
-        mu[s] = max(mu[s], lhs - powers[idx])
+    step = max(1, block_elements // n)
+    mu = np.zeros(m)
+    for s in range(m):
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            gammas = duals.gamma_block(s * n + lo, s * n + hi, table.order[s])
+            for rank in range(lo, hi):
+                idx = s * n + rank
+                lhs = inst.servers[s].capacity * duals.beta[idx] + float(gammas[rank - lo, : rank + 1].sum())
+                mu[s] = max(mu[s], lhs - float(table.power[s, rank]))
     return mu
 
 
+def finalize_cases():
+    for seed in range(6):
+        m, n = 2 + seed % 4, 20 + 7 * seed
+        yield pytest.param(gen_instance(GenConfig(m=m, n=n, kbar=n / m, seed=500 + seed)), True, id=str(seed))
+    # Users on an integer grid: many disks share a gamma start. Capacity is
+    # ample in the first, so no server needs slack there.
+    grid_ample, grid_tight = list(ascent_instances())[-2:]
+    yield pytest.param(grid_ample, False, id="grid-ample")
+    yield pytest.param(grid_tight, True, id="grid-tight")
+
+
 @pytest.mark.parametrize("block_elements", [1, 64, 1 << 16])
-@pytest.mark.parametrize("seed", range(6))
-def test_finalize_matches_per_disk_reference(seed, block_elements, monkeypatch):
-    # Small blocks split each server's disks into many row blocks, one row
-    # each at block_elements=1. Sums change association order, so mu may
-    # differ from the reference by rounding only.
-    monkeypatch.setattr(primal_dual, "FINALIZE_BLOCK_ELEMENTS", block_elements)
-    m, n = 2 + seed % 4, 20 + 7 * seed
-    inst = gen_instance(GenConfig(m=m, n=n, kbar=n / m, seed=500 + seed))
+@pytest.mark.parametrize("inst, exercises_mu", finalize_cases())
+def test_finalize_matches_per_disk_reference(inst, exercises_mu, block_elements):
+    # finalize sums gamma prices by prefix sums over runs of equal gamma
+    # start; the reference reads them through gamma_block, one row per call
+    # at block_elements=1 and whole servers at 1 << 16. Sums change
+    # association order, so mu may differ by rounding only.
     _, duals, _ = pd_solve(inst)
-    reference = finalize_reference_mu(inst, duals)
+    reference = finalize_reference_mu(inst, duals, block_elements)
     scale = max(1.0, float(order_table(inst).power.max()))
     assert np.allclose(duals.mu, reference, rtol=0.0, atol=1e-9 * scale)
-    assert (reference > 0).any()  # the instance exercises mu
+    assert (reference > 0).any() == exercises_mu
+
+
+@pytest.mark.parametrize("inst", ascent_instances())
+def test_gamma_start_never_decreases_with_rank(inst):
+    # finalize's run count, at most one run per event plus one, rests on this.
+    _, duals, trace = pd_solve(inst)
+    starts = duals.gamma_start.reshape(inst.m, inst.n)
+    assert not np.isnan(starts).any()
+    assert (np.diff(starts, axis=1) >= 0).all()
+    assert all(len(np.unique(row)) <= len(trace) + 1 for row in starts)
 
 
 # --- whole-run properties ---------------------------------------------------
@@ -514,6 +548,22 @@ def test_check_charging_pins_raised_power_to_its_event(bench_scale):
     violations = check_charging(inst, bumped, duals)
     assert {v.event_index for v in violations} == {i}
     assert "power vs beta-charge + gamma" in {v.kind for v in violations}
+
+
+def test_check_charging_pins_lowered_theta_to_its_user(bench_scale):
+    # The final cover may charge user h at most m * theta_h in total; lower
+    # one charged user's theta to a 2m-th of its charge from one final disk.
+    inst, _, duals, trace = bench_scale
+    last_event = max({ev.server: i for i, ev in enumerate(trace)}.values())
+    charges = charge_breakdown(inst, trace, duals, last_event)
+    h = max(charges, key=charges.get)
+    assert charges[h] > 1.0
+    theta = duals.theta.copy()
+    theta[h] = charges[h] / (2 * inst.m)
+    lowered = SimpleNamespace(theta=theta, covered_at=duals.covered_at, gamma_start=duals.gamma_start)
+    cover = [v for v in check_charging(inst, trace, lowered) if v.event_index == -1]
+    assert [v.kind for v in cover] == [f"user {h} charged above m * theta"]
+    assert cover[0].amount >= charges[h] / 2
 
 
 def test_cli_verify_bench_scale_instance(bench_scale, tmp_path, capsys):
