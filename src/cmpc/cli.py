@@ -115,6 +115,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.oracle_budget < 1:
+        print(f"solve: oracle budget must be >= 1, got {args.oracle_budget}", file=sys.stderr)
+        return USAGE_EXIT
     instance = _load_json(args.infile, instance_from_json_dict)
     start = time.perf_counter()
     trace = None

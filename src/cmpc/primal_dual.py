@@ -102,6 +102,10 @@ def trace_to_json_list(trace: EventTrace) -> list[dict]:
     return [ev.to_json_dict() for ev in trace]
 
 
+# The ascent-only arrays of DualState, dropped once the ascent is over.
+EVENT_BUFFERS = ("uncovered", "_rows", "_rates", "_residual", "_scratch", "_positive", "_flag")
+
+
 class DualState:
     """The ascent's state: charges, capacities, cover and dual prices.
 
@@ -120,23 +124,36 @@ class DualState:
 
     mu stays zero during the ascent; finalize() raises mu[s] just enough to
     absorb any overshoot of k_s * beta + sum(gamma) over a disk's power.
+
+    During the ascent `uncovered[s, t]` is 1.0 while the user at rank t of
+    server s is uncovered and 0.0 after, i.e. isnan(covered_at)[order], kept
+    by apply_selection. It and the event loop's work buffers (EVENT_BUFFERS)
+    are allocated once per solve and dropped by finalize().
     """
 
     def __init__(self, instance: Instance):
-        n = instance.n
+        m, n = instance.m, instance.n
         self.table = order_table(instance)
         self.powers = self.table.power.ravel()
         self.tight_tol = TIGHTNESS_TOL * np.maximum(1.0, self.powers)
         self.lhs = np.zeros(self.powers.size, dtype=np.float64)
         self.capacity = np.array([s.capacity for s in instance.servers], dtype=np.int64)
         self.remaining_capacity = self.capacity.copy()
-        self.last_selected = [-1] * instance.m
+        self.last_selected = [-1] * m
         self.assignment = np.full(n, -1, dtype=np.int64)
         self.clock = 0.0
         self.covered_at = np.full(n, np.nan, dtype=np.float64)
         # Before any selection the disk at rank t holds t + 1 uncovered users.
         self.gamma_start = np.where(np.arange(1, n + 1) > self.capacity[:, None], np.nan, 0.0).ravel()
-        self.mu = np.zeros(instance.m, dtype=np.float64)
+        self.mu = np.zeros(m, dtype=np.float64)
+        # float64, not bool: a cumsum over bools would allocate a float copy.
+        self.uncovered = np.ones((m, n), dtype=np.float64)
+        self._rows = np.arange(m)[:, None]
+        self._rates = np.empty((m, n), dtype=np.float64)
+        self._residual = np.empty(m * n, dtype=np.float64)
+        self._scratch = np.empty(m * n, dtype=np.float64)
+        self._positive = np.empty(m * n, dtype=bool)
+        self._flag = np.empty(m * n, dtype=bool)
 
     @property
     def theta(self) -> np.ndarray:
@@ -197,6 +214,8 @@ class DualState:
                 lhs[s, lo:hi] += np.cumsum(gamma)[lo:hi]
         excess = (lhs - self.table.power).max(axis=1)
         self.mu = np.maximum(0.0, excess)
+        for name in EVENT_BUFFERS:
+            vars(self).pop(name, None)
 
 
 def init_solver(instance: Instance) -> DualState:
@@ -213,26 +232,45 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
     exhausted, leave it at the current clock, before the rates apply. Returns
     the time advanced and the flat indices of every disk tight at the new
     clock, ascending: that is (server id, key) order, the processing order.
+
+    Every m*n array is computed in place in the state's work buffers. Rates
+    are small integers held exactly in float64, so each value is the same
+    IEEE expression as with integer rates: the step is min(residual / rate)
+    over the positive rates, the charge lhs + rate * delta and the tight test
+    residual - rate * delta <= tol.
     """
-    census = np.cumsum(np.isnan(duals.covered_at)[duals.table.order], axis=1)
-    room = duals.remaining_capacity[:, None]
+    census = duals._rates
+    np.cumsum(duals.uncovered, axis=1, out=census)
+    room = duals.remaining_capacity[:, None].astype(np.float64)
     # Within one event "fits the remaining capacity" only turns true, so
     # checking it once per event records the same clock as checking it after
     # every selection. An exhausted server's disks get a gamma phase from now
     # on, so lingering uncovered members keep paying; finalize() routes any
     # excess over the disk power into mu.
-    leaves_beta = ((census <= room) | (room == 0)).ravel()
-    duals.gamma_start[np.isnan(duals.gamma_start) & leaves_beta] = duals.clock
-    rates = np.minimum(room, census).ravel()
-    positive = rates > 0
+    in_beta = np.isnan(duals.gamma_start, out=duals._flag)
+    if in_beta.any():
+        leaves_beta = duals._positive
+        # (census <= room) | (room == 0), with an exhausted server's room as inf.
+        np.less_equal(census, np.where(room == 0, np.inf, room), out=leaves_beta.reshape(census.shape))
+        leaves_beta &= in_beta
+        np.copyto(duals.gamma_start, duals.clock, where=leaves_beta)
+
+    rates = np.minimum(census, room, out=census).reshape(-1)
+    positive = np.greater(rates, 0.0, out=duals._positive)
     if not positive.any():
         raise AscentStalledError("no disk can ascend but users remain uncovered")
-    residual = duals.powers - duals.lhs
-    delta = max(float(np.min(residual[positive] / rates[positive])), 0.0)
-    after = residual - rates * delta
-    duals.lhs += rates * delta
+    residual, scratch = duals._residual, duals._scratch
+    np.subtract(duals.powers, duals.lhs, out=residual)
+    # where= leaves the other entries of scratch stale, so the min skips them too.
+    np.divide(residual, rates, out=scratch, where=positive)
+    delta = max(float(np.minimum.reduce(scratch, where=positive, initial=np.inf)), 0.0)
+    step = np.multiply(rates, delta, out=scratch)
+    duals.lhs += step
+    residual -= step
     duals.clock += delta
-    return delta, np.flatnonzero(positive & (after <= duals.tight_tol)).tolist()
+    tight = np.less_equal(residual, duals.tight_tol, out=duals._flag)
+    tight &= positive
+    return delta, np.flatnonzero(tight).tolist()
 
 
 def apply_selection(duals: DualState, idx: int) -> list[int]:
@@ -263,6 +301,7 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
 
     duals.assignment[newly] = s
     duals.covered_at[newly] = duals.clock
+    duals.uncovered[duals._rows, duals.table.rank[:, newly]] = 0.0
     duals.remaining_capacity[s] -= len(newly)
     duals.last_selected[s] = idx
     return sorted(newly.tolist())

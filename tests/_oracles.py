@@ -1,8 +1,9 @@
 """Brute-force reference computations and hand-made duals, independent of the library's solvers.
 
-Also holds the per-disk and per-segment checker loops that the blocked
-`verify_dual_feasibility` and `charge_breakdown` replaced, as references for
-differential tests.
+Also holds, as references for differential tests, the per-disk and
+per-segment checker loops that the blocked `verify_dual_feasibility` and
+`charge_breakdown` replaced, and the `next_event` that built every m*n array
+afresh on each event, which the in-place one replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from cmpc import Instance
 from cmpc.model import order_table
-from cmpc.primal_dual import DualViolation
+from cmpc.primal_dual import AscentStalledError, DualViolation
 
 
 def assignment_power(instance: Instance, assign: tuple[int, ...]) -> float | None:
@@ -146,3 +147,22 @@ def reference_charge_breakdown(instance: Instance, trace, duals, event_index: in
             for h in paying:
                 charges[h] += b - a
     return charges
+
+
+def next_event_reference(duals) -> tuple[float, list[int]]:
+    """next_event with fresh arrays on every event: the census from
+    isnan(covered_at) gathered in rank order, integer rates."""
+    census = np.cumsum(np.isnan(duals.covered_at)[duals.table.order], axis=1)
+    room = duals.remaining_capacity[:, None]
+    leaves_beta = ((census <= room) | (room == 0)).ravel()
+    duals.gamma_start[np.isnan(duals.gamma_start) & leaves_beta] = duals.clock
+    rates = np.minimum(room, census).ravel()
+    positive = rates > 0
+    if not positive.any():
+        raise AscentStalledError("no disk can ascend but users remain uncovered")
+    residual = duals.powers - duals.lhs
+    delta = max(float(np.min(residual[positive] / rates[positive])), 0.0)
+    after = residual - rates * delta
+    duals.lhs += rates * delta
+    duals.clock += delta
+    return delta, np.flatnonzero(positive & (after <= duals.tight_tol)).tolist()

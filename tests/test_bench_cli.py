@@ -216,6 +216,17 @@ def test_cli_gen_bad_parameter_exit_1(tmp_path, capsys, args, field):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cli_solve_bad_oracle_budget_exit_1(tmp_path, capsys, budget):
+    # Rejected before the instance is read: the file does not exist.
+    missing = tmp_path / "absent.json"
+    assert cli(["solve", "--algo", "opt", "--in", str(missing), "--oracle-budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solve: ") and "oracle budget" in captured.err
+    assert "no such file" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_solve_infeasible_instance_exit_2(tmp_path, capsys):
     bad = dict(THREE_USER_JSON)
     bad["servers"] = [{"x": 0.0, "y": 0.0, "k": 1}]

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,9 +25,17 @@ from cmpc import cli as cli_module
 from cmpc import primal_dual
 from cmpc.cli import cli
 from cmpc.model import dump_instance, order_table
-from cmpc.primal_dual import apply_selection, charge_breakdown, init_solver, next_event, trace_to_json_list
+from cmpc.primal_dual import (
+    EVENT_BUFFERS,
+    AscentStalledError,
+    apply_selection,
+    charge_breakdown,
+    init_solver,
+    next_event,
+    trace_to_json_list,
+)
 
-from _oracles import ManualDuals, reference_charge_breakdown, reference_dual_violations
+from _oracles import ManualDuals, next_event_reference, reference_charge_breakdown, reference_dual_violations
 from test_golden import ascent_instances
 
 
@@ -223,6 +232,98 @@ def test_inactive_disks_stop_ascending_and_refuse_selection():
                     with pytest.raises(ValueError, match="active"):
                         apply_selection(duals, idx)
     assert checked > 0 and exhausted > 0
+
+
+# --- in-place event loop ---------------------------------------------------
+
+
+def lockstep_instances():
+    yield from ascent_instances()
+    yield gen_instance(GenConfig(m=50, n=800, kbar=1600.0, seed=1))
+    yield gen_instance(GenConfig(m=10, n=400, kbar=40.0, seed=1))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def assert_same_ascent(duals, reference):
+    assert same_bits(duals.lhs, reference.lhs)
+    assert same_bits(duals.gamma_start, reference.gamma_start)
+    assert same_bits(duals.clock, reference.clock)
+    assert np.array_equal(duals.remaining_capacity, reference.remaining_capacity)
+    assert np.array_equal(duals.uncovered, np.isnan(duals.covered_at)[duals.table.order])
+
+
+def step_lockstep(duals, reference):
+    """One event of both states, with the same selections."""
+    delta, tights = next_event(duals)
+    ref_delta, ref_tights = next_event_reference(reference)
+    assert same_bits(delta, ref_delta)
+    assert tights == ref_tights
+    assert_same_ascent(duals, reference)
+    for idx in tights:
+        if duals.is_active(idx):
+            assert apply_selection(duals, idx) == apply_selection(reference, idx)
+    assert_same_ascent(duals, reference)
+
+
+@pytest.mark.parametrize("inst", lockstep_instances(), ids=lambda inst: f"m{inst.m}-n{inst.n}")
+def test_next_event_matches_reference_in_lockstep(inst):
+    # The in-place event loop must reach the charges, clocks and gamma starts
+    # of the one that built every array afresh, bit for bit, at every event.
+    duals, reference = init_solver(inst), init_solver(inst)
+    while np.isnan(duals.covered_at).any():
+        step_lockstep(duals, reference)
+
+
+def test_next_event_stalls_like_reference():
+    # Zeroing every server's capacity mid-ascent stalls both loops, after
+    # both have moved the same beta-phase disks into their gamma phase.
+    inst = gen_instance(GenConfig(m=10, n=400, kbar=40.0, seed=1))
+    duals, reference = init_solver(inst), init_solver(inst)
+    for _ in range(3):
+        step_lockstep(duals, reference)
+    assert np.isnan(reference.gamma_start).any()
+    for state, advance in ((duals, next_event), (reference, next_event_reference)):
+        state.remaining_capacity[:] = 0
+        with pytest.raises(AscentStalledError):
+            advance(state)
+    assert not np.isnan(reference.gamma_start).any()
+    assert_same_ascent(duals, reference)
+
+
+def test_next_event_allocates_no_disk_array():
+    # After the first event, one event allocates less than one float64 array
+    # over the m*n disks.
+    m, n = 50, 800
+    duals = init_solver(gen_instance(GenConfig(m=m, n=n, kbar=2.0 * n, seed=1)))
+    _, tights = next_event(duals)
+    for idx in tights:
+        if duals.is_active(idx):
+            apply_selection(duals, idx)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        next_event(duals)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < m * n * 8
+
+
+def test_solved_state_holds_no_event_buffers():
+    inst = gen_instance(GenConfig(m=5, n=60, kbar=20.0, seed=3))
+    assert set(EVENT_BUFFERS) <= set(vars(init_solver(inst)))
+    _, duals, _ = pd_solve(inst)
+    assert set(vars(duals)) == {
+        "table", "powers", "tight_tol", "lhs", "capacity", "remaining_capacity", "last_selected",
+        "assignment", "clock", "covered_at", "gamma_start", "mu",
+    }
 
 
 # --- dual bookkeeping -------------------------------------------------------
