@@ -1,8 +1,8 @@
 """Benchmark harness: seeded sweeps over instance parameters, CSV output.
 
-Four studies are supported through one sweep mechanism: user count (n),
-server count crossed with total capacity (m_K), server count crossed with
-server-area concentration (m_lambda), and the attenuation exponent (alpha).
+Three studies are supported through one sweep mechanism: user count (n),
+server count crossed with total capacity (m_K), and the attenuation exponent
+(alpha); the server-area concentration (lambda) is a fixed parameter.
 Every (sweep point, trial) pair maps to one deterministic instance seed, so
 a run is reproducible byte for byte. Wall-clock timing is opt-in because it
 would break that reproducibility.
@@ -28,7 +28,7 @@ CSV_HEADER = (
 )
 
 # Sweep variables and the types of one sweep point: a number, or a list of two.
-_SWEEP_POINTS = {"n": (int,), "m_K": (int, float), "m_lambda": (int, float), "alpha": (float,)}
+_SWEEP_POINTS = {"n": (int,), "m_K": (int, float), "alpha": (float,)}
 SWEEP_VARIABLES = tuple(_SWEEP_POINTS)
 
 
@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed_base < 0:
             raise ValueError(f"seed_base must be >= 0, got {self.seed_base}")
+        if self.oracle_budget < 0:
+            raise ValueError(f"oracle_budget must be >= 0 (0 turns the oracle off), got {self.oracle_budget}")
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
@@ -172,17 +174,15 @@ _ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 def _resolve_point(config: ExperimentConfig, point) -> GenConfig:
-    m, n, kbar, lam, alpha = config.m, config.n, config.kbar, config.lam, config.alpha
+    m, n, kbar, alpha = config.m, config.n, config.kbar, config.alpha
     if config.sweep_variable == "n":
         n = int(point)
     elif config.sweep_variable == "m_K":
         m, total = int(point[0]), float(point[1])
         kbar = total / m
-    elif config.sweep_variable == "m_lambda":
-        m, lam = int(point[0]), float(point[1])
     elif config.sweep_variable == "alpha":
         alpha = float(point)
-    return GenConfig(m=m, n=n, kbar=kbar, seed=0, c=config.c, alpha=alpha, l=config.l, lam=lam)
+    return GenConfig(m=m, n=n, kbar=kbar, seed=0, c=config.c, alpha=alpha, l=config.l, lam=config.lam)
 
 
 def _timed(fn, *args, timing: bool):

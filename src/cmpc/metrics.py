@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .model import Instance, order_key
+from .model import Instance
 from .solution import Solution
 
 
@@ -18,9 +19,6 @@ class ValidationReport:
     disk).
     """
 
-    coverage_ok: bool
-    capacity_ok: bool
-    single_disk_ok: bool
     violations: tuple[tuple[str, str], ...]
 
     @property
@@ -29,41 +27,33 @@ class ValidationReport:
 
 
 def validate(instance: Instance, solution: Solution) -> ValidationReport:
-    violations: list[tuple[str, str]] = []
-    coverage_ok = True
-    capacity_ok = True
-    single_disk_ok = True
+    """Check the paper's constraints from the coordinates alone.
 
-    for u in range(instance.n):
+    User u, assigned to server s, is covered iff its distance from s,
+    math.hypot of the coordinate differences, is at most `solution.radius[s]`;
+    a user at exactly the radius is inside, whichever side of the disk's
+    boundary user it falls in the order table's tiebreak.
+    """
+    violations: list[tuple[str, str]] = []
+    for u, user in enumerate(instance.users):
         s = solution.assignment[u]
         if s < 0 or s >= instance.m:
-            coverage_ok = False
             violations.append(("coverage", f"user {u} is not assigned to any server"))
             continue
-        disk = solution.chosen[s]
-        if disk is None:
-            coverage_ok = False
-            single_disk_ok = False
+        radius = solution.radius[s]
+        if radius is None:
             violations.append(("no-disk", f"user {u} assigned to server {s} which selected no disk"))
             continue
-        key = order_key(instance.servers[s], instance.users[u])
-        if not key <= disk.key:
-            coverage_ok = False
+        server = instance.servers[s].pos
+        if math.hypot(user.pos.x - server.x, user.pos.y - server.y) > radius:
             violations.append(("coverage", f"user {u} lies outside server {s}'s chosen disk"))
             violations.append(("containment", f"server {s}'s disk does not contain assigned user {u}"))
 
     loads = solution.loads()
     for s, srv in enumerate(instance.servers):
         if loads[s] > srv.capacity:
-            capacity_ok = False
             violations.append(("capacity", f"server {s} serves {loads[s]} users, capacity {srv.capacity}"))
-
-    return ValidationReport(
-        coverage_ok=coverage_ok,
-        capacity_ok=capacity_ok,
-        single_disk_ok=single_disk_ok,
-        violations=tuple(violations),
-    )
+    return ValidationReport(violations=tuple(violations))
 
 
 def util_variance(instance: Instance, solution: Solution) -> float:

@@ -4,9 +4,9 @@ A problem instance is a set of servers (position + integer capacity) and a
 set of users (position) in the plane, plus the power-law constants. Each
 (server, user) pair induces a candidate coverage disk centered at the server
 with that user on its boundary; the solvers only ever consider these m*n
-disks. Disk membership is decided by a strict total order on (distance,
-direction) so that equidistant users are still served in a well-defined
-sequence.
+disks, all held in one array table per instance (OrderTable). Membership
+in a disk is decided by a strict total order on (distance, direction) so
+that equidistant users are still served in a well-defined sequence.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 # Folds (sign-of-y descending, user id ascending) into one integer so that
-# OrderKey stays a plain lexicographic triple. User ids must stay below it.
+# the order key stays a plain lexicographic triple (dist, cosine, tiebreak).
+# User ids must stay below it.
 _TIEBREAK_STRIDE = 2**32
 
 
@@ -114,69 +115,20 @@ class Instance:
         return _build_order_table(self)
 
 
-@dataclass(frozen=True, order=True)
-class OrderKey:
-    """Strict total order on a server's candidate radii.
-
-    Keys compare lexicographically: distance first, then the cosine of the
-    angle between the server->user vector and the x-axis, then a tiebreak
-    that encodes (sign of the y-offset descending, user id ascending).
-    Larger key means larger (virtual) radius; a disk contains exactly the
-    users whose key is <= the boundary user's key.
-    """
-
-    dist: float
-    cosine: float
-    tiebreak: int
-
-
-@dataclass(frozen=True)
-class Disk:
-    """Candidate disk: centered at `server`, with `boundary_user` on its rim.
-
-    `rank` is the disk's position in its server's ascending key order; the
-    disk contains exactly the rank+1 users at or below it in that order.
-    """
-
-    server: int
-    boundary_user: int
-    rank: int
-    key: OrderKey
-    power: float
-
-
-def power(params: PowerParams, r: float) -> float:
-    """Transmission power needed for coverage radius r: c * r**alpha."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    return params.c * r**params.alpha
-
-
-def order_key(server: Server, user: User) -> OrderKey:
-    """Radius-order key of `user` as seen from `server`.
-
-    A coincident pair (distance 0) gets cosine 0 by convention, keeping the
-    zero-radius disk well defined.
-    """
-    dx = user.pos.x - server.pos.x
-    dy = user.pos.y - server.pos.y
-    dist = math.hypot(dx, dy)
-    cosine = dx / dist if dist > 0 else 0.0
-    sign_y = (dy > 0) - (dy < 0)
-    tiebreak = (1 - sign_y) * _TIEBREAK_STRIDE + user.id
-    return OrderKey(dist, cosine, tiebreak)
-
-
 @dataclass(frozen=True, eq=False)
 class OrderTable:
     """Every candidate disk of an instance, as arrays with one row per server.
 
-    Row s lists server s's disks in ascending OrderKey: `order[s, t]` is the
+    Row s lists server s's disks in ascending order key: the triple of the
+    boundary user's distance from the server, the cosine of the angle
+    between the server->user vector and the x-axis (0 for a user on top of
+    the server), and a tiebreak encoding (sign of the y-offset descending,
+    user id ascending), compared lexicographically. `order[s, t]` is the
     boundary user of the disk at rank t, which contains exactly the users
-    `order[s, :t + 1]`, and `dist`, `cosine`, `tiebreak` and `power` hold
-    that disk's key and power. `rank[s, u]` is user u's rank around server s,
-    the inverse of `order[s]`. The disk of server s at rank t has the flat
-    index s * n + t in the solvers' flat disk arrays.
+    `order[s, :t + 1]`, and `dist`, `cosine`, `tiebreak` and `power` (c *
+    dist**alpha) hold that disk's key and power. `rank[s, u]` is user u's
+    rank around server s, the inverse of `order[s]`. The disk of server s at
+    rank t has the flat index s * n + t in the solvers' flat disk arrays.
     """
 
     order: np.ndarray
@@ -186,26 +138,9 @@ class OrderTable:
     tiebreak: np.ndarray
     power: np.ndarray
 
-    def key(self, server: int, rank: int) -> OrderKey:
-        return OrderKey(
-            float(self.dist[server, rank]),
-            float(self.cosine[server, rank]),
-            int(self.tiebreak[server, rank]),
-        )
-
-    def disk(self, server: int, rank: int) -> Disk:
-        """The disk of `server` at `rank`, as a Disk object."""
-        return Disk(
-            server=server,
-            boundary_user=int(self.order[server, rank]),
-            rank=rank,
-            key=self.key(server, rank),
-            power=float(self.power[server, rank]),
-        )
-
 
 def order_table(instance: Instance) -> OrderTable:
-    """The OrderTable of `instance`: every server's users sorted by OrderKey.
+    """The OrderTable of `instance`: every server's users sorted by order key.
 
     Built on the first call and kept on the instance, so every solver and
     checker reads the same table; its arrays are read-only.
@@ -216,13 +151,13 @@ def order_table(instance: Instance) -> OrderTable:
 def _build_order_table(instance: Instance) -> OrderTable:
     """Build the OrderTable of `instance`, with read-only arrays.
 
-    Keys and powers equal order_key() and power() bit for bit. Coordinate
-    differences and the cosine division are single IEEE operations, so numpy
-    computes them exactly as Python does; distances use math.hypot and powers
-    Python's float `**`, pair by pair, because np.hypot and np.power round
-    differently from them in the last bit on some inputs, and one such bit
-    can reorder two users at nearly equal distance or move an event time,
-    and so change a cover.
+    Keys and powers equal a scalar Python computation per pair bit for bit.
+    Coordinate differences and the cosine division are single IEEE
+    operations, so numpy computes them exactly as Python does; distances use
+    math.hypot and powers Python's float `**`, pair by pair, because np.hypot
+    and np.power round differently from them in the last bit on some inputs,
+    and one such bit can reorder two users at nearly equal distance or move
+    an event time, and so change a cover.
     """
     m, n = instance.m, instance.n
     sx = np.array([s.pos.x for s in instance.servers], dtype=np.float64)[:, None]

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Disk, Instance, order_table
+from .model import Instance, order_table
 from .solution import Solution, make_solution
 
 # A disk is tight when its remaining charge gap is below this, relative to
@@ -61,16 +61,17 @@ class CapacityInvariantError(RuntimeError):
     hard diagnostic (with the partial event trace) if numerics prove otherwise.
     """
 
-    def __init__(self, message: str, disk: Disk, newly_covered: Sequence[int], remaining: int):
+    def __init__(self, message: str, server: int, rank: int, newly_covered: Sequence[int], remaining: int):
         super().__init__(message)
-        self.disk = disk
+        self.server = server
+        self.rank = rank
         self.newly_covered = list(newly_covered)
         self.remaining = remaining
         self.trace: list[SelectionEvent] = []
 
 
 class AscentStalledError(RuntimeError):
-    """No disk can ascend although users remain uncovered."""
+    """Users remain uncovered but no disk can ascend, or an event covered none."""
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,8 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
         raise CapacityInvariantError(
             f"tight disk (server {s}, rank {rank}) holds {len(newly)} uncovered "
             f"users but only {duals.remaining_capacity[s]} capacity remains",
-            duals.table.disk(s, rank),
+            s,
+            rank,
             newly.tolist(),
             int(duals.remaining_capacity[s]),
         )
@@ -310,9 +312,9 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
 def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
     """Cover all users by dual ascent; return the cover, prices and trace.
 
-    Raises InsufficientCapacityError when total capacity < n, and
+    Raises InsufficientCapacityError when total capacity < n,
     CapacityInvariantError (trace attached) if a selection would ever exceed
-    remaining capacity.
+    remaining capacity, and AscentStalledError if an event covers no user.
     """
     if not instance.has_sufficient_capacity():
         raise InsufficientCapacityError(
@@ -347,17 +349,16 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
                         remaining_after=int(duals.remaining_capacity[s]),
                     )
                 )
-        assert progressed, "an event must cover at least one user"
+        if not progressed:
+            raise AscentStalledError("an event covered no user although users remain uncovered")
 
     # Every disk has left its beta phase once nobody is uncovered.
     leftover = np.isnan(duals.gamma_start)
     duals.gamma_start[leftover] = duals.clock
     duals.finalize()
 
-    chosen: list[Optional[Disk]] = [
-        duals.table.disk(*divmod(i, n)) if i >= 0 else None for i in duals.last_selected
-    ]
-    solution = make_solution(instance, chosen, [int(s) for s in duals.assignment])
+    ranks = [i - s * n if i >= 0 else -1 for s, i in enumerate(duals.last_selected)]
+    solution = make_solution(instance, ranks, duals.assignment.tolist())
     return solution, duals, trace
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Disk, Instance, order_table
+from .model import Instance, order_table
 from .primal_dual import InsufficientCapacityError
 from .solution import Solution, make_solution
 
@@ -96,8 +96,10 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
     stays off; branches whose accumulated power already matches the incumbent
     are pruned, and leaves are validated with feasible_assignment. A spent
     node budget yields status "budget_exceeded" with no solution, mirroring
-    an external solver's time cutoff.
+    an external solver's time cutoff. Raises ValueError unless `budget` >= 1.
     """
+    if budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {budget}")
     if not instance.has_sufficient_capacity():
         return OptResult(status="infeasible", nodes_explored=0)
 
@@ -167,8 +169,8 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
     if best is None:
         return OptResult(status="infeasible", nodes_explored=nodes)
     choice, assignment = best
-    chosen = [None if rank is None else table.disk(s, rank) for s, rank in enumerate(choice)]
-    return OptResult(status="optimal", nodes_explored=nodes, solution=make_solution(instance, chosen, assignment))
+    ranks = [-1 if rank is None else rank for rank in choice]
+    return OptResult(status="optimal", nodes_explored=nodes, solution=make_solution(instance, ranks, assignment))
 
 
 def ncs_solve(instance: Instance) -> Solution:
@@ -199,10 +201,7 @@ def ncs_solve(instance: Instance) -> Solution:
         remaining[s] -= 1
         assigned += 1
 
-    server_of = np.array(assignment)
-    chosen: list[Optional[Disk]] = [None] * m
-    for s in range(m):
-        ranks = table.rank[s, server_of == s]
-        if ranks.size:
-            chosen[s] = table.disk(s, int(ranks.max()))
-    return make_solution(instance, chosen, assignment)
+    # Server s's rank is the largest rank of a user it serves, -1 for none.
+    serves = np.array(assignment) == np.arange(m)[:, None]
+    ranks = np.where(serves, table.rank, -1).max(axis=1)
+    return make_solution(instance, ranks.tolist(), assignment)

@@ -1,9 +1,11 @@
 """Brute-force reference computations and hand-made duals, independent of the library's solvers.
 
-Also holds, as references for differential tests, the per-disk and
-per-segment checker loops that the blocked `verify_dual_feasibility` and
-`charge_breakdown` replaced, and the `next_event` that built every m*n array
-afresh on each event, which the in-place one replaced.
+Also holds the scalar per-pair order key and power law that the order table
+must equal bit for bit, and, as references for differential tests, the
+per-disk and per-segment checker loops that the blocked
+`verify_dual_feasibility` and `charge_breakdown` replaced, and the
+`next_event` that built every m*n array afresh on each event, which the
+in-place one replaced.
 """
 
 from __future__ import annotations
@@ -14,9 +16,56 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cmpc import Instance
-from cmpc.model import order_table
+from cmpc import Instance, PowerParams, Server, User
+from cmpc.model import _TIEBREAK_STRIDE, OrderTable, order_table
 from cmpc.primal_dual import AscentStalledError, DualViolation
+
+
+@dataclass(frozen=True, order=True)
+class OrderKey:
+    """Strict total order on a server's candidate radii.
+
+    Keys compare lexicographically: distance first, then the cosine of the
+    angle between the server->user vector and the x-axis, then a tiebreak
+    that encodes (sign of the y-offset descending, user id ascending).
+    Larger key means larger (virtual) radius; a disk contains exactly the
+    users whose key is <= the boundary user's key.
+    """
+
+    dist: float
+    cosine: float
+    tiebreak: int
+
+
+def order_key(server: Server, user: User) -> OrderKey:
+    """Radius-order key of `user` as seen from `server`.
+
+    A coincident pair (distance 0) gets cosine 0 by convention, keeping the
+    zero-radius disk well defined.
+    """
+    dx = user.pos.x - server.pos.x
+    dy = user.pos.y - server.pos.y
+    dist = math.hypot(dx, dy)
+    cosine = dx / dist if dist > 0 else 0.0
+    sign_y = (dy > 0) - (dy < 0)
+    tiebreak = (1 - sign_y) * _TIEBREAK_STRIDE + user.id
+    return OrderKey(dist, cosine, tiebreak)
+
+
+def power(params: PowerParams, r: float) -> float:
+    """Transmission power needed for coverage radius r: c * r**alpha."""
+    if r < 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
+    return params.c * r**params.alpha
+
+
+def table_key(table: OrderTable, server: int, rank: int) -> OrderKey:
+    """The order key of `server`'s disk at `rank`, read from the table."""
+    return OrderKey(
+        float(table.dist[server, rank]),
+        float(table.cosine[server, rank]),
+        int(table.tiebreak[server, rank]),
+    )
 
 
 def assignment_power(instance: Instance, assign: tuple[int, ...]) -> float | None:

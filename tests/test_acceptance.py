@@ -24,9 +24,7 @@ from cmpc import (
 )
 from cmpc.bench import rows_to_csv_text
 from cmpc.metrics import approximation_ratio
-from cmpc.model import order_key
-
-from _oracles import flat_enumeration_optimum
+from _oracles import flat_enumeration_optimum, order_key
 
 
 def report(criterion: str, detail: str) -> None:

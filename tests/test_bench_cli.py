@@ -99,12 +99,6 @@ def test_sweep_variants_resolve():
     assert {(r.m, r.K) for r in data} == {(2, 10.0), (3, 12.0)}
 
     rows = run_experiment(
-        tiny_config(sweep_variable="m_lambda", sweep_values=((2, 0.5), (4, 1.0)), trials=1, oracle_budget=0)
-    )
-    data = [r for r in rows if r.seed is not None]
-    assert {(r.m, r.lam) for r in data} == {(2, 0.5), (4, 1.0)}
-
-    rows = run_experiment(
         tiny_config(sweep_variable="alpha", sweep_values=(1.0, 2.0), trials=1, oracle_budget=0)
     )
     data = [r for r in rows if r.seed is not None]
@@ -325,14 +319,15 @@ GOOD_CONFIG = {"experiment_id": "x", "sweep": {"variable": "n", "values": [5]}, 
         ({"sweep": {"variable": "n", "values": [20.5]}}, "sweep.values[0] must be int, got 20.5"),
         ({"sweep": {"variable": "alpha", "values": [2.0, "2"]}}, "sweep.values[1] must be float, got '2'"),
         ({"sweep": {"variable": "m_K", "values": [[2.5, 10.0]]}}, "sweep.values[0][0] must be int, got 2.5"),
-        ({"sweep": {"variable": "m_lambda", "values": [3]}}, "sweep.values[0] must be a list of 2 numbers, got 3"),
+        ({"sweep": {"variable": "m_lambda", "values": [[3, 0.5]]}}, "sweep variable must be one of ('n', 'm_K', 'alpha')"),
         ({"seed_base": -1}, "seed_base must be >= 0, got -1"),
+        ({"oracle_budget": -5}, "oracle_budget must be >= 0 (0 turns the oracle off), got -5"),
     ],
     ids=[
         "top-level-key", "sweep-key", "fixed-key", "sweep-list", "fixed-list", "values-int", "fixed-null", "trials-list",
         "trials-fraction", "trials-string", "timing-string", "timing-int", "fixed-bool", "kbar-string", "alpha-bool",
-        "out-number", "n-point-fraction", "alpha-point-string", "m_K-point-fraction", "m_lambda-point-scalar",
-        "seed_base-negative",
+        "out-number", "n-point-fraction", "alpha-point-string", "m_K-point-fraction", "m_lambda-unknown",
+        "seed_base-negative", "oracle_budget-negative",
     ],
 )
 def test_cli_bench_rejects_malformed_config(tmp_path, capsys, changes, message):
@@ -366,7 +361,7 @@ def test_config_accepts_integral_floats_and_int_floats():
 
 
 def failing_validate(instance, solution):
-    return ValidationReport(False, True, True, (("coverage", "forced failure"),))
+    return ValidationReport((("coverage", "forced failure"),))
 
 
 def test_bench_failure_dump_lands_next_to_csv(tmp_path, capsys, monkeypatch):

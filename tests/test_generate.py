@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmpc import GenConfig, gen_instance
+from cmpc import ExperimentConfig, GenConfig, gen_instance
 from cmpc.generate import adjust_capacities
 
 
@@ -112,3 +112,5 @@ def test_config_validation():
         GenConfig(m=1, n=1, kbar=1.0, seed=0, lam=1.5)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         GenConfig(m=1, n=1, kbar=1.0, seed=-1)
+    with pytest.raises(ValueError, match="oracle_budget must be >= 0"):
+        ExperimentConfig(experiment_id="x", sweep_variable="n", sweep_values=(5,), oracle_budget=-5)

@@ -1,6 +1,7 @@
 """Pinned outputs that a refactor of the solvers must leave unchanged."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cmpc import (
     Server,
     User,
     gen_instance,
+    ncs_solve,
     opt_solve,
     pd_solve,
     run_experiment,
@@ -131,3 +133,35 @@ def test_ascent_traces_and_prices_are_pinned():
         for prices in (duals.theta, duals.beta, duals.gamma_start, duals.covered_at):
             digest.update(np.ascontiguousarray(prices, dtype=np.float64).tobytes())
     assert digest.hexdigest() == ASCENT_DIGEST
+
+
+def oracle_size_instances():
+    # Ample (2.5x demand) and tight (about n) total capacity alternate.
+    for i in range(20):
+        m, n = 1 + i % 4, 4 + i % 6
+        kbar = 2.5 * n / m if i % 2 else float(n) / m
+        yield gen_instance(GenConfig(m=m, n=n, kbar=kbar, seed=8000 + i, alpha=(1.0, 2.0, 3.3)[i % 3]))
+
+
+# SHA-256 of the cover JSON and total power of pd and ncs on
+# ascent_instances() and oracle_size_instances(), and of opt's optimal covers
+# on the latter, as the Disk-object solutions produced them.
+COVER_DIGEST = "8b4109b93037c4a62037c40402439a32d5b954b2599bb198a06c4d117fcc03b5"
+
+
+def test_cover_json_is_pinned():
+    digest = hashlib.sha256()
+
+    def add(solution):
+        digest.update(json.dumps(solution.to_json_dict()).encode("utf-8"))
+        digest.update(repr(solution.total_power).encode("utf-8"))
+
+    small = list(oracle_size_instances())
+    for instance in [*ascent_instances(), *small]:
+        add(pd_solve(instance)[0])
+        add(ncs_solve(instance))
+    for instance in small:
+        result = opt_solve(instance)
+        if result.status == "optimal":
+            add(result.solution)
+    assert digest.hexdigest() == COVER_DIGEST

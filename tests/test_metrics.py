@@ -6,7 +6,6 @@ from cmpc import (
     Point,
     PowerParams,
     Server,
-    Solution,
     User,
     gen_instance,
     pd_solve,
@@ -14,6 +13,7 @@ from cmpc import (
 )
 from cmpc.metrics import approximation_ratio, util_variance
 from cmpc.model import order_table
+from cmpc.solution import make_solution
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -22,27 +22,37 @@ def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
     return Instance(PowerParams(c, alpha), servers, users)
 
 
-def solution_with(instance, chosen, assignment):
-    total = sum(d.power for d in chosen if d is not None)
-    return Solution(chosen=tuple(chosen), assignment=tuple(assignment), total_power=total)
-
-
 def test_validate_accepts_solver_output():
     inst = gen_instance(GenConfig(m=3, n=15, kbar=6.0, seed=55))
     sol, _, _ = pd_solve(inst)
     report = validate(inst, sol)
-    assert report.ok
-    assert report.coverage_ok and report.capacity_ok and report.single_disk_ok
+    assert report.ok and report.violations == ()
 
 
 def test_validate_flags_user_outside_disk():
     inst = make_instance([(0.0, 0.0, 2)], [(1.0, 0.0), (2.0, 0.0)])
-    table = order_table(inst)
-    bad = solution_with(inst, [table.disk(0, 0)], [0, 0])  # small disk excludes user 1
+    bad = make_solution(inst, [0], [0, 0])  # small disk excludes user 1
     report = validate(inst, bad)
-    assert not report.ok and not report.coverage_ok
-    codes = {code for code, _ in report.violations}
-    assert codes == {"coverage", "containment"}
+    assert not report.ok
+    assert report.violations == (
+        ("coverage", "user 1 lies outside server 0's chosen disk"),
+        ("containment", "server 0's disk does not contain assigned user 1"),
+    )
+
+
+def test_validate_covers_users_at_exactly_the_radius():
+    # Mirror images across the server's x-axis are equidistant; the order
+    # table puts user 0 (positive y) first, so the rank-0 disk has user 0 on
+    # its boundary and user 1 past it in key order. Both lie at the disk's
+    # radius, so both are covered.
+    inst = make_instance([(0.0, 0.0, 2)], [(1.0, 1.0), (1.0, -1.0)])
+    assert order_table(inst).order[0].tolist() == [0, 1]
+    tied = make_solution(inst, [0], [0, 0])
+    assert validate(inst, tied).ok
+    # A nudge past the radius is outside.
+    nudged = make_instance([(0.0, 0.0, 2)], [(1.0, 1.0), (1.0, -1.0000001)])
+    report = validate(nudged, make_solution(nudged, [0], [0, 0]))
+    assert {code for code, _ in report.violations} == {"coverage", "containment"}
 
 
 def test_validate_flags_overloaded_server():
@@ -50,19 +60,16 @@ def test_validate_flags_overloaded_server():
         [(0.0, 0.0, 1), (3.0, 0.0, 1)],
         [(1.0, 0.0), (2.0, 0.0)],
     )
-    table = order_table(inst)
-    bad = solution_with(inst, [table.disk(0, 1), None], [0, 0])
+    bad = make_solution(inst, [1, -1], [0, 0])
     report = validate(inst, bad)
-    assert not report.capacity_ok
-    assert ("capacity", "server 0 serves 2 users, capacity 1") in report.violations
+    assert report.violations == (("capacity", "server 0 serves 2 users, capacity 1"),)
 
 
 def test_validate_flags_assignment_to_diskless_server():
     inst = make_instance([(0.0, 0.0, 2)], [(1.0, 0.0)])
-    bad = solution_with(inst, [None], [0])
+    bad = make_solution(inst, [-1], [0])
     report = validate(inst, bad)
-    assert not report.ok and not report.single_disk_ok
-    assert {code for code, _ in report.violations} == {"no-disk"}
+    assert report.violations == (("no-disk", "user 0 assigned to server 0 which selected no disk"),)
 
 
 def test_validate_unassigned_user_loads_no_server():
@@ -72,11 +79,9 @@ def test_validate_unassigned_user_loads_no_server():
         [(0.0, 0.0, 2), (5.0, 0.0, 1)],
         [(1.0, 0.0), (4.0, 0.0), (6.0, 0.0)],
     )
-    table = order_table(inst)
-    bad = solution_with(inst, [table.disk(0, 1), table.disk(1, 1)], [0, -1, 1])
+    bad = make_solution(inst, [1, 1], [0, -1, 1])
     assert bad.loads() == [1, 1]
     report = validate(inst, bad)
-    assert report.capacity_ok
     assert report.violations == (("coverage", "user 1 is not assigned to any server"),)
 
 
@@ -85,11 +90,10 @@ def test_util_variance_values():
         [(0.0, 0.0, 2), (5.0, 0.0, 2)],
         [(0.1, 0.0), (0.2, 0.0), (4.9, 0.0), (4.8, 0.0)],
     )
-    table = order_table(balanced)
-    sol = solution_with(balanced, [table.disk(0, 1), table.disk(1, 1)], [0, 0, 1, 1])
+    sol = make_solution(balanced, [1, 1], [0, 0, 1, 1])
     assert util_variance(balanced, sol) == 0.0
 
-    lopsided = solution_with(balanced, [table.disk(0, 3), None], [0, 0, 0, 0])
+    lopsided = make_solution(balanced, [3, -1], [0, 0, 0, 0])
     assert util_variance(balanced, lopsided) == 4.0
 
 
@@ -98,10 +102,7 @@ def test_util_variance_uneven_three_servers():
         [(0.0, 0.0, 3), (10.0, 0.0, 3), (20.0, 0.0, 3)],
         [(float(i), 0.0) for i in range(6)],
     )
-    table = order_table(inst)
-    assignment = [0, 0, 0, 1, 2, 2]
-    chosen = [table.disk(0, 2), table.disk(1, 0), table.disk(2, 1)]
-    sol = solution_with(inst, chosen, assignment)
+    sol = make_solution(inst, [2, 0, 1], [0, 0, 0, 1, 2, 2])
     assert util_variance(inst, sol) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 

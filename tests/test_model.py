@@ -22,15 +22,11 @@ from cmpc import (
     verify_dual_feasibility,
 )
 from cmpc import model
-from cmpc.model import (
-    instance_from_json_dict,
-    instance_to_json_dict,
-    order_key,
-    order_table,
-    power,
-)
+from cmpc.model import instance_from_json_dict, instance_to_json_dict, order_table
 from cmpc.primal_dual import charge_breakdown
 from cmpc.reference import feasible_assignment
+
+from _oracles import OrderKey, order_key, power, table_key
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -39,13 +35,13 @@ def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
     return Instance(PowerParams(c, alpha), servers, users)
 
 
-def all_disks(inst):
-    """All m*n candidate disks, server-major, ascending key within a server."""
+def disk_keys(inst, s=0):
+    """Server s's disk keys from the order table, by rank."""
     table = order_table(inst)
-    return [table.disk(s, t) for s in range(inst.m) for t in range(inst.n)]
+    return [table_key(table, s, t) for t in range(inst.n)]
 
 
-# --- power law --------------------------------------------------------------
+# --- power law (the scalar reference) --------------------------------------
 
 
 def test_power_examples():
@@ -79,7 +75,7 @@ def test_power_monotone_and_unit(c, alpha, r1, r2):
     assert power(params, 1.0) == c
 
 
-# --- order keys -------------------------------------------------------------
+# --- order keys (the scalar reference, and the table against it) -----------
 
 
 def test_order_key_examples():
@@ -96,13 +92,13 @@ def test_equal_cosine_mirror_tiebreak():
     # Users mirrored across the x-axis through the server share distance and
     # cosine; exactly one of the two disks must contain both users.
     inst = make_instance([(0.0, 0.0, 2)], [(1.0, 1.0), (1.0, -1.0)])
-    disks = all_disks(inst)
+    boundary = order_table(inst).order[0].tolist()
+    by_boundary = dict(zip(boundary, disk_keys(inst)))
     k0 = order_key(inst.servers[0], inst.users[0])
     k1 = order_key(inst.servers[0], inst.users[1])
     assert k0 != k1
-    by_boundary = {d.boundary_user: d for d in disks}
-    in_d0 = k0 <= by_boundary[0].key and k1 <= by_boundary[0].key
-    in_d1 = k0 <= by_boundary[1].key and k1 <= by_boundary[1].key
+    in_d0 = k0 <= by_boundary[0] and k1 <= by_boundary[0]
+    in_d1 = k0 <= by_boundary[1] and k1 <= by_boundary[1]
     assert in_d0 != in_d1
     # Positive-y sorts first per the documented tiebreak.
     assert k0 < k1 and in_d1
@@ -129,14 +125,11 @@ def test_containment_is_monotone_in_key(server, users):
         [(float(server[0]), float(server[1]), 1)],
         [(float(x), float(y)) for x, y in users],
     )
-    disks = all_disks(inst)
-    members = [
-        {u.id for u in inst.users if order_key(inst.servers[d.server], u) <= d.key} for d in disks
-    ]
+    members = [{u.id for u in inst.users if order_key(inst.servers[0], u) <= key} for key in disk_keys(inst)]
     for smaller, larger in zip(members, members[1:]):
         assert smaller <= larger
-    for rank, d in enumerate(disks):
-        assert len(members[rank]) == rank + 1
+    for rank, inside in enumerate(members):
+        assert len(inside) == rank + 1
 
 
 # --- candidate disks --------------------------------------------------------
@@ -144,13 +137,11 @@ def test_containment_is_monotone_in_key(server, users):
 
 def test_order_table_nested_pair():
     inst = make_instance([(0.0, 0.0, 2)], [(1.0, 0.0), (2.0, 0.0)])
-    disks = all_disks(inst)
-    assert len(disks) == 2
-    small, large = disks
-    assert small.power == 1.0 and large.power == 4.0
+    assert order_table(inst).power[0].tolist() == [1.0, 4.0]
+    small, large = disk_keys(inst)
     k0, k1 = (order_key(inst.servers[0], u) for u in inst.users)
-    assert k0 <= large.key and k1 <= large.key
-    assert k0 <= small.key and not k1 <= small.key
+    assert k0 <= large and k1 <= large
+    assert k0 <= small and not k1 <= small
 
 
 def test_order_table_cardinality():
@@ -158,25 +149,21 @@ def test_order_table_cardinality():
         [(0.0, 0.0, 2), (5.0, 5.0, 1)],
         [(1.0, 0.0), (2.0, 0.0), (3.0, 3.0)],
     )
-    disks = all_disks(inst)
-    assert len(disks) == 6
+    table = order_table(inst)
+    assert table.order.shape == (2, 3)
     for s in range(2):
-        server_disks = [d for d in disks if d.server == s]
-        assert [d.rank for d in server_disks] == [0, 1, 2]
-        keys = [d.key for d in server_disks]
+        assert sorted(table.order[s].tolist()) == [0, 1, 2]
+        keys = disk_keys(inst, s)
         assert keys == sorted(keys)
 
 
 def test_contains_key_comparison():
     inst = make_instance([(0.0, 0.0, 1)], [(2.0, 0.0)])
-    disk = order_table(inst).disk(0, 0)
-    key = disk.key
-    smaller = type(key)(1.0, 0.0, 0)
-    assert smaller <= disk.key
-    assert key <= disk.key
+    (key,) = disk_keys(inst)
+    assert OrderKey(1.0, 0.0, 0) <= key
+    assert key <= key
     # Same radius, larger cosine: outside by the direction ordering.
-    larger_cos = type(key)(key.dist, key.cosine + 0.5, 0)
-    assert not larger_cos <= disk.key
+    assert not OrderKey(key.dist, key.cosine + 0.5, 0) <= key
 
 
 # --- instance type ----------------------------------------------------------
@@ -260,7 +247,7 @@ def test_order_table_sorts_by_key():
 
 # --- order table ------------------------------------------------------------
 #
-# The table must equal the scalar path (order_key, power) bit for bit: it
+# The table must equal the scalar reference (order_key, power) bit for bit: it
 # computes distances with math.hypot and powers with Python's float **, not
 # np.hypot / np.power, because those round differently in the last bit on
 # some inputs, and one bit reorders keys that differ only there and changes
@@ -301,10 +288,8 @@ def assert_table_matches_scalar_path(inst):
         assert table.order[s].tolist() == reference
         for t, uid in enumerate(reference):
             assert table.rank[s, uid] == t
-            assert _bits(table.key(s, t)) == _bits(keys[uid])
+            assert _bits(table_key(table, s, t)) == _bits(keys[uid])
             assert table.power[s, t].hex() == power(inst.params, keys[uid].dist).hex()
-            disk = table.disk(s, t)
-            assert (disk.server, disk.boundary_user, disk.rank) == (s, uid, t)
 
 
 @settings(max_examples=150, deadline=None)

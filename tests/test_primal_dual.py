@@ -158,7 +158,7 @@ def test_apply_selection_vacuous_tie_sibling():
     )
     sol, duals, trace = pd_solve(inst)
     assert sol.assignment == (0, 0)
-    assert sol.chosen[1] is None
+    assert sol.radius[1] is None and sol.power[1] is None
     assert len(trace) == 1
     assert sol.total_power == pytest.approx(1.25, rel=1e-12)
 
@@ -198,6 +198,13 @@ def test_next_event_stall_detection():
         next_event(duals)
 
 
+def test_event_that_covers_nobody_stalls_the_solve(monkeypatch):
+    # Raised, not asserted, so that it holds under python -O too.
+    monkeypatch.setattr(primal_dual, "next_event", lambda duals: (0.0, []))
+    with pytest.raises(AscentStalledError, match="covered no user"):
+        pd_solve(two_user_line())
+
+
 def test_inactive_disks_stop_ascending_and_refuse_selection():
     # Ample (kbar 2n) and tight (kbar n/m) capacity alternate. A disk that is
     # not active must keep its charge and stay out of the tight list at the
@@ -211,7 +218,10 @@ def test_inactive_disks_stop_ascending_and_refuse_selection():
         duals = init_solver(inst)
         inactive = np.zeros(m * n, dtype=bool)
         charge = duals.lhs.copy()
-        while np.isnan(duals.covered_at).any():
+        # Every event covers a user, so n events suffice.
+        for _ in range(n):
+            if not np.isnan(duals.covered_at).any():
+                break
             _, tights = next_event(duals)
             assert np.array_equal(duals.lhs[inactive], charge[inactive])
             assert not inactive[tights].any()
@@ -231,6 +241,7 @@ def test_inactive_disks_stop_ascending_and_refuse_selection():
                 for idx in refused:
                     with pytest.raises(ValueError, match="active"):
                         apply_selection(duals, idx)
+        assert not np.isnan(duals.covered_at).any()
     assert checked > 0 and exhausted > 0
 
 

@@ -16,10 +16,10 @@ from cmpc import (
     pd_solve,
     validate,
 )
-from cmpc.model import order_key, order_table
+from cmpc.model import order_table
 from cmpc.reference import feasible_assignment
 
-from _oracles import brute_force_assignment_exists, flat_enumeration_optimum
+from _oracles import brute_force_assignment_exists, flat_enumeration_optimum, order_key, table_key
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -102,7 +102,7 @@ def test_matching_agrees_with_brute_force(servers, users, picks):
         if rank is None:
             continue
         for u in range(n):
-            if order_key(inst.servers[s], inst.users[u]) <= table.key(s, rank):
+            if order_key(inst.servers[s], inst.users[u]) <= table_key(table, s, rank):
                 allowed[u].append(s)
     capacities = [srv.capacity for srv in inst.servers]
 
@@ -147,6 +147,13 @@ def test_opt_budget_exhaustion():
     assert res.status == "budget_exceeded"
     assert res.solution is None
     assert res.nodes_explored >= 3
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_opt_rejects_budget_below_one(budget):
+    inst = gen_instance(GenConfig(m=4, n=10, kbar=5.0, seed=17))
+    with pytest.raises(ValueError, match=f"node budget must be >= 1, got {budget}"):
+        opt_solve(inst, budget)
 
 
 def test_opt_matches_flat_enumeration_micro():
