@@ -13,10 +13,10 @@ from .solution import Solution
 class ValidationReport:
     """Outcome of checking a solution against the covering constraints.
 
-    Violation codes: "coverage" (user not assigned to any server),
-    "containment" (assigned to a server whose disk excludes it), "capacity"
-    (server over capacity), "no-disk" (assigned to a server that selected no
-    disk).
+    Violation codes, one per faulty user or server: "coverage" (user not
+    assigned to any server), "containment" (assigned to a server whose disk
+    excludes it), "no-disk" (assigned to a server that selected no disk),
+    "capacity" (server over capacity).
     """
 
     violations: tuple[tuple[str, str], ...]
@@ -46,7 +46,6 @@ def validate(instance: Instance, solution: Solution) -> ValidationReport:
             continue
         server = instance.servers[s].pos
         if math.hypot(user.pos.x - server.x, user.pos.y - server.y) > radius:
-            violations.append(("coverage", f"user {u} lies outside server {s}'s chosen disk"))
             violations.append(("containment", f"server {s}'s disk does not contain assigned user {u}"))
 
     loads = solution.loads()

@@ -45,10 +45,6 @@ from .solution import Solution, make_solution
 # rounding over many events.
 TIGHTNESS_TOL = 1e-9
 
-# Elements per [disks, members] block in verify_dual_feasibility. Larger
-# blocks save little time and raise peak memory.
-CHECK_BLOCK_ELEMENTS = 1 << 14
-
 
 class InsufficientCapacityError(ValueError):
     """Total capacity is below the number of users."""
@@ -172,19 +168,6 @@ class DualState:
         """
         s = idx // self.table.order.shape[1]
         return bool(self.remaining_capacity[s] > 0) and idx > self.last_selected[s]
-
-    def gamma_block(self, lo: int, hi: int, members: np.ndarray) -> np.ndarray:
-        """Gamma prices of `members` in the disks with flat indices lo..hi-1.
-
-        Returns a [hi - lo, len(members)] array. Entries of users outside a
-        disk carry no meaning; callers mask them by rank.
-        """
-        covered_at = self.covered_at[members]
-        paid_until = np.where(np.isnan(covered_at), self.clock, covered_at)
-        # A disk still in its beta phase (start NaN) has no gamma prices.
-        start = np.nan_to_num(self.gamma_start[lo:hi], nan=np.inf)
-        gap = paid_until[None, :] - start[:, None]
-        return np.maximum(gap, 0.0, out=gap)
 
     def finalize(self) -> None:
         """Set mu to the least slack making every disk constraint feasible.
@@ -394,15 +377,24 @@ def _check_tol(tol: float) -> None:
 def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> list[DualViolation]:
     """Check the dual prices against the covering dual's constraints.
 
+    `duals` provides `theta`, `beta`, `mu` and `gamma_start`; the individual
+    prices take the ascent's closed form gamma_{h,D} = max(0, theta_h - g_D),
+    g_D = gamma_start[D], with a NaN start (no gamma phase) read as +inf.
     For every user h inside disk D: theta_h <= beta_D + gamma_{h,D} + tol.
     For every disk D of server i: k_i * beta_D + sum_h gamma_{h,D} <= p_D + mu_i + tol.
-    All prices must be >= -tol. Returns every violation found (empty means
-    feasible), disk by disk in flat index order; this checker is independent
-    of the ascent bookkeeping. `duals` provides `theta`, `beta`, `mu` and
-    `gamma_block(lo, hi, members)`, the [hi - lo, len(members)] gamma prices
-    of `members` in the disks with flat indices lo..hi-1. Each server's disks
-    are checked in blocks of ranks, one gamma_block call per block. Raises
-    ValueError unless `tol` is finite and >= 0.
+    theta, beta and mu must be >= -tol; gamma is by its form. Returns every
+    violation found (empty means feasible), disk by disk in flat index order,
+    a disk's members in rank order and its budget last; this checker is
+    independent of the ascent bookkeeping. Raises ValueError unless `tol` is
+    finite and >= 0.
+
+    Member h of D satisfies its constraint iff min(theta_h, g_D) - beta_D <=
+    tol, so all members of D do iff min(g_D, max theta over them) - beta_D <=
+    tol: one running max of theta in rank order finds the violated disks in
+    O(m * n), and only their members are expanded. The gamma sums of the
+    budgets take one prefix sum of max(0, theta - g) in rank order per
+    distinct start g, over the servers with a disk starting at g:
+    O(m * n * (E + 1)) for the at most E + 1 starts of an ascent with E events.
     """
     _check_tol(tol)
     m, n = instance.m, instance.n
@@ -410,6 +402,7 @@ def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> lis
     theta = np.asarray(duals.theta, dtype=np.float64)
     beta = np.asarray(duals.beta, dtype=np.float64)
     mu = np.asarray(duals.mu, dtype=np.float64)
+    starts = np.nan_to_num(np.asarray(duals.gamma_start, dtype=np.float64), nan=np.inf)
     violations: list[DualViolation] = []
 
     for h in np.nonzero(theta < -tol)[0].tolist():
@@ -419,35 +412,27 @@ def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> lis
     for s in np.nonzero(mu < -tol)[0].tolist():
         violations.append(DualViolation("negative slack price", float(-mu[s]), server=s))
 
-    step = min(n, max(1, CHECK_BLOCK_ELEMENTS // n))
-    for s in range(m):
-        theta_s = theta[table.order[s]]
-        capacity = instance.servers[s].capacity
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            # Row r is the disk at rank lo + r; it contains members[:lo + r + 1].
-            members = table.order[s, :hi]
-            inside = np.arange(hi)[None, :] <= np.arange(lo, hi)[:, None]
-            gammas = np.asarray(duals.gamma_block(s * n + lo, s * n + hi, members), dtype=np.float64)
-            row_beta = beta[s * n + lo : s * n + hi]
-            slack = theta_s[None, :hi] - row_beta[:, None]
-            slack -= gammas
-            negative = inside & (gammas < -tol)
-            exceeds = inside & (slack > tol)
-            flagged = negative | exceeds
-            lhs = capacity * row_beta + gammas.sum(axis=1, where=inside)
-            budget_slack = lhs - table.power[s, lo:hi] - mu[s]
-            over_budget = budget_slack > tol
-            for r in np.flatnonzero(flagged.any(axis=1) | over_budget).tolist():
-                idx = s * n + lo + r
-                for pos in np.flatnonzero(flagged[r]).tolist():
-                    h = int(members[pos])
-                    if negative[r, pos]:
-                        violations.append(DualViolation("negative individual price", float(-gammas[r, pos]), user=h, disk=idx))
-                    if exceeds[r, pos]:
-                        violations.append(DualViolation("user price exceeds disk prices", float(slack[r, pos]), user=h, disk=idx))
-                if over_budget[r]:
-                    violations.append(DualViolation("disk budget exceeded", float(budget_slack[r]), disk=idx))
+    ranked = theta[table.order]
+    exceeds = (np.minimum(starts.reshape(m, n), np.maximum.accumulate(ranked, axis=1)) - beta.reshape(m, n) > tol).ravel()
+    capacity = np.array([srv.capacity for srv in instance.servers], dtype=np.float64)
+    lhs = capacity[:, None] * beta.reshape(m, n)
+    # Each disk takes one start, so the starts may come in any order.
+    for g in set(starts[starts < np.inf].tolist()):
+        at = starts.reshape(m, n) == g
+        rows = np.flatnonzero(at.any(axis=1))
+        gamma = np.cumsum(np.maximum(ranked[rows] - g, 0.0), axis=1)
+        lhs[rows] += np.where(at[rows], gamma, 0.0)
+    budget_slack = (lhs - table.power - mu[:, None]).ravel()
+    over_budget = budget_slack > tol
+
+    for idx in np.flatnonzero(exceeds | over_budget).tolist():
+        if exceeds[idx]:
+            members = table.order[idx // n, : idx % n + 1]
+            slack = theta[members] - beta[idx] - np.maximum(theta[members] - starts[idx], 0.0)
+            for pos in np.flatnonzero(slack > tol).tolist():
+                violations.append(DualViolation("user price exceeds disk prices", float(slack[pos]), user=int(members[pos]), disk=idx))
+        if over_budget[idx]:
+            violations.append(DualViolation("disk budget exceeded", float(budget_slack[idx]), disk=idx))
     return violations
 
 
@@ -516,21 +501,18 @@ def check_charging(
 
     For each selected disk, its power must equal the flat-price charge it
     collected (remaining capacity integrated over its flat-price phase) plus
-    its members' individual payments; the same total must be recoverable as
-    per-user charges of at most theta_h each; and the final cover (each
-    server's last selection) may charge each user h at most m * theta_h in
-    total, which gives total power <= m * sum(theta). Everything is
-    reconstructed from the trace and the closed-form prices, independently of
-    the ascent's running sums. Raises ValueError unless `tol` is finite and
-    >= 0.
+    its members' individual payments, and the same total must be recoverable
+    as per-user charges of at most theta_h each. The final cover is at most m
+    disks, one per server, so these give total power <= m * sum(theta).
+    Everything is reconstructed from the trace and the closed-form prices,
+    independently of the ascent's running sums. Raises ValueError unless
+    `tol` is finite and >= 0.
     """
     _check_tol(tol)
     table = order_table(instance)
     theta = np.asarray(duals.theta, dtype=np.float64)
     covered_at = np.asarray(duals.covered_at, dtype=np.float64)
     theta_scale = max(1.0, float(theta.max(initial=1.0)))
-    final_events = {ev.server: ev_i for ev_i, ev in enumerate(trace)}
-    cover_charge = np.zeros(instance.n, dtype=np.float64)
 
     violations: list[ChargingViolation] = []
     for ev_i, ev in enumerate(trace):
@@ -544,16 +526,10 @@ def check_charging(
 
         charges = charge_breakdown(instance, trace, duals, ev_i)
         paid = np.fromiter(charges.values(), np.float64, len(charges))
-        if final_events[ev.server] == ev_i:
-            cover_charge[members] += paid
         total = sum(charges.values())
         if abs(ev.power - total) > tol * scale:
             violations.append(ChargingViolation(ev_i, "power vs per-user charges", abs(ev.power - total)))
         overpaid = float((paid - theta[members]).max(initial=0.0))
         if overpaid > tol * theta_scale:
             violations.append(ChargingViolation(ev_i, "charge exceeds a user's theta", overpaid))
-
-    excess = cover_charge - instance.m * theta
-    for h in np.flatnonzero(excess > tol * theta_scale).tolist():
-        violations.append(ChargingViolation(-1, f"user {h} charged above m * theta", float(excess[h])))
     return violations

@@ -1,18 +1,19 @@
 """Brute-force reference computations and hand-made duals, independent of the library's solvers.
 
 Also holds the scalar per-pair order key and power law that the order table
-must equal bit for bit, and, as references for differential tests, the
-per-disk and per-segment checker loops that the blocked
-`verify_dual_feasibility` and `charge_breakdown` replaced, and the
-`next_event` that built every m*n array afresh on each event, which the
-in-place one replaced.
+must equal bit for bit, and, as references for differential tests, a
+per-disk, per-member loop over the covering dual's constraints with gamma
+prices in the ascent's closed form, which `verify_dual_feasibility` checks
+by running maxima and prefix sums, the per-segment loop that
+`charge_breakdown` replaced, and the `next_event` that built every m*n array
+afresh on each event, which the in-place one replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,23 +125,18 @@ def brute_force_assignment_exists(allowed: list[list[int]], capacities: list[int
 class ManualDuals:
     """Hand-specified dual values for feeding the feasibility checker.
 
-    `gamma` maps (user, disk_index) to an individual price; absent pairs are 0.
+    Individual prices take the ascent's closed form: gamma[h, disk] =
+    max(0, theta[h] - gamma_start[disk]), none where the start is NaN.
     """
 
     theta: np.ndarray
     beta: np.ndarray
     mu: np.ndarray
-    gamma: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def gamma_block(self, lo: int, hi: int, members: np.ndarray) -> np.ndarray:
-        return np.array(
-            [[self.gamma.get((int(h), idx), 0.0) for h in members] for idx in range(lo, hi)],
-            dtype=np.float64,
-        ).reshape(hi - lo, len(members))
+    gamma_start: np.ndarray
 
 
 def reference_dual_violations(instance: Instance, duals, tol: float = 1e-7) -> list[DualViolation]:
-    """verify_dual_feasibility by one gamma_block call and Python loop per disk."""
+    """verify_dual_feasibility by one Python loop per disk over its members."""
     m, n = instance.m, instance.n
     table = order_table(instance)
     theta = np.asarray(duals.theta, dtype=np.float64)
@@ -158,14 +154,11 @@ def reference_dual_violations(instance: Instance, duals, tol: float = 1e-7) -> l
     for idx in range(m * n):
         s, rank = divmod(idx, n)
         members = table.order[s, : rank + 1]
-        gammas = np.asarray(duals.gamma_block(idx, idx + 1, members)[0], dtype=np.float64)
+        start = float(duals.gamma_start[idx])
+        gammas = np.maximum(theta[members] - (math.inf if math.isnan(start) else start), 0.0)
         slack = theta[members] - beta[idx] - gammas
-        for pos in np.nonzero((gammas < -tol) | (slack > tol))[0].tolist():
-            h, g = int(members[pos]), float(gammas[pos])
-            if g < -tol:
-                violations.append(DualViolation("negative individual price", -g, user=h, disk=idx))
-            if slack[pos] > tol:
-                violations.append(DualViolation("user price exceeds disk prices", float(slack[pos]), user=h, disk=idx))
+        for pos in np.nonzero(slack > tol)[0].tolist():
+            violations.append(DualViolation("user price exceeds disk prices", float(slack[pos]), user=int(members[pos]), disk=idx))
         lhs = instance.servers[s].capacity * beta[idx] + float(gammas.sum())
         budget_slack = lhs - table.power[s, rank] - mu[s]
         if budget_slack > tol:

@@ -351,13 +351,14 @@ def test_dual_objective_values():
         theta=np.array([2.0, 2.0]),
         beta=np.zeros(2),
         mu=np.zeros(2),
+        gamma_start=np.full(2, np.nan),
     )
     assert dual_objective(manual) == 4.0
 
 
 def test_verify_zero_duals_feasible():
     inst = two_user_line()
-    manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(2), mu=np.zeros(1))
+    manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(2), mu=np.zeros(1), gamma_start=np.full(2, np.nan))
     assert verify_dual_feasibility(inst, manual) == []
 
 
@@ -368,6 +369,7 @@ def test_verify_flags_overpriced_user():
         theta=np.array([p_min + 1.0, 0.0]),
         beta=np.zeros(2),
         mu=np.zeros(1),
+        gamma_start=np.full(2, np.nan),
     )
     violations = verify_dual_feasibility(inst, manual)
     assert violations
@@ -375,27 +377,27 @@ def test_verify_flags_overpriced_user():
 
 
 def test_verify_flags_overcharged_disk():
+    # Gamma prices start at 0, so user 0 pays gamma 5 into both disks, of
+    # powers 1 and 4; user 1 pays nothing.
     inst = two_user_line()
-    manual = ManualDuals(
-        theta=np.zeros(2),
-        beta=np.array([0.0, 0.0]),
-        mu=np.zeros(1),
-        gamma={(0, 0): 5.0},
-    )
+    manual = ManualDuals(theta=np.array([5.0, 0.0]), beta=np.zeros(2), mu=np.zeros(1), gamma_start=np.zeros(2))
     violations = verify_dual_feasibility(inst, manual)
-    assert any(v.constraint == "disk budget exceeded" for v in violations)
+    assert [(v.constraint, v.amount, v.disk) for v in violations] == [
+        ("disk budget exceeded", 4.0, 0),
+        ("disk budget exceeded", 1.0, 1),
+    ]
 
 
 def test_verify_flags_negative_slack_price_on_its_server():
     inst = make_instance([(0.0, 0.0, 2), (10.0, 0.0, 2)], [(1.0, 0.0), (2.0, 0.0)])
-    manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(4), mu=np.array([0.0, -0.5]))
+    manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(4), mu=np.array([0.0, -0.5]), gamma_start=np.full(4, np.nan))
     violations = verify_dual_feasibility(inst, manual)
     assert [(v.constraint, v.amount, v.server, v.user, v.disk) for v in violations] == [
         ("negative slack price", 0.5, 1, None, None)
     ]
     assert str(violations[0]) == "negative slack price violated by 5.000e-01 (server 1)"
     # Like every other sign check, it allows rounding down to -tol.
-    manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(4), mu=np.array([0.0, -1e-8]))
+    manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(4), mu=np.array([0.0, -1e-8]), gamma_start=np.full(4, np.nan))
     assert verify_dual_feasibility(inst, manual, tol=1e-7) == []
 
 
@@ -442,26 +444,22 @@ def test_mu_absorbs_depleted_server_pressure():
     assert dual_objective(duals) <= sol.total_power + 1e-9
 
 
-def finalize_reference_mu(inst, duals, block_elements):
-    """mu by one Python-level sum per disk over gamma_block reads.
-
-    Gamma prices are read per server in blocks of block_elements // n ranks
-    (at least one), each against all of the server's users; a disk's sum takes
-    the prefix of its row that holds its members.
-    """
+def finalize_reference_mu(inst, duals):
+    """mu by one Python-level sum per disk of its members' max(0, theta - g)."""
     m, n = inst.m, inst.n
     table = order_table(inst)
-    step = max(1, block_elements // n)
     mu = np.zeros(m)
-    for s in range(m):
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            gammas = duals.gamma_block(s * n + lo, s * n + hi, table.order[s])
-            for rank in range(lo, hi):
-                idx = s * n + rank
-                lhs = inst.servers[s].capacity * duals.beta[idx] + float(gammas[rank - lo, : rank + 1].sum())
-                mu[s] = max(mu[s], lhs - float(table.power[s, rank]))
+    for idx in range(m * n):
+        s, rank = divmod(idx, n)
+        gammas = np.maximum(duals.theta[table.order[s, : rank + 1]] - duals.gamma_start[idx], 0.0)
+        lhs = inst.servers[s].capacity * duals.beta[idx] + float(gammas.sum())
+        mu[s] = max(mu[s], lhs - float(table.power[s, rank]))
     return mu
+
+
+def scaled(inst, scale):
+    """`inst` with power scale c * scale; a power-of-two scale scales every disk power exactly."""
+    return dataclasses.replace(inst, params=dataclasses.replace(inst.params, c=inst.params.c * scale))
 
 
 def finalize_cases():
@@ -475,15 +473,16 @@ def finalize_cases():
     yield pytest.param(grid_tight, True, id="grid-tight")
 
 
-@pytest.mark.parametrize("block_elements", [1, 64, 1 << 16])
+@pytest.mark.parametrize("scale", [1, 64, 1 << 16])
 @pytest.mark.parametrize("inst, exercises_mu", finalize_cases())
-def test_finalize_matches_per_disk_reference(inst, exercises_mu, block_elements):
+def test_finalize_matches_per_disk_reference(inst, exercises_mu, scale):
     # finalize sums gamma prices by prefix sums over runs of equal gamma
-    # start; the reference reads them through gamma_block, one row per call
-    # at block_elements=1 and whole servers at 1 << 16. Sums change
-    # association order, so mu may differ by rounding only.
+    # start; the reference sums each disk's members on their own, at powers
+    # scaled by 2^0, 2^6 and 2^16. Sums change association order, so mu may
+    # differ by rounding only.
+    inst = scaled(inst, scale)
     _, duals, _ = pd_solve(inst)
-    reference = finalize_reference_mu(inst, duals, block_elements)
+    reference = finalize_reference_mu(inst, duals)
     scale = max(1.0, float(order_table(inst).power.max()))
     assert np.allclose(duals.mu, reference, rtol=0.0, atol=1e-9 * scale)
     assert (reference > 0).any() == exercises_mu
@@ -552,38 +551,32 @@ def checker_instance(seed):
 def perturbed_duals(inst, seed):
     """pd_solve's duals as ManualDuals, with noise on a tenth of the prices.
 
-    Half of the mu values get noise, as there are only m of them. Each disk
-    also gets a price for a user outside it, which both checkers must ignore.
+    Half of the mu values get noise, as there are only m of them, and a
+    twentieth of the gamma starts become NaN: those disks have no gamma phase.
     """
     _, duals, _ = pd_solve(inst)
     rng = np.random.default_rng(seed)
-    table = order_table(inst)
-    m, n = inst.m, inst.n
-    sigma = 0.05 * float(table.power.max())
+    sigma = 0.05 * float(order_table(inst).power.max())
 
     def noisy(values, share=0.1):
         values = np.array(values, dtype=np.float64)
         return values + (rng.random(values.shape) < share) * rng.normal(0.0, sigma, values.shape)
 
-    gamma = {}
-    for s in range(m):
-        members = table.order[s]
-        prices = noisy(duals.gamma_block(s * n, (s + 1) * n, members))
-        for t in range(n):
-            gamma.update({(int(members[j]), s * n + t): float(prices[t, j]) for j in range(t + 1) if prices[t, j]})
-            if t + 1 < n:
-                gamma[(int(members[-1]), s * n + t)] = -sigma
-    return ManualDuals(theta=noisy(duals.theta), beta=noisy(duals.beta), mu=noisy(duals.mu, 0.5), gamma=gamma)
+    gamma_start = noisy(duals.gamma_start)
+    gamma_start[rng.random(gamma_start.shape) < 0.05] = np.nan
+    return ManualDuals(theta=noisy(duals.theta), beta=noisy(duals.beta), mu=noisy(duals.mu, 0.5), gamma_start=gamma_start)
 
 
-@pytest.mark.parametrize("block_elements", [1, 64, primal_dual.CHECK_BLOCK_ELEMENTS])
+@pytest.mark.parametrize("scale", [1, 64, 1 << 14])
 @pytest.mark.parametrize("seed", range(40))
-def test_blocked_verify_matches_per_disk_reference(seed, block_elements, monkeypatch):
-    # Small blocks split each server's disks into many row blocks, one row
-    # each at block_elements=1. Budget sums change association order, so
+def test_blocked_verify_matches_per_disk_reference(seed, scale):
+    # The checker flags a disk's members at once by min(g, max theta) - beta,
+    # equal to the reference's per-member theta - beta - gamma in exact
+    # arithmetic only. Powers scaled by 2^6 and 2^14 scale the ascent and
+    # every price exactly while tol stays absolute: at 2^14 the rounding of a
+    # budget sum reaches tol. Budget sums change association order, so
     # amounts may differ from the reference by rounding only.
-    monkeypatch.setattr(primal_dual, "CHECK_BLOCK_ELEMENTS", block_elements)
-    inst = checker_instance(seed)
+    inst = scaled(checker_instance(seed), scale)
     duals = perturbed_duals(inst, seed)
     got = verify_dual_feasibility(inst, duals)
     expected = reference_dual_violations(inst, duals)
@@ -596,6 +589,7 @@ def test_blocked_verify_matches_per_disk_reference(seed, block_elements, monkeyp
 
 
 def test_perturbed_duals_raise_every_violation_kind():
+    # Gamma prices are max(0, theta - g) >= 0, so no individual price is negative.
     kinds = set()
     for seed in range(40):
         inst = checker_instance(seed)
@@ -604,7 +598,6 @@ def test_perturbed_duals_raise_every_violation_kind():
         "negative user price",
         "negative flat price",
         "negative slack price",
-        "negative individual price",
         "user price exceeds disk prices",
         "disk budget exceeded",
     }
@@ -652,6 +645,38 @@ def test_verify_pins_lowered_mu_to_its_server(bench_scale):
     assert {v.disk // inst.n for v in violations} == {s}
 
 
+def test_verify_pins_lowered_beta_to_its_disk(bench_scale):
+    # Take a disk whose boundary user was covered before the disk's gamma
+    # start g while an earlier member was covered later, and lower its beta
+    # from g to the boundary user's theta. Then exactly the members covered
+    # later than the boundary user pay too little, while the boundary user
+    # itself does not: only a running max over the members finds the disk.
+    inst, _, duals, _ = bench_scale
+    n = inst.n
+    table = order_table(inst)
+    theta, starts = duals.theta, duals.gamma_start
+    ranked = theta[table.order].ravel()
+    earlier_max = np.maximum.accumulate(theta[table.order], axis=1).ravel()
+    candidates = np.flatnonzero((ranked < starts) & (earlier_max > ranked + 1.0))
+    idx = int(candidates[len(candidates) // 2])
+    members = table.order[idx // n, : idx % n + 1]
+    beta = duals.beta.copy()
+    beta[idx] = ranked[idx]
+    expected = [int(h) for h in members if theta[h] > beta[idx]]
+    assert len(expected) >= 2
+    # No member sits within tol above the lowered beta.
+    assert not ((theta[members] > beta[idx]) & (theta[members] <= beta[idx] + 1e-7)).any()
+
+    lowered = ManualDuals(theta=theta, beta=beta, mu=duals.mu, gamma_start=starts)
+    violations = verify_dual_feasibility(inst, lowered)
+    assert [(v.constraint, v.disk, v.user) for v in violations] == [
+        ("user price exceeds disk prices", idx, h) for h in expected
+    ]
+    scale = float(table.power.max())
+    for v in violations:
+        assert abs(v.amount - (min(theta[v.user], starts[idx]) - beta[idx])) <= 1e-9 * scale
+
+
 def test_check_charging_pins_raised_power_to_its_event(bench_scale):
     inst, _, duals, trace = bench_scale
     i = len(trace) // 2
@@ -663,19 +688,23 @@ def test_check_charging_pins_raised_power_to_its_event(bench_scale):
 
 
 def test_check_charging_pins_lowered_theta_to_its_user(bench_scale):
-    # The final cover may charge user h at most m * theta_h in total; lower
-    # one charged user's theta to a 2m-th of its charge from one final disk.
+    # Lower one user's theta to half its charge from a final disk: that
+    # disk's event reports the overcharge, and so does every other event
+    # charging the user above its new theta, and no other event.
     inst, _, duals, trace = bench_scale
-    last_event = max({ev.server: i for i, ev in enumerate(trace)}.values())
-    charges = charge_breakdown(inst, trace, duals, last_event)
+    final_event = max({ev.server: i for i, ev in enumerate(trace)}.values())
+    charges = charge_breakdown(inst, trace, duals, final_event)
     h = max(charges, key=charges.get)
     assert charges[h] > 1.0
     theta = duals.theta.copy()
-    theta[h] = charges[h] / (2 * inst.m)
+    theta[h] = charges[h] / 2
     lowered = SimpleNamespace(theta=theta, covered_at=duals.covered_at, gamma_start=duals.gamma_start)
-    cover = [v for v in check_charging(inst, trace, lowered) if v.event_index == -1]
-    assert [v.kind for v in cover] == [f"user {h} charged above m * theta"]
-    assert cover[0].amount >= charges[h] / 2
+    violations = check_charging(inst, trace, lowered)
+    assert {v.kind for v in violations} == {"charge exceeds a user's theta"}
+    overcharged = [i for i in range(len(trace)) if charge_breakdown(inst, trace, duals, i).get(h, 0.0) > theta[h]]
+    assert [v.event_index for v in violations] == overcharged
+    assert final_event in overcharged
+    assert next(v.amount for v in violations if v.event_index == final_event) == charges[h] / 2
 
 
 def test_cli_verify_bench_scale_instance(bench_scale, tmp_path, capsys):
