@@ -1,10 +1,17 @@
 """Reference solvers: exhaustive exact optimum and the nearest-server greedy.
 
 The exact solver enumerates one radius choice per server (one of its n
-candidate disks, or none) with branch-and-bound pruning on accumulated power,
-checking coverage feasibility at the leaves via capacitated bipartite
-matching. It is meant for desk-scale instances; a node budget turns overruns
-into an explicit "budget exceeded" outcome instead of an open-ended search.
+candidate disks, or none) depth first, with branch-and-bound pruning. The
+incumbent starts one ulp above the greedy cover's power. A node is pruned
+when its power so far plus the least power that reaches its dearest
+uncovered user (reach_costs) meets the incumbent, or when the servers still
+to choose cannot hold the users left. A leaf that covers every user is
+checked by Hall's condition for each server alone (private_users_fit) and
+then by capacitated bipartite matching. Every prune is admissible, in
+floating point too, so the search returns the first optimal leaf in its
+order, as exhaustive enumeration does. It is meant for desk-scale
+instances; a node budget turns overruns into an explicit "budget exceeded"
+outcome instead of an open-ended search.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Instance, order_table
+from .model import Instance, OrderTable, order_table
 from .primal_dual import InsufficientCapacityError
 from .solution import Solution, make_solution
 
@@ -89,14 +96,48 @@ def feasible_assignment(ranks: list[Optional[int]], instance: Instance) -> Optio
     return assignment
 
 
+def reach_costs(table: OrderTable) -> np.ndarray:
+    """reach_cost[s, h]: the least power any server s' >= s pays for a disk containing user h.
+
+    Server s' reaches h at the earliest with its disk at rank rank[s', h];
+    the array is that disk's power, minimised over the servers from s on.
+    """
+    to_user = np.take_along_axis(table.power, table.rank, axis=1)
+    return np.minimum.accumulate(to_user[::-1], axis=0)[::-1]
+
+
+def private_users_fit(masks: list[int], capacity: list[int]) -> bool:
+    """Whether each server can hold the users that only its disk contains.
+
+    `masks[s]` is the bit set of the users inside server s's chosen disk (0
+    when it is off) and `capacity[s]` its capacity. A user inside one chosen
+    disk alone must go to that server, so this is Hall's condition for each
+    server on its own: necessary for feasible_assignment to succeed, not
+    sufficient.
+    """
+    covered = shared = 0
+    for mask in masks:
+        shared |= covered & mask
+        covered |= mask
+    for mask, cap in zip(masks, capacity):
+        if bin(mask & ~shared).count("1") > cap:
+            return False
+    return True
+
+
 def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResult:
     """Exact minimum-power cover by exhaustive radius enumeration.
 
     Every server independently picks one of its n distinct candidate disks or
-    stays off; branches whose accumulated power already matches the incumbent
-    are pruned, and leaves are validated with feasible_assignment. A spent
-    node budget yields status "budget_exceeded" with no solution, mirroring
-    an external solver's time cutoff. Raises ValueError unless `budget` >= 1.
+    stays off, in depth-first order with servers in id order and each
+    server's options cheapest first. The incumbent starts just above the
+    power of ncs_solve's cover; a node is pruned when a lower bound on the
+    power of every leaf below it reaches the incumbent, and a leaf is
+    validated with feasible_assignment once it covers every user, holds n
+    users in total and no server's private users exceed its capacity. A
+    spent node budget yields status "budget_exceeded" with no solution,
+    mirroring an external solver's time cutoff; `nodes_explored` is then the
+    budget. Raises ValueError unless `budget` >= 1.
     """
     if budget < 1:
         raise ValueError(f"node budget must be >= 1, got {budget}")
@@ -123,10 +164,32 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
         [None] + sorted(range(n), key=lambda t: (power[s][t], t)) for s in range(m)
     ]
 
-    # Power of the cheapest nonempty choice per suffix is 0 ("off" allowed),
-    # so the only sound lower bound on a partial choice is its own power.
+    # Admissible bounds: a node at server s is pruned only when no leaf below
+    # it could pass the leaf tests, so the first optimal leaf in search order
+    # is still the one returned. The incumbent only falls, and a leaf passes
+    # its `>=` test only below it. A covering leaf below reaches each user h
+    # not yet covered with a disk of some server s' >= s, which costs at
+    # least reach_cost[s, h]. Its power is the node's power plus its own
+    # servers' powers, summed left to right; every term is >= 0 and rounding
+    # is monotone, so fl(P + p) >= fl(P + q) for p >= q >= 0, and each
+    # partial sum stays >= the node's. So every covering leaf below has power
+    # >= fl(power_so_far + max over uncovered h of reach_cost[s, h]). reach[s]
+    # holds the bounds dearest first, so a node stops at its first uncovered
+    # user. A leaf also needs cap >= n, which no leaf below reaches once
+    # cap + suffix_capacity[s] < n.
+    reach_cost = reach_costs(table)
+    reach = [
+        [(float(reach_cost[s, h]), 1 << int(h)) for h in np.argsort(-reach_cost[s], kind="stable")]
+        for s in range(m)
+    ]
+    suffix_capacity = np.cumsum(capacity[::-1])[::-1].tolist()
+
+    # The greedy cover is a feasible leaf of this search, and its total_power
+    # is that leaf's power summed left to right as power_so_far is. An
+    # incumbent one ulp above it lets that leaf and every cheaper one pass,
+    # the first optimal leaf among them, so the bound holds from the start.
     nodes = 0
-    best_power = math.inf
+    best_power = math.nextafter(ncs_solve(instance).total_power, math.inf)
     best: Optional[tuple[list[Optional[int]], list[int]]] = None
     exhausted = False
 
@@ -134,20 +197,30 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
         nonlocal nodes, best_power, best, exhausted
         if exhausted:
             return
-        nodes += 1
-        if nodes > budget:
+        if nodes == budget:
             exhausted = True
             return
+        nodes += 1
         if power_so_far >= best_power:
             return
         if s == m:
             if covered != all_users_mask or cap < n:
+                return
+            masks = [0 if rank is None else member_mask[srv * n + rank] for srv, rank in enumerate(choice)]
+            if not private_users_fit(masks, capacity):
                 return
             assignment = feasible_assignment(choice, instance)
             if assignment is not None:
                 best_power = power_so_far
                 best = (list(choice), assignment)
             return
+        if cap + suffix_capacity[s] < n:
+            return
+        for bound, bit in reach[s]:
+            if not covered & bit:
+                if power_so_far + bound >= best_power:
+                    return
+                break
         for rank in options[s]:
             if rank is None:
                 choice.append(None)
@@ -166,9 +239,7 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
 
     if exhausted:
         return OptResult(status="budget_exceeded", nodes_explored=nodes)
-    if best is None:
-        return OptResult(status="infeasible", nodes_explored=nodes)
-    choice, assignment = best
+    choice, assignment = best  # never None: the greedy cover's leaf passes unless a cheaper one did
     ranks = [-1 if rank is None else rank for rank in choice]
     return OptResult(status="optimal", nodes_explored=nodes, solution=make_solution(instance, ranks, assignment))
 

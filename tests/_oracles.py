@@ -6,7 +6,8 @@ per-disk, per-member loop over the covering dual's constraints with gamma
 prices in the ascent's closed form, which `verify_dual_feasibility` checks
 by running maxima and prefix sums, the per-segment loop that
 `charge_breakdown` replaced, and the `next_event` that built every m*n array
-afresh on each event, which the in-place one replaced.
+afresh on each event, which the in-place one replaced, and the exact search
+before its reach bound, capacity prune and private-user leaf test.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 from cmpc import Instance, PowerParams, Server, User
 from cmpc.model import _TIEBREAK_STRIDE, OrderTable, order_table
 from cmpc.primal_dual import AscentStalledError, DualViolation
+from cmpc.reference import OptResult, feasible_assignment
+from cmpc.solution import make_solution
 
 
 @dataclass(frozen=True, order=True)
@@ -208,3 +211,57 @@ def next_event_reference(duals) -> tuple[float, list[int]]:
     duals.lhs += rates * delta
     duals.clock += delta
     return delta, np.flatnonzero(positive & (after <= duals.tight_tol)).tolist()
+
+
+def opt_solve_reference(instance: Instance) -> OptResult:
+    """opt_solve pruning on accumulated power alone, with no node budget:
+    the same depth-first order, each server's options cheapest first."""
+    if not instance.has_sufficient_capacity():
+        return OptResult(status="infeasible", nodes_explored=0)
+    n, m = instance.n, instance.m
+    table = order_table(instance)
+    power = table.power.tolist()
+    capacity = [srv.capacity for srv in instance.servers]
+    all_users_mask = (1 << n) - 1
+    member_mask = []
+    for s in range(m):
+        mask = 0
+        for h in table.order[s].tolist():
+            mask |= 1 << h
+            member_mask.append(mask)
+    options = [[None] + sorted(range(n), key=lambda t: (power[s][t], t)) for s in range(m)]
+    nodes = 0
+    best_power = math.inf
+    best = None
+
+    def descend(s, power_so_far, choice, covered, cap):
+        nonlocal nodes, best_power, best
+        nodes += 1
+        if power_so_far >= best_power:
+            return
+        if s == m:
+            if covered != all_users_mask or cap < n:
+                return
+            assignment = feasible_assignment(choice, instance)
+            if assignment is not None:
+                best_power = power_so_far
+                best = (list(choice), assignment)
+            return
+        for rank in options[s]:
+            if rank is None:
+                choice.append(None)
+                descend(s + 1, power_so_far, choice, covered, cap)
+            else:
+                extra = power[s][rank]
+                if power_so_far + extra >= best_power:
+                    break
+                choice.append(rank)
+                descend(s + 1, power_so_far + extra, choice, covered | member_mask[s * n + rank], cap + capacity[s])
+            choice.pop()
+
+    descend(0, 0.0, [], 0, 0)
+    if best is None:
+        return OptResult(status="infeasible", nodes_explored=nodes)
+    choice, assignment = best
+    ranks = [-1 if rank is None else rank for rank in choice]
+    return OptResult(status="optimal", nodes_explored=nodes, solution=make_solution(instance, ranks, assignment))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +19,15 @@ from cmpc import (
     validate,
 )
 from cmpc.model import order_table
-from cmpc.reference import feasible_assignment
+from cmpc.reference import feasible_assignment, private_users_fit, reach_costs
 
-from _oracles import brute_force_assignment_exists, flat_enumeration_optimum, order_key, table_key
+from _oracles import (
+    brute_force_assignment_exists,
+    flat_enumeration_optimum,
+    opt_solve_reference,
+    order_key,
+    table_key,
+)
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -143,10 +151,20 @@ def test_opt_reports_infeasible():
 
 def test_opt_budget_exhaustion():
     inst = gen_instance(GenConfig(m=4, n=10, kbar=5.0, seed=17))
-    res = opt_solve(inst, budget=3)
-    assert res.status == "budget_exceeded"
-    assert res.solution is None
-    assert res.nodes_explored >= 3
+    for budget in (1, 3, 50):
+        res = opt_solve(inst, budget=budget)
+        assert res.status == "budget_exceeded"
+        assert res.solution is None
+        assert res.nodes_explored == budget
+
+
+def test_opt_budget_of_exactly_the_search_suffices():
+    inst = gen_instance(GenConfig(m=4, n=10, kbar=5.0, seed=17))
+    full = opt_solve(inst)
+    exact = opt_solve(inst, budget=full.nodes_explored)
+    assert exact.to_json_dict() == full.to_json_dict()
+    short = opt_solve(inst, budget=full.nodes_explored - 1)
+    assert (short.status, short.nodes_explored) == ("budget_exceeded", full.nodes_explored - 1)
 
 
 @pytest.mark.parametrize("budget", [0, -3])
@@ -164,12 +182,109 @@ def test_opt_matches_flat_enumeration_micro():
         assert res.value == flat_enumeration_optimum(inst)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_opt_matches_unpruned_search(m):
+    # Per m, 7 user counts x 3 alphas x 3 capacity levels (total about 2.5n,
+    # 1.6n and 1.2n, at least 1 per server): 378 instances over m = 1-6. The
+    # flat enumeration cross-checks those with at most 1024 assignments.
+    for n, alpha, (level, ratio) in itertools.product(range(2, 9), (1.0, 2.0, 3.0), enumerate((2.5, 1.6, 1.2))):
+        config = GenConfig(m=m, n=n, kbar=max(ratio * n / m, 1.0), alpha=alpha, seed=50_000 + 1000 * m + 100 * n + 10 * level + int(alpha))
+        inst = gen_instance(config)
+        res = opt_solve(inst)
+        ref = opt_solve_reference(inst)
+        assert res.status == ref.status, config
+        assert res.to_json_dict().get("solution") == ref.to_json_dict().get("solution"), config
+        assert res.nodes_explored <= ref.nodes_explored, config
+        if res.status == "optimal" and m**n <= 1024:
+            assert res.value == flat_enumeration_optimum(inst), config
+
+
 def test_opt_result_json():
     res = opt_solve(three_user_instance())
     data = res.to_json_dict()
     assert data["status"] == "optimal"
     assert data["nodes_explored"] > 0
     assert data["solution"]["total_power"] == 65.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    servers=st.lists(st.tuples(coords, st.integers(0, 3)), min_size=1, max_size=4),
+    users=st.lists(coords, min_size=1, max_size=6),
+    alpha=st.sampled_from([1.0, 2.0, 3.0]),
+    picks=st.data(),
+)
+def test_reach_bound_never_exceeds_a_completion(servers, users, alpha, picks):
+    # opt_solve prunes a node at server s once power_so_far plus the largest
+    # reach cost of an uncovered user meets the incumbent. That sum must not
+    # exceed the power, summed left to right, of any leaf below that covers
+    # every user (enumerated here), and so not the cheapest feasible one.
+    inst = make_instance(
+        [(float(x), float(y), k) for (x, y), k in servers],
+        [(float(x), float(y)) for x, y in users],
+        alpha=alpha,
+    )
+    table = order_table(inst)
+    m, n = inst.m, inst.n
+    power = table.power.tolist()
+    members = [[1 << h for h in row] for row in table.order.tolist()]
+    masks = [[sum(row[: t + 1]) for t in range(n)] for row in members]
+    s = picks.draw(st.integers(0, m), label="server")
+    power_so_far, covered = 0.0, 0
+    for srv in range(s):
+        rank = picks.draw(st.integers(-1, n - 1), label=f"rank_{srv}")
+        if rank >= 0:
+            power_so_far += power[srv][rank]
+            covered |= masks[srv][rank]
+    uncovered = [h for h in range(n) if not covered >> h & 1]
+    if s == m or not uncovered:
+        return
+    bound = power_so_far + max(float(reach_costs(table)[s, h]) for h in uncovered)
+    for rest in itertools.product(range(-1, n), repeat=m - s):
+        leaf_power, leaf_covered = power_so_far, covered
+        for srv, rank in enumerate(rest, start=s):
+            if rank >= 0:
+                leaf_power += power[srv][rank]
+                leaf_covered |= masks[srv][rank]
+        if leaf_covered == (1 << n) - 1:
+            assert bound <= leaf_power
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    servers=st.lists(st.tuples(coords, st.integers(0, 3)), min_size=1, max_size=4),
+    users=st.lists(coords, min_size=1, max_size=6),
+    picks=st.data(),
+)
+def test_private_user_test_never_rejects_a_feasible_leaf(servers, users, picks):
+    inst = make_instance(
+        [(float(x), float(y), k) for (x, y), k in servers],
+        [(float(x), float(y)) for x, y in users],
+    )
+    table = order_table(inst)
+    choice, masks = [], []
+    for s in range(inst.m):
+        rank = picks.draw(st.integers(-1, inst.n - 1), label=f"rank_{s}")
+        choice.append(None if rank < 0 else rank)
+        masks.append(0 if rank < 0 else sum(1 << h for h in table.order[s, : rank + 1].tolist()))
+    capacity = [srv.capacity for srv in inst.servers]
+    if feasible_assignment(choice, inst) is not None:
+        assert private_users_fit(masks, capacity)
+
+
+def test_private_user_test_rejects_an_overfull_server():
+    # Server 0's outer disk holds both users, and server 0 holds one. With
+    # server 1's inner disk on, user 0 is shared and user 1 alone is private
+    # to server 0: the leaf passes and is feasible. With server 1 off, both
+    # users are private to server 0: the leaf is rejected, as the matching
+    # fails.
+    inst = make_instance([(0.0, 0.0, 1), (-3.0, 0.0, 1)], [(-1.0, 0.0), (2.0, 0.0)])
+    table = order_table(inst)
+    assert table.order.tolist() == [[0, 1], [0, 1]]
+    assert private_users_fit([0b11, 0b01], [1, 1])
+    assert feasible_assignment([1, 0], inst) == [1, 0]
+    assert not private_users_fit([0b11, 0b00], [1, 1])
+    assert feasible_assignment([1, None], inst) is None
 
 
 # --- greedy baseline --------------------------------------------------------
