@@ -5,13 +5,14 @@ candidate disks, or none) depth first, with branch-and-bound pruning. The
 incumbent starts one ulp above the greedy cover's power. A node is pruned
 when its power so far plus the least power that reaches its dearest
 uncovered user (reach_costs) meets the incumbent, or when the servers still
-to choose cannot hold the users left. A leaf that covers every user is
-checked by Hall's condition for each server alone (private_users_fit) and
-then by capacitated bipartite matching. Every prune is admissible, in
-floating point too, so the search returns the first optimal leaf in its
-order, as exhaustive enumeration does. It is meant for desk-scale
-instances; a node budget turns overruns into an explicit "budget exceeded"
-outcome instead of an open-ended search.
+to choose cannot hold the users that the chosen ones cannot: those outside
+every chosen disk, and those beyond the chosen servers' capacity. A leaf
+that covers every user is checked by Hall's condition for each server alone
+(private_users_fit) and then by capacitated bipartite matching. Every prune
+is admissible, in floating point too, so the search returns the first
+optimal leaf in its order, as exhaustive enumeration does. It is meant for
+desk-scale instances; a node budget turns overruns into an explicit "budget
+exceeded" outcome instead of an open-ended search.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def private_users_fit(masks: list[int], capacity: list[int]) -> bool:
         shared |= covered & mask
         covered |= mask
     for mask, cap in zip(masks, capacity):
-        if bin(mask & ~shared).count("1") > cap:
+        if (mask & ~shared).bit_count() > cap:
             return False
     return True
 
@@ -137,8 +138,10 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
     users in total and no server's private users exceed its capacity. A
     spent node budget yields status "budget_exceeded" with no solution,
     mirroring an external solver's time cutoff; `nodes_explored` is then the
-    budget. Raises ValueError unless `budget` >= 1.
+    budget. Raises ValueError unless `budget` is an int >= 1.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValueError(f"node budget must be an int, got {budget!r}")
     if budget < 1:
         raise ValueError(f"node budget must be >= 1, got {budget}")
     if not instance.has_sufficient_capacity():
@@ -148,7 +151,6 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
     table = order_table(instance)
     power = table.power.tolist()
     capacity = [srv.capacity for srv in instance.servers]
-    all_users_mask = (1 << n) - 1
 
     # member_mask[s * n + t]: bit set of the users inside server s's disk at rank t.
     member_mask = []
@@ -160,9 +162,7 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
 
     # Per-server ranks sorted by power so cheap subtrees come first; "off"
     # (None) is the zero-power first option.
-    options: list[list[Optional[int]]] = [
-        [None] + sorted(range(n), key=lambda t: (power[s][t], t)) for s in range(m)
-    ]
+    options: list[list[Optional[int]]] = [[None] + sorted(range(n), key=row.__getitem__) for row in power]
 
     # Admissible bounds: a node at server s is pruned only when no leaf below
     # it could pass the leaf tests, so the first optimal leaf in search order
@@ -175,14 +175,17 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
     # partial sum stays >= the node's. So every covering leaf below has power
     # >= fl(power_so_far + max over uncovered h of reach_cost[s, h]). reach[s]
     # holds the bounds dearest first, so a node stops at its first uncovered
-    # user. A leaf also needs cap >= n, which no leaf below reaches once
-    # cap + suffix_capacity[s] < n.
+    # user. A leaf's matching sends each user not yet covered to a server
+    # s' >= s, and the servers already chosen hold at most cap users, all
+    # inside their disks: at most min(cap, |covered|). So no leaf below
+    # passes once the users left over exceed suffix_capacity[s], the
+    # capacity of servers s..m-1. It is on integers only. At a leaf that
+    # capacity is 0, so a leaf passes only when it covers every user and
+    # cap >= n.
     reach_cost = reach_costs(table)
-    reach = [
-        [(float(reach_cost[s, h]), 1 << int(h)) for h in np.argsort(-reach_cost[s], kind="stable")]
-        for s in range(m)
-    ]
-    suffix_capacity = np.cumsum(capacity[::-1])[::-1].tolist()
+    dearest = np.argsort(-reach_cost, axis=1, kind="stable")
+    reach = [[(costs[h], 1 << h) for h in users] for costs, users in zip(reach_cost.tolist(), dearest.tolist())]
+    suffix_capacity = np.cumsum(capacity[::-1])[::-1].tolist() + [0]
 
     # The greedy cover is a feasible leaf of this search, and its total_power
     # is that leaf's power summed left to right as power_so_far is. An
@@ -201,11 +204,9 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
             exhausted = True
             return
         nodes += 1
-        if power_so_far >= best_power:
+        if power_so_far >= best_power or n - min(cap, covered.bit_count()) > suffix_capacity[s]:
             return
         if s == m:
-            if covered != all_users_mask or cap < n:
-                return
             masks = [0 if rank is None else member_mask[srv * n + rank] for srv, rank in enumerate(choice)]
             if not private_users_fit(masks, capacity):
                 return
@@ -213,8 +214,6 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
             if assignment is not None:
                 best_power = power_so_far
                 best = (list(choice), assignment)
-            return
-        if cap + suffix_capacity[s] < n:
             return
         for bound, bit in reach[s]:
             if not covered & bit:

@@ -93,7 +93,7 @@ def test_known_m_opt_exceedance_is_pinned():
     pd_power = pd_solve(inst)[0].total_power
     result = opt_solve(inst)
     assert result.status == "optimal"
-    assert result.nodes_explored == 559
+    assert result.nodes_explored == 147
     assert pd_power == pytest.approx(15457.800512195146, rel=1e-12)
     assert result.value == pytest.approx(3273.316131872016, rel=1e-12)
     assert pd_power / (inst.m * result.value) == pytest.approx(1.1806, abs=1e-4)

@@ -174,6 +174,15 @@ def test_opt_rejects_budget_below_one(budget):
         opt_solve(inst, budget)
 
 
+@pytest.mark.parametrize("budget", [50.5, True])
+def test_opt_rejects_a_budget_that_is_not_an_int(budget):
+    # `nodes == budget` never holds for 50.5, which would switch the budget
+    # off; True would read as a budget of 1.
+    inst = gen_instance(GenConfig(m=4, n=10, kbar=3.0, seed=109065))
+    with pytest.raises(ValueError, match=f"node budget must be an int, got {budget!r}"):
+        opt_solve(inst, budget)
+
+
 def test_opt_matches_flat_enumeration_micro():
     for seed in range(25):
         inst = gen_instance(GenConfig(m=1 + seed % 2, n=2 + seed % 3, kbar=2.0, seed=seed))
@@ -186,17 +195,38 @@ def test_opt_matches_flat_enumeration_micro():
 def test_opt_matches_unpruned_search(m):
     # Per m, 7 user counts x 3 alphas x 3 capacity levels (total about 2.5n,
     # 1.6n and 1.2n, at least 1 per server): 378 instances over m = 1-6. The
-    # flat enumeration cross-checks those with at most 1024 assignments.
-    for n, alpha, (level, ratio) in itertools.product(range(2, 9), (1.0, 2.0, 3.0), enumerate((2.5, 1.6, 1.2))):
-        config = GenConfig(m=m, n=n, kbar=max(ratio * n / m, 1.0), alpha=alpha, seed=50_000 + 1000 * m + 100 * n + 10 * level + int(alpha))
+    # flat enumeration cross-checks those with at most 1024 assignments. At
+    # m = 4 and 5, a tight slice (total capacity about n, n = 8-10) adds 9
+    # instances each, where the capacity prune cuts most nodes.
+    configs = [
+        GenConfig(m=m, n=n, kbar=max(ratio * n / m, 1.0), alpha=alpha, seed=50_000 + 1000 * m + 100 * n + 10 * level + int(alpha))
+        for n, alpha, (level, ratio) in itertools.product(range(2, 9), (1.0, 2.0, 3.0), enumerate((2.5, 1.6, 1.2)))
+    ]
+    if m in (4, 5):
+        configs += [
+            GenConfig(m=m, n=n, kbar=n / m, alpha=alpha, seed=60_000 + 100 * m + 10 * n + int(alpha))
+            for n, alpha in itertools.product(range(8, 11), (1.0, 2.0, 3.0))
+        ]
+    for config in configs:
         inst = gen_instance(config)
         res = opt_solve(inst)
         ref = opt_solve_reference(inst)
         assert res.status == ref.status, config
         assert res.to_json_dict().get("solution") == ref.to_json_dict().get("solution"), config
         assert res.nodes_explored <= ref.nodes_explored, config
-        if res.status == "optimal" and m**n <= 1024:
+        if res.status == "optimal" and m**inst.n <= 1024:
             assert res.value == flat_enumeration_optimum(inst), config
+
+
+def test_capacity_prune_uses_both_limits():
+    # Total capacity is n here. A node is pruned when the users outside every
+    # chosen disk, or those beyond the chosen servers' capacity, overflow the
+    # servers left. The search takes 12 nodes; with the first limit alone
+    # (n - |covered|) it takes 20, with the second alone (n - cap) 23.
+    inst = gen_instance(GenConfig(m=4, n=5, kbar=1.25, seed=70039))
+    res = opt_solve(inst)
+    assert (res.status, res.nodes_explored) == ("optimal", 12)
+    assert res.to_json_dict()["solution"] == opt_solve_reference(inst).to_json_dict()["solution"]
 
 
 def test_opt_result_json():
@@ -248,6 +278,37 @@ def test_reach_bound_never_exceeds_a_completion(servers, users, alpha, picks):
                 leaf_covered |= masks[srv][rank]
         if leaf_covered == (1 << n) - 1:
             assert bound <= leaf_power
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    servers=st.lists(st.tuples(coords, st.integers(0, 3)), min_size=1, max_size=4),
+    users=st.lists(coords, min_size=1, max_size=6),
+    picks=st.data(),
+)
+def test_capacity_bound_never_prunes_a_feasible_completion(servers, users, picks):
+    # opt_solve prunes a node at server s (servers 0..s-1 chosen; s = m is a
+    # leaf) once n - min(cap, |covered|) exceeds the capacity of servers
+    # s..m-1. Then no completion of the chosen prefix may have a matching.
+    inst = make_instance(
+        [(float(x), float(y), k) for (x, y), k in servers],
+        [(float(x), float(y)) for x, y in users],
+    )
+    table = order_table(inst)
+    m, n = inst.m, inst.n
+    capacity = [srv.capacity for srv in inst.servers]
+    s = picks.draw(st.integers(0, m), label="server")
+    prefix, covered, cap = [], 0, 0
+    for srv in range(s):
+        rank = picks.draw(st.integers(-1, n - 1), label=f"rank_{srv}")
+        prefix.append(None if rank < 0 else rank)
+        if rank >= 0:
+            covered |= sum(1 << h for h in table.order[srv, : rank + 1].tolist())
+            cap += capacity[srv]
+    if n - min(cap, covered.bit_count()) <= sum(capacity[s:]):
+        return
+    for rest in itertools.product([None, *range(n)], repeat=m - s):
+        assert feasible_assignment(prefix + list(rest), inst) is None
 
 
 @settings(max_examples=100, deadline=None)
