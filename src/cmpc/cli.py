@@ -25,7 +25,6 @@ from .model import dump_instance, instance_from_json_dict
 from .primal_dual import (
     InsufficientCapacityError,
     CapacityInvariantError,
-    _check_tol,
     check_charging,
     dual_objective,
     pd_solve,
@@ -75,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="solve and audit dual feasibility + charging")
     verify.add_argument("--in", dest="infile", required=True)
-    verify.add_argument("--tol", type=float, default=1e-7)
     return parser
 
 
@@ -174,11 +172,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        _check_tol(args.tol)
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     instance = _load_json(args.infile, instance_from_json_dict)
     try:
         solution, duals, trace = pd_solve(instance)
@@ -192,11 +185,11 @@ def _cmd_verify(args) -> int:
         failures += len(report.violations)
         for code, detail in report.violations:
             print(f"constraint {code}: {detail}")
-    dual_violations = verify_dual_feasibility(instance, duals, tol=args.tol)
+    dual_violations = verify_dual_feasibility(instance, duals)
     for v in dual_violations:
         print(str(v))
     failures += len(dual_violations)
-    charging_violations = check_charging(instance, trace, duals, tol=args.tol)
+    charging_violations = check_charging(instance, trace, duals)
     for v in charging_violations:
         print(str(v))
     failures += len(charging_violations)

@@ -31,7 +31,6 @@ even though remaining capacity (not nominal capacity) drives the ascent:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,10 +39,17 @@ import numpy as np
 from .model import Instance, order_table
 from .solution import Solution, make_solution
 
-# A disk is tight when its remaining charge gap is below this, relative to
-# max(1, power): event times are exact in simple cases but accumulate
-# rounding over many events.
+# A disk is tight when its remaining charge gap is below this times its own
+# power: event times are exact in simple cases but accumulate rounding over
+# many events. Relative to the power alone, so the cover does not depend on
+# the power unit c.
 TIGHTNESS_TOL = 1e-9
+
+# Both checkers compare every quantity they check against this times the
+# instance's largest candidate power (check_charging's power identities also
+# allow the ascent's TIGHTNESS_TOL): prices, charges and budgets all scale
+# with c, so a fault is found or missed alike in every power unit.
+CHECK_TOL = 1e-12
 
 
 class InsufficientCapacityError(ValueError):
@@ -132,7 +138,7 @@ class DualState:
         m, n = instance.m, instance.n
         self.table = order_table(instance)
         self.powers = self.table.power.ravel()
-        self.tight_tol = TIGHTNESS_TOL * np.maximum(1.0, self.powers)
+        self.tight_tol = TIGHTNESS_TOL * self.powers
         self.lhs = np.zeros(self.powers.size, dtype=np.float64)
         self.capacity = np.array([s.capacity for s in instance.servers], dtype=np.int64)
         self.remaining_capacity = self.capacity.copy()
@@ -369,24 +375,19 @@ class DualViolation:
         return f"{self.constraint} violated by {self.amount:.3e} ({', '.join(where) or 'global'})"
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):  # a NaN tol would hide every violation
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-
-
-def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> list[DualViolation]:
+def verify_dual_feasibility(instance: Instance, duals) -> list[DualViolation]:
     """Check the dual prices against the covering dual's constraints.
 
     `duals` provides `theta`, `beta`, `mu` and `gamma_start`; the individual
     prices take the ascent's closed form gamma_{h,D} = max(0, theta_h - g_D),
     g_D = gamma_start[D], with a NaN start (no gamma phase) read as +inf.
-    For every user h inside disk D: theta_h <= beta_D + gamma_{h,D} + tol.
-    For every disk D of server i: k_i * beta_D + sum_h gamma_{h,D} <= p_D + mu_i + tol.
+    With tol = CHECK_TOL * the largest candidate power:
+    for every user h inside disk D: theta_h <= beta_D + gamma_{h,D} + tol;
+    for every disk D of server i: k_i * beta_D + sum_h gamma_{h,D} <= p_D + mu_i + tol;
     theta, beta and mu must be >= -tol; gamma is by its form. Returns every
     violation found (empty means feasible), disk by disk in flat index order,
     a disk's members in rank order and its budget last; this checker is
-    independent of the ascent bookkeeping. Raises ValueError unless `tol` is
-    finite and >= 0.
+    independent of the ascent bookkeeping.
 
     Member h of D satisfies its constraint iff min(theta_h, g_D) - beta_D <=
     tol, so all members of D do iff min(g_D, max theta over them) - beta_D <=
@@ -396,9 +397,9 @@ def verify_dual_feasibility(instance: Instance, duals, tol: float = 1e-7) -> lis
     distinct start g, over the servers with a disk starting at g:
     O(m * n * (E + 1)) for the at most E + 1 starts of an ascent with E events.
     """
-    _check_tol(tol)
     m, n = instance.m, instance.n
     table = order_table(instance)
+    tol = CHECK_TOL * float(table.power.max())
     theta = np.asarray(duals.theta, dtype=np.float64)
     beta = np.asarray(duals.beta, dtype=np.float64)
     mu = np.asarray(duals.mu, dtype=np.float64)
@@ -491,12 +492,7 @@ def charge_breakdown(instance: Instance, trace: EventTrace, duals, event_index: 
     return dict(zip(members.tolist(), charges.tolist()))
 
 
-def check_charging(
-    instance: Instance,
-    trace: EventTrace,
-    duals,
-    tol: float = 1e-7,
-) -> list[ChargingViolation]:
+def check_charging(instance: Instance, trace: EventTrace, duals) -> list[ChargingViolation]:
     """Audit the charging accounting of every selection event.
 
     For each selected disk, its power must equal the flat-price charge it
@@ -505,14 +501,15 @@ def check_charging(
     as per-user charges of at most theta_h each. The final cover is at most m
     disks, one per server, so these give total power <= m * sum(theta).
     Everything is reconstructed from the trace and the closed-form prices,
-    independently of the ascent's running sums. Raises ValueError unless
-    `tol` is finite and >= 0.
+    independently of the ascent's running sums, and checked to within
+    CHECK_TOL * the largest candidate power; the two power identities also
+    allow the ascent's own TIGHTNESS_TOL * power, as it selects a disk whose
+    charge is short of its power by at most that.
     """
-    _check_tol(tol)
     table = order_table(instance)
+    tol = CHECK_TOL * float(table.power.max())
     theta = np.asarray(duals.theta, dtype=np.float64)
     covered_at = np.asarray(duals.covered_at, dtype=np.float64)
-    theta_scale = max(1.0, float(theta.max(initial=1.0)))
 
     violations: list[ChargingViolation] = []
     for ev_i, ev in enumerate(trace):
@@ -520,16 +517,18 @@ def check_charging(
         g = float(duals.gamma_start[ev.disk_index])
         a, b, kp = _flat_phase(instance, trace, ev.server, g)
         charge = float((b - a) @ kp) + float(np.maximum(0.0, covered_at[members] - g).sum())
-        scale = max(1.0, ev.power)
-        if abs(ev.power - charge) > tol * scale:
+        short = tol + TIGHTNESS_TOL * ev.power
+        if abs(ev.power - charge) > short:
             violations.append(ChargingViolation(ev_i, "power vs beta-charge + gamma", abs(ev.power - charge)))
 
         charges = charge_breakdown(instance, trace, duals, ev_i)
         paid = np.fromiter(charges.values(), np.float64, len(charges))
-        total = sum(charges.values())
-        if abs(ev.power - total) > tol * scale:
+        # Pairwise, not sequential, summation: its rounding stays far below
+        # CHECK_TOL even for disks with thousands of members.
+        total = float(paid.sum())
+        if abs(ev.power - total) > short:
             violations.append(ChargingViolation(ev_i, "power vs per-user charges", abs(ev.power - total)))
         overpaid = float((paid - theta[members]).max(initial=0.0))
-        if overpaid > tol * theta_scale:
+        if overpaid > tol:
             violations.append(ChargingViolation(ev_i, "charge exceeds a user's theta", overpaid))
     return violations

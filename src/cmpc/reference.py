@@ -17,6 +17,7 @@ exceeded" outcome instead of an open-ended search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -103,7 +104,7 @@ def reach_costs(table: OrderTable) -> np.ndarray:
     Server s' reaches h at the earliest with its disk at rank rank[s', h];
     the array is that disk's power, minimised over the servers from s on.
     """
-    to_user = np.take_along_axis(table.power, table.rank, axis=1)
+    to_user = table.power[np.arange(table.power.shape[0])[:, None], table.rank]
     return np.minimum.accumulate(to_user[::-1], axis=0)[::-1]
 
 
@@ -167,7 +168,7 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
     # Admissible bounds: a node at server s is pruned only when no leaf below
     # it could pass the leaf tests, so the first optimal leaf in search order
     # is still the one returned. The incumbent only falls, and a leaf passes
-    # its `>=` test only below it. A covering leaf below reaches each user h
+    # only below it. A covering leaf below reaches each user h
     # not yet covered with a disk of some server s' >= s, which costs at
     # least reach_cost[s, h]. Its power is the node's power plus its own
     # servers' powers, summed left to right; every term is >= 0 and rounding
@@ -181,11 +182,16 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
     # passes once the users left over exceed suffix_capacity[s], the
     # capacity of servers s..m-1. It is on integers only. At a leaf that
     # capacity is 0, so a leaf passes only when it covers every user and
-    # cap >= n.
+    # cap >= n. A node, a leaf too, is entered only below the incumbent, so
+    # it needs no test of its own power: the root's 0 is below the
+    # incumbent, which is above the greedy cover's power >= 0; "off" is each
+    # node's first child, entered at the node's power before the incumbent
+    # can move; and every other child has just passed power_so_far + extra <
+    # best_power.
     reach_cost = reach_costs(table)
     dearest = np.argsort(-reach_cost, axis=1, kind="stable")
     reach = [[(costs[h], 1 << h) for h in users] for costs, users in zip(reach_cost.tolist(), dearest.tolist())]
-    suffix_capacity = np.cumsum(capacity[::-1])[::-1].tolist() + [0]
+    suffix_capacity = list(itertools.accumulate(capacity[::-1]))[::-1] + [0]
 
     # The greedy cover is a feasible leaf of this search, and its total_power
     # is that leaf's power summed left to right as power_so_far is. An
@@ -204,7 +210,7 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
             exhausted = True
             return
         nodes += 1
-        if power_so_far >= best_power or n - min(cap, covered.bit_count()) > suffix_capacity[s]:
+        if n - min(cap, covered.bit_count()) > suffix_capacity[s]:
             return
         if s == m:
             masks = [0 if rank is None else member_mask[srv * n + rank] for srv, rank in enumerate(choice)]

@@ -20,7 +20,7 @@ import numpy as np
 
 from cmpc import Instance, PowerParams, Server, User
 from cmpc.model import _TIEBREAK_STRIDE, OrderTable, order_table
-from cmpc.primal_dual import AscentStalledError, DualViolation
+from cmpc.primal_dual import CHECK_TOL, AscentStalledError, DualViolation
 from cmpc.reference import OptResult, feasible_assignment
 from cmpc.solution import make_solution
 
@@ -138,10 +138,12 @@ class ManualDuals:
     gamma_start: np.ndarray
 
 
-def reference_dual_violations(instance: Instance, duals, tol: float = 1e-7) -> list[DualViolation]:
-    """verify_dual_feasibility by one Python loop per disk over its members."""
+def reference_dual_violations(instance: Instance, duals) -> list[DualViolation]:
+    """verify_dual_feasibility by one Python loop per disk over its members,
+    to within the same CHECK_TOL times the largest candidate power."""
     m, n = instance.m, instance.n
     table = order_table(instance)
+    tol = CHECK_TOL * float(table.power.max())
     theta = np.asarray(duals.theta, dtype=np.float64)
     beta = np.asarray(duals.beta, dtype=np.float64)
     mu = np.asarray(duals.mu, dtype=np.float64)

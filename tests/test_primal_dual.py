@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmpc import (
     GenConfig,
@@ -21,12 +23,13 @@ from cmpc import (
     validate,
     verify_dual_feasibility,
 )
-from cmpc import cli as cli_module
 from cmpc import primal_dual
 from cmpc.cli import cli
 from cmpc.model import dump_instance, order_table
 from cmpc.primal_dual import (
+    CHECK_TOL,
     EVENT_BUFFERS,
+    TIGHTNESS_TOL,
     AscentStalledError,
     apply_selection,
     charge_breakdown,
@@ -63,6 +66,7 @@ def test_single_server_two_users_ascent():
     assert duals.theta[0] + duals.theta[1] == trace[-1].power
     assert dual_objective(duals) == 4.0
     assert verify_dual_feasibility(two_user_line(), duals) == []
+    assert check_charging(two_user_line(), trace, duals) == []
     assert sol.assignment == (0, 0)
 
 
@@ -396,35 +400,22 @@ def test_verify_flags_negative_slack_price_on_its_server():
         ("negative slack price", 0.5, 1, None, None)
     ]
     assert str(violations[0]) == "negative slack price violated by 5.000e-01 (server 1)"
-    # Like every other sign check, it allows rounding down to -tol.
-    manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(4), mu=np.array([0.0, -1e-8]), gamma_start=np.full(4, np.nan))
-    assert verify_dual_feasibility(inst, manual, tol=1e-7) == []
+    # Like every other sign check, it allows rounding down to -CHECK_TOL times
+    # the largest power (81 here), and no further.
+    tol = CHECK_TOL * float(order_table(inst).power.max())
+    for slack, flagged in ((-0.5 * tol, False), (-2.0 * tol, True)):
+        manual = ManualDuals(theta=np.zeros(2), beta=np.zeros(4), mu=np.array([0.0, slack]), gamma_start=np.full(4, np.nan))
+        assert bool(verify_dual_feasibility(inst, manual)) == flagged
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-7])
-def test_checkers_reject_tol_that_is_not_finite_and_nonnegative(tol):
-    # A NaN tol makes every comparison false; a negative one flags exact prices.
-    inst = two_user_line()
-    _, duals, trace = pd_solve(inst)
-    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-        verify_dual_feasibility(inst, duals, tol=tol)
-    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-        check_charging(inst, trace, duals, tol=tol)
-    assert verify_dual_feasibility(inst, duals, tol=0.0) == []
-    assert check_charging(inst, trace, duals, tol=0.0) == []
-
-
-def test_cli_verify_rejects_nan_tol(tmp_path, capsys, monkeypatch):
-    def solve_not_expected(instance):
-        raise AssertionError("verify solved before checking --tol")
-
-    monkeypatch.setattr(cli_module, "pd_solve", solve_not_expected)
+def test_cli_verify_has_no_tolerance_option(tmp_path, capsys):
+    # The checkers derive their tolerance from the instance; there is no knob.
     path = tmp_path / "line.json"
     dump_instance(two_user_line(), str(path))
-    assert cli(["verify", "--in", str(path), "--tol", "nan"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("verify: tol must be finite and >= 0")
-    assert "verify: ok" not in captured.out
+    assert cli(["verify", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("verify: ok (events=2,")
+    assert cli(["verify", "--in", str(path), "--tol", "1e-7"]) == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_mu_absorbs_depleted_server_pressure():
@@ -526,8 +517,8 @@ def test_random_instances_feasible_and_priced(seed):
     sol, duals, trace = pd_solve(inst)
     report = validate(inst, sol)
     assert report.ok, report.violations
-    assert verify_dual_feasibility(inst, duals, tol=1e-7) == []
-    assert check_charging(inst, trace, duals, tol=1e-7) == []
+    assert verify_dual_feasibility(inst, duals) == []
+    assert check_charging(inst, trace, duals) == []
     loads = sol.loads()
     for s, srv in enumerate(inst.servers):
         assert loads[s] <= srv.capacity
@@ -572,10 +563,10 @@ def perturbed_duals(inst, seed):
 def test_blocked_verify_matches_per_disk_reference(seed, scale):
     # The checker flags a disk's members at once by min(g, max theta) - beta,
     # equal to the reference's per-member theta - beta - gamma in exact
-    # arithmetic only. Powers scaled by 2^6 and 2^14 scale the ascent and
-    # every price exactly while tol stays absolute: at 2^14 the rounding of a
-    # budget sum reaches tol. Budget sums change association order, so
-    # amounts may differ from the reference by rounding only.
+    # arithmetic only. Powers scaled by 2^6 and 2^14 scale the ascent, every
+    # price and the tolerance exactly, so large amounts meet the same relative
+    # test as small ones. Budget sums change association order, so amounts may
+    # differ from the reference by rounding only.
     inst = scaled(checker_instance(seed), scale)
     duals = perturbed_duals(inst, seed)
     got = verify_dual_feasibility(inst, duals)
@@ -612,6 +603,89 @@ def test_charge_breakdown_matches_per_segment_reference(seed):
         expected = reference_charge_breakdown(inst, trace, duals, i)
         assert list(got) == list(expected)
         assert all(abs(got[h] - expected[h]) <= 1e-12 * max(1.0, ev.power) for h in expected)
+
+
+# --- unit independence ------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 39), k=st.integers(-40, 40))
+def test_power_unit_scales_the_ascent_and_checkers_exactly(seed, k):
+    # c -> 2^k * c scales every disk power exactly, so the tight test, relative
+    # to each power, and the checkers' tolerance, relative to the largest,
+    # scale with it: the same cover and events, clocks and prices times 2^k.
+    inst = checker_instance(seed)
+    big = scaled(inst, 2.0**k)
+    sol, duals, trace = pd_solve(inst)
+    big_sol, big_duals, big_trace = pd_solve(big)
+    assert big_sol.assignment == sol.assignment
+    assert len(big_trace) == len(trace)
+    assert [ev.clock for ev in big_trace] == [ev.clock * 2.0**k for ev in trace]
+    assert same_bits(big_duals.theta, duals.theta * 2.0**k)
+    assert same_bits(big_duals.mu, duals.mu * 2.0**k)
+    assert verify_dual_feasibility(big, big_duals) == []
+    assert check_charging(big, big_trace, big_duals) == []
+
+    def where(instance, duals, trace):
+        noisy = perturbed_duals(instance, seed)
+        paid = SimpleNamespace(theta=noisy.theta, gamma_start=noisy.gamma_start, covered_at=duals.covered_at)
+        return (
+            [(v.constraint, v.user, v.disk, v.server) for v in verify_dual_feasibility(instance, noisy)],
+            [(v.event_index, v.kind) for v in check_charging(instance, trace, paid)],
+        )
+
+    assert where(big, big_duals, big_trace) == where(inst, duals, trace)
+
+
+def test_tiny_power_unit_gives_the_unit_cover():
+    # At c = 1e-12 an absolute floor on the tight test once made every disk
+    # tight at its first event: 60 events, one per user, and another cover.
+    def solve(c):
+        return pd_solve(gen_instance(GenConfig(m=5, n=60, kbar=24.0, seed=3, c=c)))
+
+    unit_sol, _, unit_trace = solve(1.0)
+    tiny_sol, _, tiny_trace = solve(1e-12)
+    assert len(unit_trace) == len(tiny_trace) == 18
+    assert tiny_sol.assignment == unit_sol.assignment
+    assert tiny_sol.total_power == pytest.approx(unit_sol.total_power * 1e-12, rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12])
+def test_charging_allows_the_ascent_its_tight_gap(c):
+    # B's disk is 1e-10 of its power short of tight when A's goes tight, so
+    # the ascent selects both at one clock and records B's full power: its
+    # charge falls short by that gap, within TIGHTNESS_TOL but far above
+    # CHECK_TOL. A power raised beyond the gap is still reported.
+    inst = make_instance([(0.0, 0.0, 1), (10.0, 0.0, 1)], [(1.0, 0.0), (11.0 + 1e-10, 0.0)], c=c, alpha=1.0)
+    sol, duals, trace = pd_solve(inst)
+    assert [(ev.server, ev.clock) for ev in trace] == [(0, c), (1, c)]
+    assert trace[1].power - c > 50 * CHECK_TOL * trace[1].power
+    assert sol.assignment == (0, 1)
+    assert check_charging(inst, trace, duals) == []
+    assert verify_dual_feasibility(inst, duals) == []
+    raised = [trace[0], dataclasses.replace(trace[1], power=trace[1].power * (1 + 2 * TIGHTNESS_TOL))]
+    assert [v.kind for v in check_charging(inst, raised, duals)] == ["power vs beta-charge + gamma", "power vs per-user charges"]
+
+
+def fault_reports(inst):
+    """Reports of both checkers on pd's duals with one fault each: event
+    power raised 10%, the largest mu halved, the largest theta raised 10%."""
+    _, duals, trace = pd_solve(inst)
+
+    def reports(trace, **prices):
+        faulty = SimpleNamespace(
+            theta=duals.theta, beta=duals.beta, mu=duals.mu, gamma_start=duals.gamma_start, covered_at=duals.covered_at
+        )
+        vars(faulty).update(prices)
+        return len(verify_dual_feasibility(inst, faulty)) + len(check_charging(inst, trace, faulty))
+
+    i = len(trace) // 2
+    raised_power = list(trace)
+    raised_power[i] = dataclasses.replace(trace[i], power=trace[i].power * 1.1)
+    mu, theta = duals.mu.copy(), duals.theta.copy()
+    mu[np.argmax(mu)] /= 2
+    theta[np.argmax(theta)] *= 1.1
+    return reports(trace), reports(raised_power), reports(trace, mu=mu), reports(trace, theta=theta)
 
 
 # --- checkers at bench scale ------------------------------------------------
@@ -664,8 +738,9 @@ def test_verify_pins_lowered_beta_to_its_disk(bench_scale):
     beta[idx] = ranked[idx]
     expected = [int(h) for h in members if theta[h] > beta[idx]]
     assert len(expected) >= 2
-    # No member sits within tol above the lowered beta.
-    assert not ((theta[members] > beta[idx]) & (theta[members] <= beta[idx] + 1e-7)).any()
+    # No member sits within the checkers' tolerance above the lowered beta.
+    tol = CHECK_TOL * float(table.power.max())
+    assert not ((theta[members] > beta[idx]) & (theta[members] <= beta[idx] + tol)).any()
 
     lowered = ManualDuals(theta=theta, beta=beta, mu=duals.mu, gamma_start=starts)
     violations = verify_dual_feasibility(inst, lowered)
@@ -705,6 +780,15 @@ def test_check_charging_pins_lowered_theta_to_its_user(bench_scale):
     assert [v.event_index for v in violations] == overcharged
     assert final_event in overcharged
     assert next(v.amount for v in violations if v.event_index == final_event) == charges[h] / 2
+
+
+def test_checkers_find_faults_at_a_tiny_power_unit(bench_scale):
+    # An absolute tolerance once hid all three faults at c = 1e-12.
+    inst = bench_scale[0]
+    tiny = scaled(inst, 1e-12)
+    unit_reports = fault_reports(inst)
+    assert unit_reports[0] == 0 and min(unit_reports[1:]) > 0
+    assert fault_reports(tiny) == unit_reports
 
 
 def test_cli_verify_bench_scale_instance(bench_scale, tmp_path, capsys):
