@@ -90,10 +90,8 @@ def gen_instance(config: GenConfig) -> Instance:
     caps = adjust_capacities(caps, config.n)
 
     servers = tuple(
-        Server(id=i, pos=Point(float(x), float(y)), capacity=int(k))
-        for i, ((x, y), k) in enumerate(zip(server_xy, caps))
+        Server(id=i, pos=Point(x, y), capacity=k)
+        for i, ((x, y), k) in enumerate(zip(server_xy.tolist(), caps))
     )
-    users = tuple(
-        User(id=j, pos=Point(float(x), float(y))) for j, (x, y) in enumerate(user_xy)
-    )
+    users = tuple(User(id=j, pos=Point(x, y)) for j, (x, y) in enumerate(user_xy.tolist()))
     return Instance(params=PowerParams(config.c, config.alpha), servers=servers, users=users)

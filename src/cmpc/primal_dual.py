@@ -131,7 +131,7 @@ class DualState:
     During the ascent `uncovered[s, t]` is 1.0 while the user at rank t of
     server s is uncovered and 0.0 after, i.e. isnan(covered_at)[order], kept
     by apply_selection. It and the event loop's work buffers (EVENT_BUFFERS)
-    are allocated once per solve and dropped by finalize().
+    are allocated once per solve; finalize() reuses them, then drops them.
     """
 
     def __init__(self, instance: Instance):
@@ -190,20 +190,42 @@ class DualState:
         clock on the disks in beta that leave it, (census <= room) |
         (room == 0), a rank prefix of them since census is a cumsum over rank;
         and pd_solve stamps the rest with the last clock. So a server has at
-        most E + 1 runs for E events: O(m * n * (E + 1)) time, O(n)
-        temporaries.
+        most E + 1 runs for E events: O(m * n * (E + 1)) time.
+
+        The runs of all servers, in flat index order, are summed up to m at
+        a time: one matrix with a row max(0, theta[order[s]] - g) per run of
+        server s and start g, one cumsum along the ranks, and a gather that
+        gives each disk the sum in its own run's row. A row is the same
+        sequential sum as a cumsum over order[s, :hi] alone, so the budgets
+        are those of one run at a time, bit for bit. Ranked theta, the
+        budgets, the matrix and its sums use the ascent's m*n work buffers,
+        free by now; the gather index of m runs spans at most m*n disks.
         """
         m, n = self.table.order.shape
-        theta = self.theta[self.table.order]
+        # mode="clip" (every index is in range) takes straight into out,
+        # which the default mode would buffer.
+        theta = np.take(self.theta, self.table.order, out=self._rates, mode="clip")
         starts = self.gamma_start.reshape(m, n)
-        lhs = self.capacity[:, None] * self.beta.reshape(m, n)
-        for s in range(m):
-            edges = [0, *(np.flatnonzero(np.diff(starts[s])) + 1).tolist(), n]
-            for lo, hi in zip(edges, edges[1:]):
-                gamma = np.maximum(theta[s, :hi] - starts[s, lo], 0.0)
-                lhs[s, lo:hi] += np.cumsum(gamma)[lo:hi]
-        excess = (lhs - self.table.power).max(axis=1)
-        self.mu = np.maximum(0.0, excess)
+        lhs = np.multiply(self.capacity[:, None], self.beta.reshape(m, n), out=self.uncovered).ravel()
+        # A run opens at rank 0 and wherever the start differs from the rank before.
+        opens = self._flag.reshape(m, n)
+        opens[:, 0] = True
+        np.not_equal(starts[:, 1:], starts[:, :-1], out=opens[:, 1:])
+        servers, ranks = np.nonzero(opens)
+        bounds = [*(servers * n + ranks).tolist(), m * n]
+        # Disk p of run r takes the sum at p + shift[r] - c * n of the
+        # flattened rows of runs c, c + 1, ...
+        shift = (np.arange(servers.size) - servers) * n
+        for c in range(0, servers.size, m):
+            runs = servers[c : c + m]
+            rows = np.take(theta, runs, axis=0, out=self._scratch[: runs.size * n].reshape(-1, n), mode="clip")
+            np.subtract(rows, starts[runs, ranks[c : c + m], None], out=rows)
+            prefix = np.cumsum(np.maximum(rows, 0.0, out=rows), axis=1, out=self._residual[: rows.size].reshape(-1, n))
+            lo, hi = bounds[c], bounds[c + runs.size]
+            index = np.repeat(shift[c : c + m] - c * n, np.diff(bounds[c : c + m + 1]))
+            index += np.arange(lo, hi)
+            lhs[lo:hi] += np.take(prefix, index, out=self._scratch[: hi - lo], mode="clip")
+        self.mu = np.maximum(0.0, np.subtract(lhs, self.powers, out=lhs).reshape(m, n).max(axis=1))
         for name in EVENT_BUFFERS:
             vars(self).pop(name, None)
 
@@ -247,13 +269,15 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
 
     rates = np.minimum(census, room, out=census).reshape(-1)
     positive = np.greater(rates, 0.0, out=duals._positive)
-    if not positive.any():
-        raise AscentStalledError("no disk can ascend but users remain uncovered")
     residual, scratch = duals._residual, duals._scratch
     np.subtract(duals.powers, duals.lhs, out=residual)
-    # where= leaves the other entries of scratch stale, so the min skips them too.
+    # where= leaves the other entries of scratch stale, so the min skips them
+    # too; it is inf when no rate is positive.
     np.divide(residual, rates, out=scratch, where=positive)
-    delta = max(float(np.minimum.reduce(scratch, where=positive, initial=np.inf)), 0.0)
+    step_min = float(np.minimum.reduce(scratch, where=positive, initial=np.inf))
+    if step_min == np.inf:
+        raise AscentStalledError("no disk can ascend but users remain uncovered")
+    delta = max(step_min, 0.0)
     step = np.multiply(rates, delta, out=scratch)
     duals.lhs += step
     residual -= step
@@ -312,9 +336,10 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
     duals = init_solver(instance)
     n = instance.n
     trace: EventTrace = []
-    while np.isnan(duals.covered_at).any():
+    uncovered = n
+    while uncovered:
         _, tights = next_event(duals)
-        progressed = False
+        before = uncovered
         for idx in tights:
             if not duals.is_active(idx):
                 continue
@@ -324,7 +349,7 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
                 err.trace = list(trace)
                 raise
             if newly:
-                progressed = True
+                uncovered -= len(newly)
                 s, rank = divmod(idx, n)
                 trace.append(
                     SelectionEvent(
@@ -338,7 +363,7 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
                         remaining_after=int(duals.remaining_capacity[s]),
                     )
                 )
-        if not progressed:
+        if uncovered == before:
             raise AscentStalledError("an event covered no user although users remain uncovered")
 
     # Every disk has left its beta phase once nobody is uncovered.
@@ -394,8 +419,9 @@ def verify_dual_feasibility(instance: Instance, duals) -> list[DualViolation]:
     tol: one running max of theta in rank order finds the violated disks in
     O(m * n), and only their members are expanded. The gamma sums of the
     budgets take one prefix sum of max(0, theta - g) in rank order per
-    distinct start g, over the servers with a disk starting at g:
-    O(m * n * (E + 1)) for the at most E + 1 starts of an ascent with E events.
+    distinct start g, over the servers with a disk starting at g and the
+    ranks up to the last one holding g: O(m * n * (E + 1)) for the at most
+    E + 1 starts of an ascent with E events.
     """
     m, n = instance.m, instance.n
     table = order_table(instance)
@@ -417,12 +443,14 @@ def verify_dual_feasibility(instance: Instance, duals) -> list[DualViolation]:
     exceeds = (np.minimum(starts.reshape(m, n), np.maximum.accumulate(ranked, axis=1)) - beta.reshape(m, n) > tol).ravel()
     capacity = np.array([srv.capacity for srv in instance.servers], dtype=np.float64)
     lhs = capacity[:, None] * beta.reshape(m, n)
-    # Each disk takes one start, so the starts may come in any order.
+    # Each disk takes one start, so the starts may come in any order. The
+    # sums run up to the last rank holding g.
     for g in set(starts[starts < np.inf].tolist()):
         at = starts.reshape(m, n) == g
         rows = np.flatnonzero(at.any(axis=1))
-        gamma = np.cumsum(np.maximum(ranked[rows] - g, 0.0), axis=1)
-        lhs[rows] += np.where(at[rows], gamma, 0.0)
+        hi = n - np.argmax(at.any(axis=0)[::-1])
+        gamma = np.cumsum(np.maximum(ranked[rows, :hi] - g, 0.0), axis=1)
+        lhs[rows, :hi] += np.where(at[rows, :hi], gamma, 0.0)
     budget_slack = (lhs - table.power - mu[:, None]).ravel()
     over_budget = budget_slack > tol
 

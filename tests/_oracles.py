@@ -5,9 +5,11 @@ must equal bit for bit, and, as references for differential tests, a
 per-disk, per-member loop over the covering dual's constraints with gamma
 prices in the ascent's closed form, which `verify_dual_feasibility` checks
 by running maxima and prefix sums, the per-segment loop that
-`charge_breakdown` replaced, and the `next_event` that built every m*n array
-afresh on each event, which the in-place one replaced, and the exact search
-before its reach bound, capacity prune and private-user leaf test.
+`charge_breakdown` replaced, the `next_event` that built every m*n array
+afresh on each event, which the in-place one replaced, the `finalize` that
+took one prefix sum per run of equal gamma start, which the one summing up
+to m runs at a time replaced, and the exact search before its reach bound,
+capacity prune and private-user leaf test.
 """
 
 from __future__ import annotations
@@ -213,6 +215,21 @@ def next_event_reference(duals) -> tuple[float, list[int]]:
     duals.lhs += rates * delta
     duals.clock += delta
     return delta, np.flatnonzero(positive & (after <= duals.tight_tol)).tolist()
+
+
+def finalize_mu_by_runs(duals) -> np.ndarray:
+    """finalize's mu by one prefix sum of max(0, theta - g) over
+    order[s, :hi] per run [lo, hi) of ranks of server s with gamma start g."""
+    m, n = duals.table.order.shape
+    theta = duals.theta[duals.table.order]
+    starts = duals.gamma_start.reshape(m, n)
+    lhs = duals.capacity[:, None] * duals.beta.reshape(m, n)
+    for s in range(m):
+        edges = [0, *(np.flatnonzero(np.diff(starts[s])) + 1).tolist(), n]
+        for lo, hi in zip(edges, edges[1:]):
+            gamma = np.maximum(theta[s, :hi] - starts[s, lo], 0.0)
+            lhs[s, lo:hi] += np.cumsum(gamma)[lo:hi]
+    return np.maximum(0.0, (lhs - duals.table.power).max(axis=1))
 
 
 def opt_solve_reference(instance: Instance) -> OptResult:

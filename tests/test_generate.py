@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import warnings
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from cmpc import ExperimentConfig, GenConfig, gen_instance
 from cmpc.generate import adjust_capacities
+from cmpc.model import instance_to_json_dict
 
 
 def test_adjust_capacities_examples():
@@ -114,3 +117,21 @@ def test_config_validation():
         GenConfig(m=1, n=1, kbar=1.0, seed=-1)
     with pytest.raises(ValueError, match="oracle_budget must be >= 0"):
         ExperimentConfig(experiment_id="x", sweep_variable="n", sweep_values=(5,), oracle_budget=-5)
+
+
+# SHA-256 of each draw's instance JSON (keys sorted), as drawn when
+# gen_instance wrapped every numpy coordinate in float(): a concentrated
+# server area, a power unit and exponent other than 1 and 2, one server,
+# and one user with a side other than 100.
+PINNED_DRAWS = [
+    (GenConfig(m=6, n=40, kbar=10.0, seed=21, lam=0.25), "1d502ddbaed9f193aa95cae43507160a81e643746499613bc21e97c27e437c28"),
+    (GenConfig(m=4, n=30, kbar=9.0, seed=22, c=1e-3, alpha=3.7), "aaad12eae92651657cc57b6e052454f62811628584d9d47ebb5ac2aaa74b8015"),
+    (GenConfig(m=1, n=12, kbar=4.0, seed=23, alpha=1.0), "c83cb7df2253797f54a220591631f7827af7ecc1da6fb6aec418ce66f65186e4"),
+    (GenConfig(m=5, n=1, kbar=0.0, seed=24, l=7.5), "f45013a492e6aae1a3c0144926f42236ae9cdc862d333be8c10470e37be1847c"),
+]
+
+
+@pytest.mark.parametrize("config, digest", PINNED_DRAWS, ids=["lam", "c-alpha", "m1", "n1"])
+def test_instance_draws_are_pinned(config, digest):
+    text = json.dumps(instance_to_json_dict(gen_instance(config)), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

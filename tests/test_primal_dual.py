@@ -38,7 +38,13 @@ from cmpc.primal_dual import (
     trace_to_json_list,
 )
 
-from _oracles import ManualDuals, next_event_reference, reference_charge_breakdown, reference_dual_violations
+from _oracles import (
+    ManualDuals,
+    finalize_mu_by_runs,
+    next_event_reference,
+    reference_charge_breakdown,
+    reference_dual_violations,
+)
 from test_golden import ascent_instances
 
 
@@ -308,6 +314,21 @@ def test_next_event_stalls_like_reference():
     assert_same_ascent(duals, reference)
 
 
+def traced_peak(call) -> int:
+    """Peak bytes that call() allocates over what was traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_next_event_allocates_no_disk_array():
     # After the first event, one event allocates less than one float64 array
     # over the m*n disks.
@@ -317,18 +338,7 @@ def test_next_event_allocates_no_disk_array():
     for idx in tights:
         if duals.is_active(idx):
             apply_selection(duals, idx)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        next_event(duals)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak < m * n * 8
+    assert traced_peak(lambda: next_event(duals)) < m * n * 8
 
 
 def test_solved_state_holds_no_event_buffers():
@@ -477,6 +487,76 @@ def test_finalize_matches_per_disk_reference(inst, exercises_mu, scale):
     scale = max(1.0, float(order_table(inst).power.max()))
     assert np.allclose(duals.mu, reference, rtol=0.0, atol=1e-9 * scale)
     assert (reference > 0).any() == exercises_mu
+
+
+def most_runs(inst, duals) -> int:
+    """The largest number of runs of equal gamma start on one server."""
+    starts = duals.gamma_start.reshape(inst.m, inst.n)
+    return int((np.diff(starts, axis=1) != 0).sum(axis=1).max()) + 1
+
+
+@pytest.mark.parametrize("scale", [1, 64, 1 << 16])
+@pytest.mark.parametrize("inst, exercises_mu", finalize_cases())
+def test_finalize_mu_is_the_per_run_sums_bit_for_bit(inst, exercises_mu, scale):
+    # finalize sums up to m runs at a time; each run's prefix sum must be the
+    # same sequential sum as the per-run loop's, so mu is equal bit for bit.
+    _, duals, _ = pd_solve(scaled(inst, scale))
+    assert same_bits(duals.mu, finalize_mu_by_runs(duals))
+
+
+def test_finalize_cases_split_a_server_across_blocks():
+    # A server with more than m runs has its runs in more than one block of
+    # m; the m=2 tight draw that finalize_cases() starts with has one.
+    inst = gen_instance(GenConfig(m=2, n=20, kbar=10.0, seed=500))
+    _, duals, _ = pd_solve(inst)
+    assert most_runs(inst, duals) > inst.m
+
+
+@pytest.mark.parametrize("inst", lockstep_instances(), ids=lambda inst: f"m{inst.m}-n{inst.n}")
+def test_finalize_mu_is_the_per_run_sums_on_lockstep_instances(inst):
+    _, duals, _ = pd_solve(inst)
+    assert same_bits(duals.mu, finalize_mu_by_runs(duals))
+
+
+def sweep_instances():
+    # The user-count study's draws at seed base 3000: m=10, n=20..200, three each.
+    for p, n in enumerate(range(20, 201, 10)):
+        for t in range(3):
+            yield gen_instance(GenConfig(m=10, n=n, kbar=50.0, seed=3000 + 3 * p + t))
+
+
+def oracle_instances():
+    # 150 pairs at seed base 1000: ample (m=4-6, n=6-8, capacity 2.5n)
+    # alternating with tight (m=4, n=8, capacity 1.2n).
+    for i in range(150):
+        m, n = ((4, 8), (5, 7), (6, 6))[i % 3]
+        yield gen_instance(GenConfig(m=m, n=n, kbar=2.5 * n / m, seed=1000 + 2 * i))
+        yield gen_instance(GenConfig(m=4, n=8, kbar=2.4, seed=1001 + 2 * i))
+
+
+@pytest.mark.parametrize("draws, count", [(sweep_instances, 57), (oracle_instances, 300)], ids=["sweep", "oracle"])
+def test_finalize_mu_is_the_per_run_sums_on_small_draws(draws, count):
+    split = 0
+    instances = list(draws())
+    for inst in instances:
+        _, duals, _ = pd_solve(inst)
+        assert same_bits(duals.mu, finalize_mu_by_runs(duals))
+        split += most_runs(inst, duals) > inst.m
+    assert len(instances) == count
+    assert split > 0
+
+
+@pytest.mark.parametrize("kbar", [20.0, 1600.0], ids=["many-runs", "one-run"])
+def test_finalize_peak_allocation_is_pinned(kbar, monkeypatch):
+    # At m=50, n=800 the per-run loop's finalize peaked at 1,025,776 traced
+    # bytes (kbar 20 and 1600 alike); the runs summed in the freed work
+    # buffers must not exceed it, also when every server holds one run and
+    # one block's gather spans all m*n disks.
+    finalize, peaks = primal_dual.DualState.finalize, []
+    monkeypatch.setattr(primal_dual.DualState, "finalize", lambda duals: peaks.append(traced_peak(lambda: finalize(duals))))
+    pd_solve(gen_instance(GenConfig(m=50, n=800, kbar=kbar, seed=1)))
+    assert len(peaks) == 1
+    assert peaks[0] <= 1_025_776
 
 
 @pytest.mark.parametrize("inst", ascent_instances())
