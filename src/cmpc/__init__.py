@@ -7,6 +7,7 @@ order table, JSON helpers) are imported from their submodules, for example
 """
 
 from .bench import ExperimentConfig, ResultRow, run_experiment, write_csv
+from .certify import check_charging, dual_objective, verify_dual_feasibility
 from .generate import GenConfig, gen_instance
 from .metrics import validate
 from .model import Instance, Point, PowerParams, Server, User, dump_instance, load_instance
@@ -14,10 +15,7 @@ from .primal_dual import (
     AscentStalledError,
     CapacityInvariantError,
     InsufficientCapacityError,
-    check_charging,
-    dual_objective,
     pd_solve,
-    verify_dual_feasibility,
 )
 from .reference import ncs_solve, opt_solve
 from .solution import Solution

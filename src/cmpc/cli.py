@@ -19,17 +19,15 @@ import time
 from dataclasses import replace
 
 from .bench import BenchValidationError, ExperimentConfig, run_experiment, write_csv
+from .certify import check_charging, dual_objective, verify_dual_feasibility
 from .generate import GenConfig, gen_instance
 from .metrics import util_variance, validate
 from .model import dump_instance, instance_from_json_dict
 from .primal_dual import (
     InsufficientCapacityError,
     CapacityInvariantError,
-    check_charging,
-    dual_objective,
     pd_solve,
     trace_to_json_list,
-    verify_dual_feasibility,
 )
 from .reference import DEFAULT_NODE_BUDGET, ncs_solve, opt_solve
 

@@ -32,24 +32,23 @@ even though remaining capacity (not nominal capacity) drives the ascent:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+# The checkers live in certify; their names stay reachable here too.
+from .certify import (  # noqa: F401
+    CHECK_TOL,
+    TIGHTNESS_TOL,
+    ChargingViolation,
+    DualViolation,
+    charge_breakdown,
+    check_charging,
+    dual_objective,
+    verify_dual_feasibility,
+)
 from .model import Instance, order_table
 from .solution import Solution, make_solution
-
-# A disk is tight when its remaining charge gap is below this times its own
-# power: event times are exact in simple cases but accumulate rounding over
-# many events. Relative to the power alone, so the cover does not depend on
-# the power unit c.
-TIGHTNESS_TOL = 1e-9
-
-# Both checkers compare every quantity they check against this times the
-# instance's largest candidate power (check_charging's power identities also
-# allow the ascent's TIGHTNESS_TOL): prices, charges and budgets all scale
-# with c, so a fault is found or missed alike in every power unit.
-CHECK_TOL = 1e-12
 
 
 class InsufficientCapacityError(ValueError):
@@ -105,8 +104,19 @@ def trace_to_json_list(trace: EventTrace) -> list[dict]:
     return [ev.to_json_dict() for ev in trace]
 
 
-# The ascent-only arrays of DualState, dropped once the ascent is over.
-EVENT_BUFFERS = ("uncovered", "_rows", "_rates", "_residual", "_scratch", "_positive", "_flag")
+# The ascent-only fields of DualState, dropped once the ascent is over.
+EVENT_BUFFERS = (
+    "uncovered", "_width", "_block", "_work", "_flat", "_charges", "_rows", "_rates", "_residual", "_scratch", "_positive", "_flag",
+)
+
+# The event loop keeps every rank of every server unless the shared suffix
+# would spare at least this many disks, m * (n - width) at the start: below
+# it the suffix's bookkeeping costs more than it saves (README, event loop).
+SUFFIX_CROSSOVER = 15_000
+
+# A suffix disk can go tight only where its row's disk at width - 1 ends the
+# step with a charge gap below this times its power (see next_event).
+SUFFIX_SCREEN = 1e-6
 
 
 class DualState:
@@ -132,6 +142,20 @@ class DualState:
     server s is uncovered and 0.0 after, i.e. isnan(covered_at)[order], kept
     by apply_selection. It and the event loop's work buffers (EVENT_BUFFERS)
     are allocated once per solve; finalize() reuses them, then drops them.
+
+    The shared suffix. Once a disk's census (its uncovered members) exceeds
+    its server's remaining capacity, so does every larger disk's: the census
+    is a cumsum over rank. Let g_s be the largest first such rank of server s
+    at any event so far. Every disk of s at rank g_s or beyond has then been
+    in its beta phase at rate = remaining capacity since clock 0, so all of
+    them hold one charge, bit for bit. The event loop works on the ranks
+    [0, width) of every server only; rank width - 1 is at or beyond g_s for
+    every server with capacity left and stands for its whole suffix. The
+    width starts at min(n, max k_s + 1) (g_s = k_s at clock 0) and grows when
+    a server's census at width - 1 comes to fit its room (next_event). It is
+    n from the start when m * (n - width) < SUFFIX_CROSSOVER, or when some
+    row of powers decreases, which the suffix's step needs (next_event).
+    `lhs` fills in the ranks beyond the width when read.
     """
 
     def __init__(self, instance: Instance):
@@ -139,7 +163,10 @@ class DualState:
         self.table = order_table(instance)
         self.powers = self.table.power.ravel()
         self.tight_tol = TIGHTNESS_TOL * self.powers
-        self.lhs = np.zeros(self.powers.size, dtype=np.float64)
+        # Kept in the instance dict under its own name, which the lhs property
+        # reads: to vars() and copy a plain field.
+        vars(self)["lhs"] = np.zeros(self.powers.size, dtype=np.float64)
+        self._charges = vars(self)["lhs"].reshape(m, n)
         self.capacity = np.array([s.capacity for s in instance.servers], dtype=np.int64)
         self.remaining_capacity = self.capacity.copy()
         self.last_selected = [-1] * m
@@ -151,12 +178,94 @@ class DualState:
         self.mu = np.zeros(m, dtype=np.float64)
         # float64, not bool: a cumsum over bools would allocate a float copy.
         self.uncovered = np.ones((m, n), dtype=np.float64)
+        width = min(n, max(s.capacity for s in instance.servers) + 1)
+        power = self.table.power
+        if m * (n - width) < SUFFIX_CROSSOVER or (power[:, 1:] < power[:, :-1]).any():
+            width = n
         self._rows = np.arange(m)[:, None]
-        self._rates = np.empty((m, n), dtype=np.float64)
+        self._rates = np.empty(m * n, dtype=np.float64)
         self._residual = np.empty(m * n, dtype=np.float64)
         self._scratch = np.empty(m * n, dtype=np.float64)
         self._positive = np.empty(m * n, dtype=bool)
         self._flag = np.empty(m * n, dtype=bool)
+        self._set_width(width)
+
+    # Views into the state's own arrays: a copy or pickle rebuilds them
+    # around its own arrays rather than copying them apart.
+    _VIEWS = ("_charges", "_block", "_work", "_flat")
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name not in self._VIEWS}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        if "_width" in state:
+            self._charges = state["lhs"].reshape(self.table.order.shape)
+            self._set_width(self._width)
+
+    @property
+    def lhs(self) -> np.ndarray:
+        """Every disk's charge, in flat index order. During the ascent the
+        ranks beyond the width are set to their row's charge at width - 1,
+        the one they share, when read."""
+        if "_width" in vars(self):
+            self._fill_suffix()
+        return vars(self)["lhs"]
+
+    @lhs.setter
+    def lhs(self, value: np.ndarray) -> None:
+        np.copyto(vars(self)["lhs"], value)
+
+    def _fill_suffix(self) -> None:
+        self._charges[:, self._width :] = self._charges[:, self._width - 1 : self._width]
+
+    def _set_width(self, width: int) -> None:
+        """Set the width and the views next_event works on: the state's own
+        arrays over the ranks [0, width) (`_block`, strided), and the work
+        buffers' leading m * width entries as [m, width] rows (`_work`) and
+        flat (`_flat`), where elementwise work among buffers runs cheaper."""
+        m, n = self.table.order.shape
+        size = m * width
+        self._width = width
+        self._block = (
+            self.uncovered[:, :width],
+            self.gamma_start.reshape(m, n)[:, :width],
+            self._charges[:, :width],
+            self.powers.reshape(m, n)[:, :width],
+            self.tight_tol.reshape(m, n)[:, :width],
+        )
+        self._flat = (self._rates[:size], self._residual[:size], self._scratch[:size], self._positive[:size], self._flag[:size])
+        self._work = tuple([buffer.reshape(m, width) for buffer in self._flat])
+
+    def _widen(self, ended: np.ndarray, census: np.ndarray, room: np.ndarray) -> None:
+        """Keep the suffix whole for the servers whose disk at width - 1 just
+        left its beta phase (`ended`); `census` and `room` are per server.
+
+        An exhausted server's suffix leaves it at the same clock; its charge
+        stays frozen at width - 1. A server with room left now fits its census
+        there: the width moves to one past its first rank over room (n if
+        none), and the new ranks of every server take their row's shared
+        charge. Scans the suffixes of those servers only, in the work buffers
+        the event has no more use for.
+        """
+        m, n = self.table.order.shape
+        width = self._width
+        rows = np.flatnonzero(ended)
+        room = room[rows]
+        self.gamma_start.reshape(m, n)[rows[room == 0], width:] = self.clock
+        live = room > 0
+        if not live.any():
+            return
+        span = n - width
+        size = int(live.sum()) * span
+        tail = np.take(self.uncovered[:, width:], rows[live], axis=0, out=self._residual[:size].reshape(-1, span), mode="clip")
+        counts = np.cumsum(tail, axis=1, out=self._scratch[:size].reshape(-1, span))
+        counts += census[rows[live], None]
+        # The census grows with rank, so the ranks that fit come first.
+        fits = np.less_equal(counts, room[live, None], out=self._flag[:size].reshape(-1, span))
+        new = min(n, width + 1 + int(np.count_nonzero(fits, axis=1).max()))
+        self._charges[:, width:new] = self._charges[:, width - 1 : width]
+        self._set_width(new)
 
     @property
     def theta(self) -> np.ndarray:
@@ -192,40 +301,59 @@ class DualState:
         and pd_solve stamps the rest with the last clock. So a server has at
         most E + 1 runs for E events: O(m * n * (E + 1)) time.
 
-        The runs of all servers, in flat index order, are summed up to m at
-        a time: one matrix with a row max(0, theta[order[s]] - g) per run of
-        server s and start g, one cumsum along the ranks, and a gather that
-        gives each disk the sum in its own run's row. A row is the same
-        sequential sum as a cumsum over order[s, :hi] alone, so the budgets
-        are those of one run at a time, bit for bit. Ranked theta, the
-        budgets, the matrix and its sums use the ascent's m*n work buffers,
-        free by now; the gather index of m runs spans at most m*n disks.
+        The runs of all servers are summed up to m at a time, in order of
+        their end rank hi: one matrix with a row max(0, theta[order[s, :H]] -
+        g) per run of server s and start g, H the block's largest hi, one
+        cumsum along the ranks, and a gather that gives each disk the sum in
+        its own run's row. A row is the same sequential sum as a cumsum over
+        order[s, :hi] alone, so the budgets are those of one run at a time,
+        bit for bit; as blocks hold runs of similar ends, the sums stop near
+        where their runs do. Ranked theta, the budgets, the matrix and its
+        sums use the ascent's m*n work buffers, free by now; the gather index
+        of m runs spans at most m*n disks.
         """
         m, n = self.table.order.shape
         # mode="clip" (every index is in range) takes straight into out,
         # which the default mode would buffer.
-        theta = np.take(self.theta, self.table.order, out=self._rates, mode="clip")
+        theta = self.theta.take(self.table.order, out=self._rates.reshape(m, n), mode="clip")
         starts = self.gamma_start.reshape(m, n)
         lhs = np.multiply(self.capacity[:, None], self.beta.reshape(m, n), out=self.uncovered).ravel()
         # A run opens at rank 0 and wherever the start differs from the rank before.
         opens = self._flag.reshape(m, n)
         opens[:, 0] = True
         np.not_equal(starts[:, 1:], starts[:, :-1], out=opens[:, 1:])
-        servers, ranks = np.nonzero(opens)
-        bounds = [*(servers * n + ranks).tolist(), m * n]
-        # Disk p of run r takes the sum at p + shift[r] - c * n of the
-        # flattened rows of runs c, c + 1, ...
-        shift = (np.arange(servers.size) - servers) * n
-        for c in range(0, servers.size, m):
-            runs = servers[c : c + m]
-            rows = np.take(theta, runs, axis=0, out=self._scratch[: runs.size * n].reshape(-1, n), mode="clip")
-            np.subtract(rows, starts[runs, ranks[c : c + m], None], out=rows)
-            prefix = np.cumsum(np.maximum(rows, 0.0, out=rows), axis=1, out=self._residual[: rows.size].reshape(-1, n))
-            lo, hi = bounds[c], bounds[c + runs.size]
-            index = np.repeat(shift[c : c + m] - c * n, np.diff(bounds[c : c + m + 1]))
-            index += np.arange(lo, hi)
-            lhs[lo:hi] += np.take(prefix, index, out=self._scratch[: hi - lo], mode="clip")
+        servers, ranks = opens.nonzero()
+        heads = servers * n + ranks
+        lengths = np.empty_like(heads)
+        np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
+        lengths[-1] = m * n - heads[-1]
+        by_end = (ranks + lengths).argsort(kind="stable")
+        # Run r holds the ranks [ranks[r], ends[r]) of servers[r]; the runs
+        # are now in order of their ends, and run r takes row r % m of its
+        # block, which stops at the block's last end.
+        servers, ranks, lengths = servers[by_end], ranks[by_end], lengths[by_end]
+        ends = ranks + lengths
+        count = servers.size
+        highs = ends[np.minimum(np.arange(m - 1, count + m - 1, m), count - 1)]
+        row = np.arange(count) % m * highs.repeat(m)[:count]
+        # Rank t of run r takes prefix[row r, t], at src[r] + its place among
+        # the block's disks, into lhs at that plus shift[r], s * n + t.
+        first = lengths.cumsum() - lengths
+        src = row + ranks - first + first[::m].repeat(m)[:count]
+        shift = servers * n - row
+        gamma_starts = starts[servers, ranks, None]
+        for c, high in zip(range(0, count, m), highs.tolist()):
+            runs = slice(c, c + m)
+            rows = theta[:, :high].take(servers[runs], axis=0, out=self._scratch[: min(m, count - c) * high].reshape(-1, high), mode="clip")
+            np.subtract(rows, gamma_starts[runs], out=rows)
+            prefix = np.add.accumulate(np.maximum(rows, 0.0, out=rows), axis=1, out=self._residual[: rows.size].reshape(-1, high))
+            index = src[runs].repeat(lengths[runs])
+            index += np.arange(index.size)
+            sums = prefix.take(index, out=self._scratch[: index.size], mode="clip")
+            index += shift[runs].repeat(lengths[runs])
+            lhs[index] += sums
         self.mu = np.maximum(0.0, np.subtract(lhs, self.powers, out=lhs).reshape(m, n).max(axis=1))
+        self._fill_suffix()
         for name in EVENT_BUFFERS:
             vars(self).pop(name, None)
 
@@ -245,46 +373,78 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
     the time advanced and the flat indices of every disk tight at the new
     clock, ascending: that is (server id, key) order, the processing order.
 
-    Every m*n array is computed in place in the state's work buffers. Rates
-    are small integers held exactly in float64, so each value is the same
-    IEEE expression as with integer rates: the step is min(residual / rate)
-    over the positive rates, the charge lhs + rate * delta and the tight test
-    residual - rate * delta <= tol.
-    """
-    census = duals._rates
-    np.cumsum(duals.uncovered, axis=1, out=census)
-    room = duals.remaining_capacity[:, None].astype(np.float64)
-    # Within one event "fits the remaining capacity" only turns true, so
-    # checking it once per event records the same clock as checking it after
-    # every selection. An exhausted server's disks get a gamma phase from now
-    # on, so lingering uncovered members keep paying; finalize() routes any
-    # excess over the disk power into mu.
-    in_beta = np.isnan(duals.gamma_start, out=duals._flag)
-    if in_beta.any():
-        leaves_beta = duals._positive
-        # (census <= room) | (room == 0), with an exhausted server's room as inf.
-        np.less_equal(census, np.where(room == 0, np.inf, room), out=leaves_beta.reshape(census.shape))
-        leaves_beta &= in_beta
-        np.copyto(duals.gamma_start, duals.clock, where=leaves_beta)
+    Every array over the ranks [0, width) of all servers is computed in place
+    in the state's work buffers. Rates are small integers held exactly in
+    float64, so each value is the same IEEE expression as with integer rates:
+    the step is min(residual / rate) over the positive rates, the charge
+    lhs + rate * delta and the tight test residual - rate * delta <= tol.
 
-    rates = np.minimum(census, room, out=census).reshape(-1)
-    positive = np.greater(rates, 0.0, out=duals._positive)
-    residual, scratch = duals._residual, duals._scratch
-    np.subtract(duals.powers, duals.lhs, out=residual)
+    The ranks beyond the width (see DualState) share the charge L and the
+    rate of their row's rank w = width - 1, and their powers do not fall
+    below p_w. As subtraction and division round monotonically, none has a
+    smaller quotient than w's: the step is that of all m*n disks. A suffix
+    disk t is tight when r_t = (p_t - L) - x <= 1e-9 p_t, x = rate * delta.
+    Then r_w <= r_t, and if r_w > 0 then p_w > L, x < p_w - L and p_t - L is
+    at most x + 1e-9 p_t up to a few ulps, so p_t <= p_w (1 + 2e-9) and
+    r_w <= 1e-9 p_t < SUFFIX_SCREEN p_w. So only the rows whose rank w passes
+    that screen have their suffix tested disk by disk, exactly as above.
+    """
+    m, n = duals.table.order.shape
+    room = duals.remaining_capacity[:, None].astype(np.float64)
+    while True:
+        width = duals._width
+        uncovered, starts, lhs, powers, tol = duals._block
+        census, residual, scratch, positive, flag = duals._work
+        np.add.accumulate(uncovered, axis=1, out=census)
+        # Within one event "fits the remaining capacity" only turns true, so
+        # checking it once per event records the same clock as checking it
+        # after every selection. An exhausted server's disks get a gamma phase
+        # from now on, so lingering uncovered members keep paying; finalize()
+        # routes any excess over the disk power into mu.
+        in_beta = np.isnan(starts, out=flag)
+        if not in_beta.any():
+            break
+        leaves_beta = positive
+        # (census <= room) | (room == 0), with an exhausted server's room as inf.
+        np.less_equal(census, np.where(room == 0, np.inf, room), out=leaves_beta)
+        leaves_beta &= in_beta
+        np.copyto(starts, duals.clock, where=leaves_beta)
+        if width == n or not leaves_beta[:, -1].any():
+            break
+        duals._widen(leaves_beta[:, -1], census[:, -1], room[:, 0])
+        if duals._width == width:
+            break
+
+    # The census becomes the rates in place; elementwise work among the
+    # work buffers runs on their flat views.
+    np.minimum(census, room, out=census)
+    np.subtract(powers, lhs, out=residual)
+    rates, residual_flat, scratch_flat, positive_flat, tight = duals._flat
+    np.greater(rates, 0.0, out=positive_flat)
     # where= leaves the other entries of scratch stale, so the min skips them
     # too; it is inf when no rate is positive.
-    np.divide(residual, rates, out=scratch, where=positive)
-    step_min = float(np.minimum.reduce(scratch, where=positive, initial=np.inf))
+    np.divide(residual_flat, rates, out=scratch_flat, where=positive_flat)
+    step_min = float(np.minimum.reduce(scratch_flat, where=positive_flat, initial=np.inf))
     if step_min == np.inf:
         raise AscentStalledError("no disk can ascend but users remain uncovered")
     delta = max(step_min, 0.0)
-    step = np.multiply(rates, delta, out=scratch)
-    duals.lhs += step
-    residual -= step
+    step = np.multiply(rates, delta, out=scratch_flat)
+    residual_flat -= step
+    np.less_equal(residual, tol, out=flag)
+    tight &= positive_flat
+    tights = tight.nonzero()[0]
+    if width < n:
+        tights += tights // width * (n - width)
+        screened = np.flatnonzero(positive[:, -1] & (residual[:, -1] <= SUFFIX_SCREEN * powers[:, -1]))
+        if screened.size:
+            beyond = slice(width, n)
+            gap = duals.powers.reshape(m, n)[screened, beyond] - lhs[screened, -1:]
+            gap -= scratch[screened, -1:]
+            rows, ranks = np.nonzero(gap <= duals.tight_tol.reshape(m, n)[screened, beyond])
+            tights = np.sort(np.concatenate((tights, screened[rows] * n + width + ranks)))
+    lhs += scratch
     duals.clock += delta
-    tight = np.less_equal(residual, duals.tight_tol, out=duals._flag)
-    tight &= positive
-    return delta, np.flatnonzero(tight).tolist()
+    return delta, tights.tolist()
 
 
 def apply_selection(duals: DualState, idx: int) -> list[int]:
@@ -297,9 +457,10 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
     """
     if not duals.is_active(idx):
         raise ValueError("apply_selection: disk is no longer active")
-    if duals.powers[idx] - duals.lhs[idx] > duals.tight_tol[idx]:
-        raise ValueError("apply_selection: disk is not tight")
     s, rank = divmod(idx, duals.table.order.shape[1])
+    # A disk beyond the width holds its row's charge at width - 1.
+    if duals.powers[idx] - duals._charges[s, min(rank, duals._width - 1)] > duals.tight_tol[idx]:
+        raise ValueError("apply_selection: disk is not tight")
     members = duals.table.order[s, : rank + 1]
     newly = members[np.isnan(duals.covered_at[members])]
     if not len(newly):
@@ -374,189 +535,3 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
     ranks = [i - s * n if i >= 0 else -1 for s, i in enumerate(duals.last_selected)]
     solution = make_solution(instance, ranks, duals.assignment.tolist())
     return solution, duals, trace
-
-
-def dual_objective(duals) -> float:
-    """Value of the ascent's dual solution: sum(theta) - sum(mu)."""
-    return float(np.sum(duals.theta) - np.sum(duals.mu))
-
-
-@dataclass(frozen=True)
-class DualViolation:
-    constraint: str
-    amount: float
-    user: Optional[int] = None
-    disk: Optional[int] = None
-    server: Optional[int] = None
-
-    def __str__(self) -> str:
-        where = []
-        if self.server is not None:
-            where.append(f"server {self.server}")
-        if self.user is not None:
-            where.append(f"user {self.user}")
-        if self.disk is not None:
-            where.append(f"disk {self.disk}")
-        return f"{self.constraint} violated by {self.amount:.3e} ({', '.join(where) or 'global'})"
-
-
-def verify_dual_feasibility(instance: Instance, duals) -> list[DualViolation]:
-    """Check the dual prices against the covering dual's constraints.
-
-    `duals` provides `theta`, `beta`, `mu` and `gamma_start`; the individual
-    prices take the ascent's closed form gamma_{h,D} = max(0, theta_h - g_D),
-    g_D = gamma_start[D], with a NaN start (no gamma phase) read as +inf.
-    With tol = CHECK_TOL * the largest candidate power:
-    for every user h inside disk D: theta_h <= beta_D + gamma_{h,D} + tol;
-    for every disk D of server i: k_i * beta_D + sum_h gamma_{h,D} <= p_D + mu_i + tol;
-    theta, beta and mu must be >= -tol; gamma is by its form. Returns every
-    violation found (empty means feasible), disk by disk in flat index order,
-    a disk's members in rank order and its budget last; this checker is
-    independent of the ascent bookkeeping.
-
-    Member h of D satisfies its constraint iff min(theta_h, g_D) - beta_D <=
-    tol, so all members of D do iff min(g_D, max theta over them) - beta_D <=
-    tol: one running max of theta in rank order finds the violated disks in
-    O(m * n), and only their members are expanded. The gamma sums of the
-    budgets take one prefix sum of max(0, theta - g) in rank order per
-    distinct start g, over the servers with a disk starting at g and the
-    ranks up to the last one holding g: O(m * n * (E + 1)) for the at most
-    E + 1 starts of an ascent with E events.
-    """
-    m, n = instance.m, instance.n
-    table = order_table(instance)
-    tol = CHECK_TOL * float(table.power.max())
-    theta = np.asarray(duals.theta, dtype=np.float64)
-    beta = np.asarray(duals.beta, dtype=np.float64)
-    mu = np.asarray(duals.mu, dtype=np.float64)
-    starts = np.nan_to_num(np.asarray(duals.gamma_start, dtype=np.float64), nan=np.inf)
-    violations: list[DualViolation] = []
-
-    for h in np.nonzero(theta < -tol)[0].tolist():
-        violations.append(DualViolation("negative user price", float(-theta[h]), user=h))
-    for idx in np.nonzero(beta < -tol)[0].tolist():
-        violations.append(DualViolation("negative flat price", float(-beta[idx]), disk=idx))
-    for s in np.nonzero(mu < -tol)[0].tolist():
-        violations.append(DualViolation("negative slack price", float(-mu[s]), server=s))
-
-    ranked = theta[table.order]
-    exceeds = (np.minimum(starts.reshape(m, n), np.maximum.accumulate(ranked, axis=1)) - beta.reshape(m, n) > tol).ravel()
-    capacity = np.array([srv.capacity for srv in instance.servers], dtype=np.float64)
-    lhs = capacity[:, None] * beta.reshape(m, n)
-    # Each disk takes one start, so the starts may come in any order. The
-    # sums run up to the last rank holding g.
-    for g in set(starts[starts < np.inf].tolist()):
-        at = starts.reshape(m, n) == g
-        rows = np.flatnonzero(at.any(axis=1))
-        hi = n - np.argmax(at.any(axis=0)[::-1])
-        gamma = np.cumsum(np.maximum(ranked[rows, :hi] - g, 0.0), axis=1)
-        lhs[rows, :hi] += np.where(at[rows, :hi], gamma, 0.0)
-    budget_slack = (lhs - table.power - mu[:, None]).ravel()
-    over_budget = budget_slack > tol
-
-    for idx in np.flatnonzero(exceeds | over_budget).tolist():
-        if exceeds[idx]:
-            members = table.order[idx // n, : idx % n + 1]
-            slack = theta[members] - beta[idx] - np.maximum(theta[members] - starts[idx], 0.0)
-            for pos in np.flatnonzero(slack > tol).tolist():
-                violations.append(DualViolation("user price exceeds disk prices", float(slack[pos]), user=int(members[pos]), disk=idx))
-        if over_budget[idx]:
-            violations.append(DualViolation("disk budget exceeded", float(budget_slack[idx]), disk=idx))
-    return violations
-
-
-@dataclass(frozen=True)
-class ChargingViolation:
-    event_index: int
-    kind: str
-    amount: float
-
-    def __str__(self) -> str:
-        return f"event {self.event_index}: {self.kind} off by {self.amount:.3e}"
-
-
-def _flat_phase(instance: Instance, trace: EventTrace, server: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Segments [a, b) of the flat-price phase [0, g), cut at every event clock
-    (any event can change a census), and `server`'s remaining capacity kp in
-    each: its value after the server's last event at or before a. `trace` is
-    in clock order, as pd_solve records it.
-    """
-    cuts, kp = [0.0], [instance.servers[server].capacity]
-    for e in trace:
-        if e.clock >= g:
-            break
-        if e.clock > cuts[-1]:
-            cuts.append(e.clock)
-            kp.append(kp[-1])
-        if e.server == server:
-            kp[-1] = e.remaining_after
-    return np.array(cuts), np.array(cuts[1:] + [g]), np.array(kp)
-
-
-def charge_breakdown(instance: Instance, trace: EventTrace, duals, event_index: int) -> dict[int, float]:
-    """Per-user charges paying for one selection event's disk power.
-
-    While the disk held more uncovered members than its server's remaining
-    capacity, the remaining-capacity-many lowest-key uncovered members each paid at unit rate
-    into the flat price; afterwards every still-uncovered member paid its
-    individual price until covered. The charges are rebuilt from the event
-    trace and closed-form prices, independently of the ascent's running sums;
-    they sum to the disk's power and never exceed a user's theta. Returns
-    the charges keyed by member, in rank order.
-    """
-    ev = trace[event_index]
-    members = order_table(instance).order[ev.server, : ev.rank + 1]
-    covered_at = np.asarray(duals.covered_at, dtype=np.float64)[members]
-    g = float(duals.gamma_start[ev.disk_index])
-
-    # fmax: a NaN price (uncovered user, or no gamma phase) charges nothing.
-    charges = np.fmax(0.0, covered_at - g)
-    if g > 0:
-        a, b, kp = _flat_phase(instance, trace, ev.server, g)
-        # In each segment the kp lowest-key uncovered members pay.
-        alive = covered_at[None, :] > a[:, None]
-        paying = alive & (np.cumsum(alive, axis=1) <= kp[:, None])
-        charges += (b - a) @ paying
-    return dict(zip(members.tolist(), charges.tolist()))
-
-
-def check_charging(instance: Instance, trace: EventTrace, duals) -> list[ChargingViolation]:
-    """Audit the charging accounting of every selection event.
-
-    For each selected disk, its power must equal the flat-price charge it
-    collected (remaining capacity integrated over its flat-price phase) plus
-    its members' individual payments, and the same total must be recoverable
-    as per-user charges of at most theta_h each. The final cover is at most m
-    disks, one per server, so these give total power <= m * sum(theta).
-    Everything is reconstructed from the trace and the closed-form prices,
-    independently of the ascent's running sums, and checked to within
-    CHECK_TOL * the largest candidate power; the two power identities also
-    allow the ascent's own TIGHTNESS_TOL * power, as it selects a disk whose
-    charge is short of its power by at most that.
-    """
-    table = order_table(instance)
-    tol = CHECK_TOL * float(table.power.max())
-    theta = np.asarray(duals.theta, dtype=np.float64)
-    covered_at = np.asarray(duals.covered_at, dtype=np.float64)
-
-    violations: list[ChargingViolation] = []
-    for ev_i, ev in enumerate(trace):
-        members = table.order[ev.server, : ev.rank + 1]
-        g = float(duals.gamma_start[ev.disk_index])
-        a, b, kp = _flat_phase(instance, trace, ev.server, g)
-        charge = float((b - a) @ kp) + float(np.maximum(0.0, covered_at[members] - g).sum())
-        short = tol + TIGHTNESS_TOL * ev.power
-        if abs(ev.power - charge) > short:
-            violations.append(ChargingViolation(ev_i, "power vs beta-charge + gamma", abs(ev.power - charge)))
-
-        charges = charge_breakdown(instance, trace, duals, ev_i)
-        paid = np.fromiter(charges.values(), np.float64, len(charges))
-        # Pairwise, not sequential, summation: its rounding stays far below
-        # CHECK_TOL even for disks with thousands of members.
-        total = float(paid.sum())
-        if abs(ev.power - total) > short:
-            violations.append(ChargingViolation(ev_i, "power vs per-user charges", abs(ev.power - total)))
-        overpaid = float((paid - theta[members]).max(initial=0.0))
-        if overpaid > tol:
-            violations.append(ChargingViolation(ev_i, "charge exceeds a user's theta", overpaid))
-    return violations

@@ -22,7 +22,8 @@ import numpy as np
 
 from cmpc import Instance, PowerParams, Server, User
 from cmpc.model import _TIEBREAK_STRIDE, OrderTable, order_table
-from cmpc.primal_dual import CHECK_TOL, AscentStalledError, DualViolation
+from cmpc.certify import CHECK_TOL, DualViolation
+from cmpc.primal_dual import AscentStalledError
 from cmpc.reference import OptResult, feasible_assignment
 from cmpc.solution import make_solution
 

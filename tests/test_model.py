@@ -23,7 +23,7 @@ from cmpc import (
 )
 from cmpc import model
 from cmpc.model import instance_from_json_dict, instance_to_json_dict, order_table
-from cmpc.primal_dual import charge_breakdown
+from cmpc.certify import charge_breakdown
 from cmpc.reference import feasible_assignment
 
 from _oracles import OrderKey, order_key, power, table_key

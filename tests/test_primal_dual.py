@@ -26,13 +26,11 @@ from cmpc import (
 from cmpc import primal_dual
 from cmpc.cli import cli
 from cmpc.model import dump_instance, order_table
+from cmpc.certify import CHECK_TOL, TIGHTNESS_TOL, charge_breakdown
 from cmpc.primal_dual import (
-    CHECK_TOL,
     EVENT_BUFFERS,
-    TIGHTNESS_TOL,
     AscentStalledError,
     apply_selection,
-    charge_breakdown,
     init_solver,
     next_event,
     trace_to_json_list,
@@ -298,6 +296,117 @@ def test_next_event_matches_reference_in_lockstep(inst):
         step_lockstep(duals, reference)
 
 
+def select_tight(duals, tights):
+    for idx in tights:
+        if duals.is_active(idx):
+            apply_selection(duals, idx)
+
+
+def at_crossover(crossover, call, inst):
+    """call(inst) with the shared suffix's crossover set to `crossover`:
+    0 forces the suffix on wherever it applies, inf keeps every rank."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primal_dual, "SUFFIX_CROSSOVER", crossover)
+        return call(inst)
+
+
+def suffix_instances():
+    yield from ascent_instances()
+    # The 20 users on a grid of ascent_instances(), with servers on grid
+    # points: disks beyond the width tie with the one at width - 1.
+    grid = [(float(j % 5), float(j // 5)) for j in range(20)]
+    yield make_instance([(4.0, 2.0, 6), (2.0, 2.0, 14)], grid)
+    yield make_instance([(4.0, 0.0, 3), (3.0, 1.0, 4), (3.0, 0.0, 1), (2.0, 1.0, 12)], grid)
+    yield gen_instance(GenConfig(m=50, n=800, kbar=20.0, seed=1))
+    yield gen_instance(GenConfig(m=20, n=300, kbar=15.0, seed=1))
+
+
+@pytest.mark.parametrize("inst", suffix_instances(), ids=lambda inst: f"m{inst.m}-n{inst.n}")
+def test_suffix_ascent_matches_reference_in_lockstep(inst):
+    # With the suffix forced on, the event loop that works on the ranks
+    # below the width must still reach the reference's charges, clocks, gamma
+    # starts and tight lists at every event, bit for bit; the reference runs
+    # at full width.
+    duals, reference = at_crossover(0, init_solver, inst), at_crossover(np.inf, init_solver, inst)
+    assert reference._width == inst.n
+    while np.isnan(duals.covered_at).any():
+        step_lockstep(duals, reference)
+
+
+def test_suffix_instances_exercise_the_suffix():
+    # Most start with a suffix, and on the grid ones disks beyond the width
+    # go tight, which only the screen at width - 1 finds.
+    started = beyond = 0
+    for inst in suffix_instances():
+        duals = at_crossover(0, init_solver, inst)
+        started += duals._width < inst.n
+        while np.isnan(duals.covered_at).any():
+            _, tights = next_event(duals)
+            beyond += sum(idx % inst.n >= duals._width for idx in tights)
+            select_tight(duals, tights)
+    assert started >= 12 and beyond >= 5
+
+
+def test_deep_copy_mid_ascent_ascends_on_its_own():
+    # The event loop's views must look into the copy's own arrays.
+    inst = gen_instance(GenConfig(m=50, n=800, kbar=20.0, seed=1))
+    duals = init_solver(inst)
+    for _ in range(40):
+        select_tight(duals, next_event(duals)[1])
+    branch = copy.deepcopy(duals)
+    for state in (duals, branch):
+        # Every event covers a user, so n events suffice.
+        for _ in range(inst.n):
+            if np.isnan(state.covered_at).any():
+                select_tight(state, next_event(state)[1])
+        assert not np.isnan(state.covered_at).any()
+    for name in ("lhs", "gamma_start", "covered_at", "assignment"):
+        assert same_bits(getattr(duals, name), getattr(branch, name)), name
+
+
+def test_suffix_crossover_and_decreasing_powers_keep_full_width(monkeypatch):
+    inst = gen_instance(GenConfig(m=50, n=800, kbar=20.0, seed=1))
+    # 50 * (800 - 30) disks spared: above the crossover.
+    assert init_solver(inst)._width == 30
+    assert at_crossover(50 * (800 - 30) + 1, init_solver, inst)._width == 800
+    # A row of powers that decreases somewhere keeps every rank.
+    table = order_table(inst)
+    power = table.power.copy()
+    power[7, 500] = np.nextafter(power[7, 499], 0.0)
+    monkeypatch.setattr(primal_dual, "order_table", lambda _: dataclasses.replace(table, power=power))
+    assert at_crossover(0, init_solver, inst)._width == 800
+
+
+def grid_instances():
+    """Small instances with users on a 4 x 4 grid, so positions repeat, and
+    some servers with no capacity; total capacity covers every user."""
+
+    @st.composite
+    def draw(data):
+        m = data(st.integers(2, 5))
+        n = data(st.integers(2, 24))
+        points = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda p: Point(float(p[0]), float(p[1])))
+        users = [User(j, data(points)) for j in range(n)]
+        capacities = data(st.lists(st.integers(0, max(1, n // 2)), min_size=m, max_size=m))
+        capacities[-1] += max(0, n - sum(capacities))
+        servers = [Server(i, data(points), k) for i, k in enumerate(capacities)]
+        alpha = data(st.sampled_from((1.0, 2.0, 3.3)))
+        return Instance(PowerParams(1.0, alpha), tuple(servers), tuple(users))
+
+    return draw()
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_instances())
+def test_suffix_on_and_off_solve_alike(inst):
+    sol_on, duals_on, trace_on = at_crossover(0, pd_solve, inst)
+    sol_off, duals_off, trace_off = at_crossover(np.inf, pd_solve, inst)
+    assert sol_on == sol_off
+    assert trace_on == trace_off
+    for name in ("theta", "beta", "gamma_start", "mu", "lhs"):
+        assert same_bits(getattr(duals_on, name), getattr(duals_off, name)), name
+
+
 def test_next_event_stalls_like_reference():
     # Zeroing every server's capacity mid-ascent stalls both loops, after
     # both have moved the same beta-phase disks into their gamma phase.
@@ -334,11 +443,18 @@ def test_next_event_allocates_no_disk_array():
     # over the m*n disks.
     m, n = 50, 800
     duals = init_solver(gen_instance(GenConfig(m=m, n=n, kbar=2.0 * n, seed=1)))
-    _, tights = next_event(duals)
-    for idx in tights:
-        if duals.is_active(idx):
-            apply_selection(duals, idx)
+    select_tight(duals, next_event(duals)[1])
     assert traced_peak(lambda: next_event(duals)) < m * n * 8
+    # So does every event on the shared suffix (kbar 20), widening or not.
+    duals = init_solver(gen_instance(GenConfig(m=m, n=n, kbar=20.0, seed=1)))
+    widths = [duals._width]
+    select_tight(duals, next_event(duals)[1])
+    while np.isnan(duals.covered_at).any():
+        tights = []
+        assert traced_peak(lambda: tights.extend(next_event(duals)[1])) < m * n * 8
+        select_tight(duals, tights)
+        widths.append(duals._width)
+    assert widths[0] < n and len(set(widths)) > 10
 
 
 def test_solved_state_holds_no_event_buffers():
