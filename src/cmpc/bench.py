@@ -17,7 +17,7 @@ from typing import Optional
 
 from .generate import GenConfig, gen_instance
 from .metrics import approximation_ratio, util_variance, validate
-from .model import Instance, dump_instance, is_json_kind
+from .model import Instance, PowerParams, dump_instance, is_json_kind
 from .primal_dual import pd_solve
 from .reference import ncs_solve, opt_solve
 from .solution import Solution
@@ -71,6 +71,14 @@ class ExperimentConfig:
             raise ValueError(f"seed_base must be >= 0, got {self.seed_base}")
         if self.oracle_budget < 0:
             raise ValueError(f"oracle_budget must be >= 0 (0 turns the oracle off), got {self.oracle_budget}")
+        if any(mark in self.experiment_id for mark in ',"\r\n'):
+            raise ValueError(f"experiment_id must hold no comma, quote or line break (the CSV is unquoted), got {self.experiment_id!r}")
+        # Every point is checked before the first one is solved.
+        for i, point in enumerate(self.sweep_values):
+            try:
+                _resolve_point(self, point)
+            except ValueError as exc:
+                raise ValueError(f"sweep.values[{i}] = {point!r}: {exc}") from None
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
@@ -101,7 +109,7 @@ class ExperimentConfig:
         # __post_init__ rejects an unknown variable before it looks at the points.
         points = tuple(_sweep_point(v, kinds, f"sweep.values[{i}]") for i, v in enumerate(sweep["values"])) if kinds else ()
         return ExperimentConfig(
-            experiment_id=str(data["experiment_id"]),
+            experiment_id=_convert(data["experiment_id"], str, "experiment_id"),
             sweep_variable=str(variable),
             sweep_values=points,
             **fields,
@@ -174,14 +182,19 @@ _ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 def _resolve_point(config: ExperimentConfig, point) -> GenConfig:
+    """The instance draw of one sweep point; a ValueError if its parameters
+    (the point's and the fixed ones) admit no instance."""
     m, n, kbar, alpha = config.m, config.n, config.kbar, config.alpha
     if config.sweep_variable == "n":
         n = int(point)
     elif config.sweep_variable == "m_K":
         m, total = int(point[0]), float(point[1])
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
         kbar = total / m
     elif config.sweep_variable == "alpha":
         alpha = float(point)
+    PowerParams(config.c, alpha)
     return GenConfig(m=m, n=n, kbar=kbar, seed=0, c=config.c, alpha=alpha, l=config.l, lam=config.lam)
 
 

@@ -106,7 +106,7 @@ def trace_to_json_list(trace: EventTrace) -> list[dict]:
 
 # The ascent-only fields of DualState, dropped once the ascent is over.
 EVENT_BUFFERS = (
-    "uncovered", "_width", "_block", "_work", "_flat", "_charges", "_rows", "_rates", "_residual", "_scratch", "_positive", "_flag",
+    "uncovered", "_width", "_rows", "_rates", "_residual", "_scratch", "_positive", "_flag",
 )
 
 # The event loop keeps every rank of every server unless the shared suffix
@@ -155,7 +155,8 @@ class DualState:
     a server's census at width - 1 comes to fit its room (next_event). It is
     n from the start when m * (n - width) < SUFFIX_CROSSOVER, or when some
     row of powers decreases, which the suffix's step needs (next_event).
-    `lhs` fills in the ranks beyond the width when read.
+    So during the ascent `lhs` is exact on the ranks [0, width) only, and
+    finalize() fills in the ranks beyond: it is whole after finalize().
     """
 
     def __init__(self, instance: Instance):
@@ -163,10 +164,7 @@ class DualState:
         self.table = order_table(instance)
         self.powers = self.table.power.ravel()
         self.tight_tol = TIGHTNESS_TOL * self.powers
-        # Kept in the instance dict under its own name, which the lhs property
-        # reads: to vars() and copy a plain field.
-        vars(self)["lhs"] = np.zeros(self.powers.size, dtype=np.float64)
-        self._charges = vars(self)["lhs"].reshape(m, n)
+        self.lhs = np.zeros(self.powers.size, dtype=np.float64)
         self.capacity = np.array([s.capacity for s in instance.servers], dtype=np.int64)
         self.remaining_capacity = self.capacity.copy()
         self.last_selected = [-1] * m
@@ -188,54 +186,7 @@ class DualState:
         self._scratch = np.empty(m * n, dtype=np.float64)
         self._positive = np.empty(m * n, dtype=bool)
         self._flag = np.empty(m * n, dtype=bool)
-        self._set_width(width)
-
-    # Views into the state's own arrays: a copy or pickle rebuilds them
-    # around its own arrays rather than copying them apart.
-    _VIEWS = ("_charges", "_block", "_work", "_flat")
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name not in self._VIEWS}
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        if "_width" in state:
-            self._charges = state["lhs"].reshape(self.table.order.shape)
-            self._set_width(self._width)
-
-    @property
-    def lhs(self) -> np.ndarray:
-        """Every disk's charge, in flat index order. During the ascent the
-        ranks beyond the width are set to their row's charge at width - 1,
-        the one they share, when read."""
-        if "_width" in vars(self):
-            self._fill_suffix()
-        return vars(self)["lhs"]
-
-    @lhs.setter
-    def lhs(self, value: np.ndarray) -> None:
-        np.copyto(vars(self)["lhs"], value)
-
-    def _fill_suffix(self) -> None:
-        self._charges[:, self._width :] = self._charges[:, self._width - 1 : self._width]
-
-    def _set_width(self, width: int) -> None:
-        """Set the width and the views next_event works on: the state's own
-        arrays over the ranks [0, width) (`_block`, strided), and the work
-        buffers' leading m * width entries as [m, width] rows (`_work`) and
-        flat (`_flat`), where elementwise work among buffers runs cheaper."""
-        m, n = self.table.order.shape
-        size = m * width
         self._width = width
-        self._block = (
-            self.uncovered[:, :width],
-            self.gamma_start.reshape(m, n)[:, :width],
-            self._charges[:, :width],
-            self.powers.reshape(m, n)[:, :width],
-            self.tight_tol.reshape(m, n)[:, :width],
-        )
-        self._flat = (self._rates[:size], self._residual[:size], self._scratch[:size], self._positive[:size], self._flag[:size])
-        self._work = tuple([buffer.reshape(m, width) for buffer in self._flat])
 
     def _widen(self, ended: np.ndarray, census: np.ndarray, room: np.ndarray) -> None:
         """Keep the suffix whole for the servers whose disk at width - 1 just
@@ -264,8 +215,9 @@ class DualState:
         # The census grows with rank, so the ranks that fit come first.
         fits = np.less_equal(counts, room[live, None], out=self._flag[:size].reshape(-1, span))
         new = min(n, width + 1 + int(np.count_nonzero(fits, axis=1).max()))
-        self._charges[:, width:new] = self._charges[:, width - 1 : width]
-        self._set_width(new)
+        charges = self.lhs.reshape(m, n)
+        charges[:, width:new] = charges[:, width - 1 : width]
+        self._width = new
 
     @property
     def theta(self) -> np.ndarray:
@@ -353,7 +305,8 @@ class DualState:
             index += shift[runs].repeat(lengths[runs])
             lhs[index] += sums
         self.mu = np.maximum(0.0, np.subtract(lhs, self.powers, out=lhs).reshape(m, n).max(axis=1))
-        self._fill_suffix()
+        charges = self.lhs.reshape(m, n)
+        charges[:, self._width :] = charges[:, self._width - 1 : self._width]
         for name in EVENT_BUFFERS:
             vars(self).pop(name, None)
 
@@ -392,10 +345,14 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
     m, n = duals.table.order.shape
     room = duals.remaining_capacity[:, None].astype(np.float64)
     while True:
+        # The work buffers' leading m * width entries, flat and as [m, width]
+        # rows: elementwise work among buffers runs cheaper on the flat ones.
         width = duals._width
-        uncovered, starts, lhs, powers, tol = duals._block
-        census, residual, scratch, positive, flag = duals._work
-        np.add.accumulate(uncovered, axis=1, out=census)
+        size = m * width
+        rates, positive_flat, tight = duals._rates[:size], duals._positive[:size], duals._flag[:size]
+        census, positive, flag = rates.reshape(m, width), positive_flat.reshape(m, width), tight.reshape(m, width)
+        starts = duals.gamma_start.reshape(m, n)[:, :width]
+        np.add.accumulate(duals.uncovered[:, :width], axis=1, out=census)
         # Within one event "fits the remaining capacity" only turns true, so
         # checking it once per event records the same clock as checking it
         # after every selection. An exhausted server's disks get a gamma phase
@@ -415,11 +372,12 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
         if duals._width == width:
             break
 
-    # The census becomes the rates in place; elementwise work among the
-    # work buffers runs on their flat views.
+    residual_flat, scratch_flat = duals._residual[:size], duals._scratch[:size]
+    residual, scratch = residual_flat.reshape(m, width), scratch_flat.reshape(m, width)
+    lhs, powers = duals.lhs.reshape(m, n)[:, :width], duals.table.power[:, :width]
+    # The census becomes the rates in place.
     np.minimum(census, room, out=census)
     np.subtract(powers, lhs, out=residual)
-    rates, residual_flat, scratch_flat, positive_flat, tight = duals._flat
     np.greater(rates, 0.0, out=positive_flat)
     # where= leaves the other entries of scratch stale, so the min skips them
     # too; it is inf when no rate is positive.
@@ -430,7 +388,7 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
     delta = max(step_min, 0.0)
     step = np.multiply(rates, delta, out=scratch_flat)
     residual_flat -= step
-    np.less_equal(residual, tol, out=flag)
+    np.less_equal(residual, duals.tight_tol.reshape(m, n)[:, :width], out=flag)
     tight &= positive_flat
     tights = tight.nonzero()[0]
     if width < n:
@@ -438,7 +396,7 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
         screened = np.flatnonzero(positive[:, -1] & (residual[:, -1] <= SUFFIX_SCREEN * powers[:, -1]))
         if screened.size:
             beyond = slice(width, n)
-            gap = duals.powers.reshape(m, n)[screened, beyond] - lhs[screened, -1:]
+            gap = duals.table.power[screened, beyond] - lhs[screened, -1:]
             gap -= scratch[screened, -1:]
             rows, ranks = np.nonzero(gap <= duals.tight_tol.reshape(m, n)[screened, beyond])
             tights = np.sort(np.concatenate((tights, screened[rows] * n + width + ranks)))
@@ -457,9 +415,10 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
     """
     if not duals.is_active(idx):
         raise ValueError("apply_selection: disk is no longer active")
-    s, rank = divmod(idx, duals.table.order.shape[1])
+    n = duals.table.order.shape[1]
+    s, rank = divmod(idx, n)
     # A disk beyond the width holds its row's charge at width - 1.
-    if duals.powers[idx] - duals._charges[s, min(rank, duals._width - 1)] > duals.tight_tol[idx]:
+    if duals.powers[idx] - duals.lhs[s * n + min(rank, duals._width - 1)] > duals.tight_tol[idx]:
         raise ValueError("apply_selection: disk is not tight")
     members = duals.table.order[s, : rank + 1]
     newly = members[np.isnan(duals.covered_at[members])]

@@ -322,12 +322,27 @@ GOOD_CONFIG = {"experiment_id": "x", "sweep": {"variable": "n", "values": [5]}, 
         ({"sweep": {"variable": "m_lambda", "values": [[3, 0.5]]}}, "sweep variable must be one of ('n', 'm_K', 'alpha')"),
         ({"seed_base": -1}, "seed_base must be >= 0, got -1"),
         ({"oracle_budget": -5}, "oracle_budget must be >= 0 (0 turns the oracle off), got -5"),
+        # Every sweep point must admit an instance, checked before any is solved.
+        ({"sweep": {"variable": "n", "values": [5, 0]}}, "sweep.values[1] = 0: n must be >= 1"),
+        ({"sweep": {"variable": "m_K", "values": [[0, 10]]}}, "sweep.values[0] = (0, 10.0): m must be >= 1, got 0"),
+        ({"sweep": {"variable": "m_K", "values": [[3, 1]]}}, "sweep.values[0] = (3, 1.0): kbar must be 0 or >= 2/3"),
+        ({"sweep": {"variable": "alpha", "values": [2.0, 0.5]}}, "sweep.values[1] = 0.5: attenuation factor alpha must be >= 1, got 0.5"),
+        ({"fixed": {"m": 2, "alpha": 0.5}}, "sweep.values[0] = 5: attenuation factor alpha must be >= 1, got 0.5"),
+        ({"fixed": {"m": 2, "c": 0}}, "sweep.values[0] = 5: power scale c must be positive, got 0.0"),
+        ({"fixed": {"m": 2, "c": -1.5}}, "sweep.values[0] = 5: power scale c must be positive, got -1.5"),
+        # The CSV is written unquoted.
+        ({"experiment_id": "a,b"}, "experiment_id must hold no comma, quote or line break (the CSV is unquoted), got 'a,b'"),
+        ({"experiment_id": 'a"b'}, "experiment_id must hold no comma"),
+        ({"experiment_id": "a\nb"}, "experiment_id must hold no comma"),
+        ({"experiment_id": ["u", 1]}, "experiment_id must be str, got ['u', 1]"),
     ],
     ids=[
         "top-level-key", "sweep-key", "fixed-key", "sweep-list", "fixed-list", "values-int", "fixed-null", "trials-list",
         "trials-fraction", "trials-string", "timing-string", "timing-int", "fixed-bool", "kbar-string", "alpha-bool",
         "out-number", "n-point-fraction", "alpha-point-string", "m_K-point-fraction", "m_lambda-unknown",
-        "seed_base-negative", "oracle_budget-negative",
+        "seed_base-negative", "oracle_budget-negative", "n-point-zero", "m_K-point-no-server", "m_K-point-kbar",
+        "alpha-point-half", "fixed-alpha-half", "fixed-c-zero", "fixed-c-negative", "id-comma", "id-quote",
+        "id-newline", "id-list",
     ],
 )
 def test_cli_bench_rejects_malformed_config(tmp_path, capsys, changes, message):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import pickle
 import tracemalloc
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from cmpc import (
     check_charging,
     dual_objective,
     gen_instance,
+    ncs_solve,
     pd_solve,
     validate,
     verify_dual_feasibility,
@@ -266,8 +268,19 @@ def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
 
+def charges(duals) -> np.ndarray:
+    """A copy of every disk's charge: during the ascent the ranks at or
+    beyond the width take their row's charge at width - 1, the one they
+    share. The state itself is left as it is."""
+    m, n = duals.table.order.shape
+    filled = duals.lhs.reshape(m, n).copy()
+    width = vars(duals).get("_width", n)
+    filled[:, width:] = filled[:, width - 1 : width]
+    return filled.ravel()
+
+
 def assert_same_ascent(duals, reference):
-    assert same_bits(duals.lhs, reference.lhs)
+    assert same_bits(charges(duals), charges(reference))
     assert same_bits(duals.gamma_start, reference.gamma_start)
     assert same_bits(duals.clock, reference.clock)
     assert np.array_equal(duals.remaining_capacity, reference.remaining_capacity)
@@ -347,21 +360,34 @@ def test_suffix_instances_exercise_the_suffix():
     assert started >= 12 and beyond >= 5
 
 
+def shared_attributes(duals) -> list[tuple[str, str]]:
+    """The pairs of the state's array attributes that share memory."""
+    arrays = [(name, value) for name, value in vars(duals).items() if isinstance(value, np.ndarray)]
+    return [(a, b) for i, (a, x) in enumerate(arrays) for b, y in arrays[i + 1 :] if np.shares_memory(x, y)]
+
+
 def test_deep_copy_mid_ascent_ascends_on_its_own():
-    # The event loop's views must look into the copy's own arrays.
+    # A deep copy and an unpickled state must ascend on arrays of their own,
+    # to the original's charges and cover; no attribute of any of them is a
+    # view of another.
     inst = gen_instance(GenConfig(m=50, n=800, kbar=20.0, seed=1))
     duals = init_solver(inst)
     for _ in range(40):
         select_tight(duals, next_event(duals)[1])
-    branch = copy.deepcopy(duals)
-    for state in (duals, branch):
+    assert duals._width < inst.n
+    branches = [copy.deepcopy(duals), pickle.loads(pickle.dumps(duals))]
+    for state in (duals, *branches):
+        assert shared_attributes(state) == []
         # Every event covers a user, so n events suffice.
         for _ in range(inst.n):
             if np.isnan(state.covered_at).any():
                 select_tight(state, next_event(state)[1])
         assert not np.isnan(state.covered_at).any()
-    for name in ("lhs", "gamma_start", "covered_at", "assignment"):
-        assert same_bits(getattr(duals, name), getattr(branch, name)), name
+        assert shared_attributes(state) == []
+    for branch in branches:
+        for name in ("gamma_start", "covered_at", "assignment"):
+            assert same_bits(getattr(duals, name), getattr(branch, name)), name
+        assert same_bits(charges(duals), charges(branch))
 
 
 def test_suffix_crossover_and_decreasing_powers_keep_full_width(monkeypatch):
@@ -831,6 +857,42 @@ def test_power_unit_scales_the_ascent_and_checkers_exactly(seed, k):
         )
 
     assert where(big, big_duals, big_trace) == where(inst, duals, trace)
+
+
+def coordinate_scaled(inst, scale):
+    """`inst` with every coordinate times `scale`."""
+    def move(pos):
+        return Point(pos.x * scale, pos.y * scale)
+
+    return dataclasses.replace(
+        inst,
+        servers=tuple(dataclasses.replace(s, pos=move(s.pos)) for s in inst.servers),
+        users=tuple(dataclasses.replace(u, pos=move(u.pos)) for u in inst.users),
+    )
+
+
+def test_coordinate_unit_keeps_the_cover():
+    # Coordinates times 2^k scale every distance exactly and, for an integer
+    # alpha, every power by 2^(k alpha) up to the rounding of r**alpha, which
+    # can differ in the last bits: the same covers and selections, clocks and
+    # mu times 2^(k alpha) to a relative 1e-12.
+    for i in range(200):
+        m, n, alpha = 2 + i % 5, 10 + 3 * (i % 17), float(1 + i % 3)
+        kbar = float(n) / m if i % 2 else 2.5 * n / m
+        inst = gen_instance(GenConfig(m=m, n=n, kbar=kbar, seed=9000 + i, alpha=alpha))
+        sol, duals, trace = pd_solve(inst)
+        ncs = ncs_solve(inst)
+        for k in (-40, -7, 3, 20):
+            power_scale = 2.0 ** (k * alpha)
+            big = coordinate_scaled(inst, 2.0**k)
+            big_sol, big_duals, big_trace = pd_solve(big)
+            assert big_sol.assignment == sol.assignment
+            assert ncs_solve(big).assignment == ncs.assignment
+            assert [ev.disk_index for ev in big_trace] == [ev.disk_index for ev in trace]
+            clocks = np.array([ev.clock for ev in trace]) * power_scale
+            assert np.allclose([ev.clock for ev in big_trace], clocks, rtol=1e-12, atol=0.0)
+            largest = float(big_duals.powers.max())
+            assert np.allclose(big_duals.mu, duals.mu * power_scale, rtol=1e-12, atol=1e-12 * largest)
 
 
 def test_tiny_power_unit_gives_the_unit_cover():
