@@ -4,13 +4,14 @@ Three studies are supported through one sweep mechanism: user count (n),
 server count crossed with total capacity (m_K), and the attenuation exponent
 (alpha); the server-area concentration (lambda) is a fixed parameter.
 Every (sweep point, trial) pair maps to one deterministic instance seed, so
-a run is reproducible byte for byte. Wall-clock timing is opt-in because it
-would break that reproducibility.
+a run is reproducible byte for byte, for any number of worker processes.
+Wall-clock timing is opt-in because it would break that reproducibility.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -38,6 +39,9 @@ class BenchValidationError(RuntimeError):
     def __init__(self, message: str, instance_path: str):
         super().__init__(message)
         self.instance_path = instance_path
+
+    def __reduce__(self):  # the default passes only the message back to __init__
+        return type(self), (str(self), self.instance_path)
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,53 @@ def _validated(instance: Instance, solution: Solution, seed: int, algo: str, out
         )
 
 
-def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
+def _trial_rows(config: ExperimentConfig, gen_template: GenConfig, seed: int) -> list[ResultRow]:
+    """Generate, solve, validate and record one (sweep point, trial)."""
+    instance = gen_instance(replace(gen_template, seed=seed))
+
+    opt_power = None
+    opt_row = []
+    if config.oracle_budget > 0:
+        result, opt_ms = _timed(opt_solve, instance, config.oracle_budget, timing=config.timing)
+        if result.status == "optimal":
+            opt_power = result.value
+            opt_row = [("opt", result.solution, opt_ms)]
+
+    pd_solution, pd_ms = _timed(lambda ins: pd_solve(ins)[0], instance, timing=config.timing)
+    ncs_solution, ncs_ms = _timed(ncs_solve, instance, timing=config.timing)
+    solved = [("pd", pd_solution, pd_ms), ("ncs", ncs_solution, ncs_ms), *opt_row]
+
+    rows = []
+    for algo, solution, ms in solved:
+        _validated(instance, solution, seed, algo, config.out)
+        rows.append(
+            ResultRow(
+                experiment_id=config.experiment_id,
+                seed=seed,
+                m=gen_template.m,
+                n=gen_template.n,
+                K=gen_template.m * gen_template.kbar,
+                lam=gen_template.lam,
+                alpha=gen_template.alpha,
+                c=gen_template.c,
+                algo=algo,
+                total_power=solution.total_power,
+                runtime_ms=ms,
+                ratio_vs_opt=approximation_ratio(solution.total_power, opt_power) if opt_power is not None else None,
+                util_variance=util_variance(instance, solution),
+            )
+        )
+    return rows
+
+
+def _default_jobs() -> int:
+    """Worker processes of a sweep by default: up to 2 of the usable cores."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return 1
+
+
+def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> list[ResultRow]:
     """Run every (sweep point, trial): generate, solve, validate, record.
 
     Per point and trial the instance seed is seed_base + point_index * trials
@@ -232,63 +282,31 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     column and an ':mean'-suffixed experiment id. A solution that fails
     validation raises BenchValidationError after its instance is written to
     the directory of `out` (the current directory when `out` is unset).
+
+    The (point, trial) tasks run in `jobs` processes (`_run_shares`); None
+    takes `_default_jobs()`. The rows come back in (point, trial) order, so
+    they are the same for every `jobs`, and so is the error raised: that of
+    the first failing task in serial order. With timing on, `runtime_ms` is
+    timed in whichever process solved the instance.
     """
-    rows: list[ResultRow] = []
+    if jobs is None:
+        jobs = _default_jobs()
+    elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
+    templates = [_resolve_point(config, point) for point in config.sweep_values]
+    stride = 0 if config.sweep_variable == "alpha" else config.trials
+    tasks = [
+        (template, config.seed_base + p_idx * stride + trial)
+        for p_idx, template in enumerate(templates)
+        for trial in range(config.trials)
+    ]
+    per_task = _run_shares(lambda i: _trial_rows(config, *tasks[i]), len(tasks), jobs)
+
     summaries: list[ResultRow] = []
-    for p_idx, point in enumerate(config.sweep_values):
-        gen_template = _resolve_point(config, point)
-        point_rows: dict[str, list[ResultRow]] = {"pd": [], "ncs": [], "opt": []}
-        for trial in range(config.trials):
-            point_offset = 0 if config.sweep_variable == "alpha" else p_idx * config.trials
-            seed = config.seed_base + point_offset + trial
-            instance = gen_instance(replace(gen_template, seed=seed))
-
-            opt_power = None
-            opt_row: Optional[tuple[Solution, Optional[float]]] = None
-            if config.oracle_budget > 0:
-                result, opt_ms = _timed(
-                    opt_solve, instance, config.oracle_budget, timing=config.timing
-                )
-                if result.status == "optimal":
-                    opt_power = result.value
-                    opt_row = (result.solution, opt_ms)
-
-            pd_solution, pd_ms = _timed(
-                lambda ins: pd_solve(ins)[0], instance, timing=config.timing
-            )
-            ncs_solution, ncs_ms = _timed(ncs_solve, instance, timing=config.timing)
-
-            solved = [("pd", pd_solution, pd_ms), ("ncs", ncs_solution, ncs_ms)]
-            if opt_row is not None:
-                solved.append(("opt", *opt_row))
-
-            for algo, solution, ms in solved:
-                _validated(instance, solution, seed, algo, config.out)
-                ratio = (
-                    approximation_ratio(solution.total_power, opt_power)
-                    if opt_power is not None
-                    else None
-                )
-                row = ResultRow(
-                    experiment_id=config.experiment_id,
-                    seed=seed,
-                    m=gen_template.m,
-                    n=gen_template.n,
-                    K=gen_template.m * gen_template.kbar,
-                    lam=gen_template.lam,
-                    alpha=gen_template.alpha,
-                    c=gen_template.c,
-                    algo=algo,
-                    total_power=solution.total_power,
-                    runtime_ms=ms,
-                    ratio_vs_opt=ratio,
-                    util_variance=util_variance(instance, solution),
-                )
-                rows.append(row)
-                point_rows[algo].append(row)
-
+    for p_idx in range(len(templates)):
+        point_rows = [row for rows in per_task[p_idx * config.trials:(p_idx + 1) * config.trials] for row in rows]
         for algo in ("pd", "ncs", "opt"):
-            group = point_rows[algo]
+            group = [r for r in point_rows if r.algo == algo]
             if not group:
                 continue
             ratios = [r.ratio_vs_opt for r in group if r.ratio_vs_opt is not None]
@@ -304,7 +322,88 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     util_variance=sum(r.util_variance for r in group) / len(group),
                 )
             )
-    return rows + summaries
+    return [row for rows in per_task for row in rows] + summaries
+
+
+def _run_shares(run, count: int, jobs: int) -> list:
+    """[run(i) for i in range(count)], computed in min(jobs, count) processes.
+
+    Task i belongs to share i % jobs, so that every share gets tasks from
+    every sweep point. Share 0 runs in this process, each other share in a
+    child made by os.fork, which pickles its results, or the exception of its
+    first failing task, into a pipe. Every pipe is read and every child
+    reaped before this returns or raises. The exception raised is that of
+    the lowest failing task, the one a serial run would meet first.
+    """
+    jobs = min(jobs, count)
+    shares = [range(share, count, jobs) for share in range(jobs)]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(run, share, [fd for _, fd in children]))
+        outcomes = [_run_share(run, shares[0])]
+        for (pid, fd), share in zip(children, shares[1:]):
+            with open(fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            lost = RuntimeError(f"sweep worker {pid} exited without sending its rows")
+            outcomes.append(pickle.loads(payload) if payload else ([], (share[0], lost)))
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
+
+    results: list = [None] * count
+    failures = []
+    for share, (done, failure) in zip(shares, outcomes):
+        for i, result in zip(share, done):
+            results[i] = result
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _run_share(run, share: range):
+    """(results of the share's tasks up to its first failure, (task, exception) or None)."""
+    done = []
+    for i in share:
+        try:
+            done.append(run(i))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _fork_share(run, share: range, inherited: list[int]) -> tuple[int, int]:
+    """Fork a child that runs `share` and writes its outcome to a new pipe;
+    return the child's pid and the pipe's read end. `inherited` are the read
+    ends of earlier children's pipes, which the child closes."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                for fd in (read_fd, *inherited):
+                    os.close(fd)
+                done, failure = _run_share(run, share)
+                if failure is not None:
+                    try:
+                        pickle.loads(pickle.dumps(failure[1]))
+                    except Exception:  # an exception that cannot be rebuilt from its pickle
+                        failure = failure[0], RuntimeError(f"{type(failure[1]).__name__}: {failure[1]}")
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps((done, failure)))
+                status = 0
+            finally:
+                os._exit(status)
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return pid, read_fd
 
 
 def rows_to_csv_text(rows: list[ResultRow]) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 
 import pytest
@@ -134,6 +135,131 @@ def test_csv_header_and_types(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "t" and first[8] in {"pd", "ncs", "opt"}
     assert first[10] == ""  # runtime empty when timing is off
+
+
+# --- worker processes -------------------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Oracle budget 15 drops some, but not all, opt rows in each sweep.
+JOBS_CONFIGS = [
+    tiny_config(sweep_values=(5, 7, 9), trials=4, seed_base=40, oracle_budget=15),
+    tiny_config(sweep_variable="m_K", sweep_values=((2, 8.0), (3, 9.0)), n=8, trials=4, seed_base=40, oracle_budget=15),
+    tiny_config(sweep_variable="alpha", sweep_values=(1.0, 2.0, 3.0), n=9, trials=4, seed_base=40, oracle_budget=15),
+]
+
+
+@pytest.mark.parametrize("config", JOBS_CONFIGS, ids=lambda c: c.sweep_variable)
+def test_csv_is_the_same_for_every_worker_count(config):
+    serial = run_experiment(config, jobs=1)
+    data = [r for r in serial if r.seed is not None]
+    opt_rows = sum(r.algo == "opt" for r in data)
+    assert 0 < opt_rows < sum(r.algo == "pd" for r in data)
+    for jobs in (2, 3):
+        assert rows_to_csv_text(run_experiment(config, jobs=jobs)) == rows_to_csv_text(serial)
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2"])
+def test_run_experiment_rejects_bad_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs must be an int >= 1"):
+        run_experiment(tiny_config(), jobs=jobs)
+
+
+def test_bench_validation_error_survives_pickling():
+    error = BenchValidationError("pd solution failed validation on seed 3", "out/cmpc_failed_instance_pd_3.json")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is BenchValidationError
+    assert str(copy) == str(error) and copy.instance_path == error.instance_path
+
+
+def failure_of(config, jobs):
+    with pytest.raises(Exception) as caught:
+        run_experiment(config, jobs=jobs)
+    assert_no_child_left()
+    return caught.value
+
+
+# With 2 points x 3 trials the tasks are seeds 100..105; task i has seed 100 + i
+# and runs in share i % jobs, share 0 being the calling process.
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_child_validation_failure_matches_serial(tmp_path, monkeypatch, jobs):
+    config = tiny_config(oracle_budget=0, out=str(tmp_path / "r.csv"))
+    seeds_of = {}
+    real_gen = bench.gen_instance
+
+    def gen(cfg):
+        instance = real_gen(cfg)
+        seeds_of[id(instance)] = cfg.seed
+        return instance
+
+    real_validate = bench.validate
+
+    def validate(instance, solution):
+        # Task 1 (a child's) fails before task 2 (the caller's share when jobs = 2).
+        if seeds_of[id(instance)] in (101, 102):
+            return failing_validate(instance, solution)
+        return real_validate(instance, solution)
+
+    monkeypatch.setattr(bench, "gen_instance", gen)
+    monkeypatch.setattr(bench, "validate", validate)
+    serial = failure_of(config, 1)
+    parallel = failure_of(config, jobs)
+    assert type(parallel) is type(serial) is BenchValidationError
+    assert str(parallel) == str(serial) and "seed 101" in str(serial)
+    assert parallel.instance_path == serial.instance_path == str(tmp_path / "cmpc_failed_instance_pd_101.json")
+
+
+def test_child_runtime_error_reraises_in_parent(monkeypatch):
+    real = bench.ncs_solve
+
+    def ncs(instance):
+        if instance.n == 8:  # tasks 3-5; the first of them, 3, is the child's
+            raise RuntimeError("ncs broke")
+        return real(instance)
+
+    monkeypatch.setattr(bench, "ncs_solve", ncs)
+    error = failure_of(tiny_config(oracle_budget=0), 2)
+    assert type(error) is RuntimeError and str(error) == "ncs broke"
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def test_child_error_that_cannot_be_unpickled_arrives_named(monkeypatch):
+    real = bench.ncs_solve
+
+    def ncs(instance):
+        if instance.n == 8:
+            raise TwoArgumentError("odd failure", 1)
+        return real(instance)
+
+    monkeypatch.setattr(bench, "ncs_solve", ncs)
+    # Serially the task's own exception; from a child's share a RuntimeError naming it.
+    assert type(failure_of(tiny_config(sweep_values=(8,), oracle_budget=0), 1)) is TwoArgumentError
+    error = failure_of(tiny_config(sweep_values=(5, 8), trials=1, oracle_budget=0), 2)
+    assert type(error) is RuntimeError and str(error) == "TwoArgumentError: odd failure"
+
+
+def test_child_that_dies_is_reported(monkeypatch):
+    real = bench.ncs_solve
+    parent = os.getpid()
+
+    def ncs(instance):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(instance)
+
+    monkeypatch.setattr(bench, "ncs_solve", ncs)
+    error = failure_of(tiny_config(oracle_budget=0), 2)
+    assert type(error) is RuntimeError and "exited without sending its rows" in str(error)
 
 
 # --- CLI --------------------------------------------------------------------
@@ -277,6 +403,42 @@ def test_cli_bench_byte_identical(tmp_path, capsys):
     assert cli(["bench", "--config", str(cfg_path), "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_cli_bench_jobs_give_the_same_bytes(tmp_path, capsys):
+    config = {"experiment_id": "jobs", "sweep": {"variable": "n", "values": [5, 7]},
+              "fixed": {"m": 2, "kbar": 4.0}, "trials": 3, "seed_base": 3, "oracle_budget": 20000}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        outputs.append(tmp_path / f"jobs{jobs}.csv")
+        assert cli(["bench", "--config", str(cfg_path), "--out", str(outputs[-1]), "--jobs", jobs]) == 0
+        assert_no_child_left()
+    capsys.readouterr()
+    assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "1.5", "two", ""])
+def test_cli_bench_bad_jobs_exit_1(tmp_path, capsys, jobs):
+    # Rejected before the config is read: the file does not exist.
+    assert cli(["bench", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r.csv"), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err == f"bench: --jobs must be an integer >= 1, got {jobs!r}\n"
+
+
+def test_cli_bench_missing_out_dir_exit_1(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("cmpc.cli.run_experiment", no_sweep)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(GOOD_CONFIG))
+    missing = tmp_path / "missing_dir"
+    assert cli(["bench", "--config", str(cfg_path), "--out", str(missing / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"bench: output directory {missing} does not exist\n"
+    assert not missing.exists()
 
 
 def test_cli_bench_bad_config_exit_1(tmp_path, capsys):
