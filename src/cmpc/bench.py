@@ -10,6 +10,7 @@ Wall-clock timing is opt-in because it would break that reproducibility.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import time
@@ -334,14 +335,23 @@ def _run_shares(run, count: int, jobs: int) -> list:
     first failing task, into a pipe. Every pipe is read and every child
     reaped before this returns or raises. The exception raised is that of
     the lowest failing task, the one a serial run would meet first.
+
+    Each share records its failing task in its own slot of a memory map that
+    the children share, and stops before any task above the lowest slot: no
+    result of such a task could be used. The lowest failing task is never
+    skipped, as only tasks above a failing one are.
     """
     jobs = min(jobs, count)
     shares = [range(share, count, jobs) for share in range(jobs)]
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    failed_at = mmap.mmap(-1, 8 * jobs)
+    slots = memoryview(failed_at).cast("q")
     try:
-        for share in shares[1:]:
-            children.append(_fork_share(run, share, [fd for _, fd in children]))
-        outcomes = [_run_share(run, shares[0])]
+        for k in range(jobs):
+            slots[k] = count
+        for k, share in enumerate(shares[1:], start=1):
+            children.append(_fork_share(run, share, slots, k, [fd for _, fd in children]))
+        outcomes = [_run_share(run, shares[0], slots, 0)]
         for (pid, fd), share in zip(children, shares[1:]):
             with open(fd, "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -351,6 +361,8 @@ def _run_shares(run, count: int, jobs: int) -> list:
         for pid, fd in children:
             os.close(fd)
             os.waitpid(pid, 0)
+        slots.release()
+        failed_at.close()
 
     results: list = [None] * count
     failures = []
@@ -364,18 +376,25 @@ def _run_shares(run, count: int, jobs: int) -> list:
     return results
 
 
-def _run_share(run, share: range):
-    """(results of the share's tasks up to its first failure, (task, exception) or None)."""
+def _run_share(run, share: range, slots: memoryview, slot: int):
+    """(results of the share's tasks up to its first failure, (task, exception) or None).
+
+    Stops before a task above the lowest failing task of any share in
+    `slots`, and records its own failing task in `slots[slot]`.
+    """
     done = []
     for i in share:
+        if i > min(slots):
+            break
         try:
             done.append(run(i))
         except Exception as exc:
+            slots[slot] = i
             return done, (i, exc)
     return done, None
 
 
-def _fork_share(run, share: range, inherited: list[int]) -> tuple[int, int]:
+def _fork_share(run, share: range, slots: memoryview, slot: int, inherited: list[int]) -> tuple[int, int]:
     """Fork a child that runs `share` and writes its outcome to a new pipe;
     return the child's pid and the pipe's read end. `inherited` are the read
     ends of earlier children's pipes, which the child closes."""
@@ -387,7 +406,7 @@ def _fork_share(run, share: range, inherited: list[int]) -> tuple[int, int]:
             try:
                 for fd in (read_fd, *inherited):
                     os.close(fd)
-                done, failure = _run_share(run, share)
+                done, failure = _run_share(run, share, slots, slot)
                 if failure is not None:
                     try:
                         pickle.loads(pickle.dumps(failure[1]))

@@ -32,7 +32,7 @@ even though remaining capacity (not nominal capacity) drives the ascent:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,15 +104,28 @@ def trace_to_json_list(trace: EventTrace) -> list[dict]:
     return [ev.to_json_dict() for ev in trace]
 
 
-# The ascent-only fields of DualState, dropped once the ascent is over.
-EVENT_BUFFERS = (
-    "uncovered", "_width", "_rows", "_rates", "_residual", "_scratch", "_positive", "_flag",
-)
+class Block(NamedTuple):
+    """The layout of next_event's block of disks (see DualState)."""
 
-# The event loop keeps every rank of every server unless the shared suffix
-# would spare at least this many disks, m * (n - width) at the start: below
-# it the suffix's bookkeeping costs more than it saves (README, event loop).
-SUFFIX_CROSSOVER = 15_000
+    size: int
+    rows: np.ndarray  # its servers, ascending
+    widths: np.ndarray  # their widths
+    starts: np.ndarray  # the block position of each server's first disk
+    lasts: np.ndarray  # and of its disk at width - 1
+    tails: np.ndarray  # the flat index of that disk
+
+
+# The ascent-only fields of DualState, dropped once the ascent is over.
+EVENT_BUFFERS = ("uncovered", "_widths", "_lows", "_rows", "_floats", "_bools", "_index", "_block")
+
+# The event loop keeps every rank of every server unless the suffixes would
+# spare at least this many disks, m * (n - max k_s - 1) at the start: below
+# it their bookkeeping costs more than it saves (README, event loop).
+SUFFIX_CROSSOVER = 10_000
+
+# _widen looks for a server's new first rank over room among this many ranks
+# beyond its width before it scans the rest of the row.
+WIDEN_WINDOW = 64
 
 # A suffix disk can go tight only where its row's disk at width - 1 ends the
 # step with a charge gap below this times its power (see next_event).
@@ -143,20 +156,31 @@ class DualState:
     by apply_selection. It and the event loop's work buffers (EVENT_BUFFERS)
     are allocated once per solve; finalize() reuses them, then drops them.
 
-    The shared suffix. Once a disk's census (its uncovered members) exceeds
-    its server's remaining capacity, so does every larger disk's: the census
-    is a cumsum over rank. Let g_s be the largest first such rank of server s
-    at any event so far. Every disk of s at rank g_s or beyond has then been
-    in its beta phase at rate = remaining capacity since clock 0, so all of
-    them hold one charge, bit for bit. The event loop works on the ranks
-    [0, width) of every server only; rank width - 1 is at or beyond g_s for
-    every server with capacity left and stands for its whole suffix. The
-    width starts at min(n, max k_s + 1) (g_s = k_s at clock 0) and grows when
-    a server's census at width - 1 comes to fit its room (next_event). It is
-    n from the start when m * (n - width) < SUFFIX_CROSSOVER, or when some
-    row of powers decreases, which the suffix's step needs (next_event).
-    So during the ascent `lhs` is exact on the ranks [0, width) only, and
-    finalize() fills in the ranks beyond: it is whole after finalize().
+    The suffixes. Once a disk's census (its uncovered members) exceeds its
+    server's remaining capacity, so does every larger disk's: the census is
+    a cumsum over rank. So the disks of server s still in their beta phase
+    are the ranks [g_s, n), and each of them has ascended at rate =
+    remaining capacity since clock 0: they all hold one charge, bit for bit.
+    Each server keeps its own width w_s = g_s + 1 (n if g_s = n), in
+    `_widths`; rank w_s - 1 stands for the whole suffix [w_s - 1, n). The
+    widths start at min(n, k_s + 1) (g_s = k_s at clock 0) and grow when a
+    server's census at w_s - 1 comes to fit its room (next_event); an
+    exhausted server's width stays. They are n from the start when m * (n -
+    max k_s - 1) < SUFFIX_CROSSOVER, or when some row of powers decreases,
+    which the suffix's step needs (next_event). So during the ascent `lhs`
+    is exact on the ranks [0, w_s) of each row only, and finalize() fills in
+    the ranks beyond: it is whole after finalize().
+
+    The block. While some width is below n, next_event works on the ranks
+    [z_s, w_s) of each server with capacity left, laid one after another
+    in the work buffers; a server that runs out stays until the next event
+    has stamped its suffix. No member of a disk below z_s (`_lows`) is
+    uncovered, so its census is zero and stays so: it ascends no more.
+    `_index[:size]` holds the block's flat indices, ascending, and `_block`
+    its layout. `_widen` lays the block out again whenever a width grows or
+    a server in it runs out of capacity, with the lows the event before
+    found. `_block` is None at full width, where the event loop works on
+    the state's own flat arrays.
     """
 
     def __init__(self, instance: Instance):
@@ -176,48 +200,74 @@ class DualState:
         self.mu = np.zeros(m, dtype=np.float64)
         # float64, not bool: a cumsum over bools would allocate a float copy.
         self.uncovered = np.ones((m, n), dtype=np.float64)
-        width = min(n, max(s.capacity for s in instance.servers) + 1)
-        power = self.table.power
-        if m * (n - width) < SUFFIX_CROSSOVER or (power[:, 1:] < power[:, :-1]).any():
-            width = n
         self._rows = np.arange(m)[:, None]
-        self._rates = np.empty(m * n, dtype=np.float64)
-        self._residual = np.empty(m * n, dtype=np.float64)
-        self._scratch = np.empty(m * n, dtype=np.float64)
-        self._positive = np.empty(m * n, dtype=bool)
-        self._flag = np.empty(m * n, dtype=bool)
-        self._width = width
+        self._widths = np.minimum(n, self.capacity + 1)
+        self._lows = np.zeros(m, dtype=np.int64)
+        power = self.table.power
+        full = m * (n - int(self._widths.max())) < SUFFIX_CROSSOVER or (power[:, 1:] < power[:, :-1]).any()
+        # Rates (census), residuals and steps.
+        self._floats = np.empty((3, m * n), dtype=np.float64)
+        self._bools = np.empty((2, m * n), dtype=bool)
+        self._index = self._block = None
+        if full:
+            self._widths[:] = n
+        else:
+            self._index = np.empty(m * n, dtype=np.int64)
+            self._lay_out(np.arange(m))
 
-    def _widen(self, ended: np.ndarray, census: np.ndarray, room: np.ndarray) -> None:
-        """Keep the suffix whole for the servers whose disk at width - 1 just
-        left its beta phase (`ended`); `census` and `room` are per server.
+    def _lay_out(self, rows: np.ndarray) -> None:
+        """Lay the block out over the servers `rows` (see the class docstring)."""
+        n = self.table.order.shape[1]
+        widths, lows = self._widths[rows], self._lows[rows]
+        lengths = widths - lows
+        ends = np.add.accumulate(lengths)
+        size = int(ends[-1]) if rows.size else 0
+        heads = rows * n
+        tails = heads + widths
+        tails -= 1
+        heads += lows
+        index = self._index[:size]
+        # Ones, and at each server's first position the jump from the tail
+        # before it, so that a cumsum counts through every server's ranks.
+        index.fill(1)
+        if size:
+            index[ends[:-1]] = heads[1:] - tails[:-1]
+            index[0] = heads[0]
+        np.add.accumulate(index, out=index)
+        self._block = Block(size, rows, widths, ends - lengths, ends - 1, tails)
 
-        An exhausted server's suffix leaves it at the same clock; its charge
-        stays frozen at width - 1. A server with room left now fits its census
-        there: the width moves to one past its first rank over room (n if
-        none), and the new ranks of every server take their row's shared
-        charge. Scans the suffixes of those servers only, in the work buffers
-        the event has no more use for.
+    def _widen(self, rows: np.ndarray, census: np.ndarray, room: np.ndarray) -> None:
+        """Keep the suffixes whole for the servers `rows`, whose disk at
+        w_s - 1 just left its beta phase, and lay the block out again over
+        the servers with capacity left; `census` and `room` are per row.
+
+        An exhausted server's suffix leaves its beta phase at the same clock;
+        its charge stays frozen at w_s - 1, and so does its width. A server
+        with room left now fits its census there: its suffix's ranks that fit
+        leave their beta phase now, w_s moves to one past its first rank over
+        room (n if none), and the new ranks take the row's shared charge.
+        Scans the suffixes of those servers only.
         """
-        m, n = self.table.order.shape
-        width = self._width
-        rows = np.flatnonzero(ended)
-        room = room[rows]
-        self.gamma_start.reshape(m, n)[rows[room == 0], width:] = self.clock
-        live = room > 0
-        if not live.any():
-            return
-        span = n - width
-        size = int(live.sum()) * span
-        tail = np.take(self.uncovered[:, width:], rows[live], axis=0, out=self._residual[:size].reshape(-1, span), mode="clip")
-        counts = np.cumsum(tail, axis=1, out=self._scratch[:size].reshape(-1, span))
-        counts += census[rows[live], None]
-        # The census grows with rank, so the ranks that fit come first.
-        fits = np.less_equal(counts, room[live, None], out=self._flag[:size].reshape(-1, span))
-        new = min(n, width + 1 + int(np.count_nonzero(fits, axis=1).max()))
-        charges = self.lhs.reshape(m, n)
-        charges[:, width:new] = charges[:, width - 1 : width]
-        self._width = new
+        n = self.table.order.shape[1]
+        widths = self._widths[rows].tolist()
+        for i, (s, width, count, left) in enumerate(zip(rows.tolist(), widths, census.tolist(), room.tolist())):
+            lo = s * n
+            if left == 0:
+                self.gamma_start[lo + width : lo + n] = self.clock
+            elif width < n:
+                # The census grows by one at each uncovered user, so the ranks
+                # that fit end at the (spare + 1)-th uncovered user beyond the
+                # width; it is most often near, so a window is searched first.
+                tail, spare = self.uncovered[s, width:], int(left - count)
+                ahead = tail[:WIDEN_WINDOW].nonzero()[0]
+                if spare >= ahead.size:
+                    ahead = tail.nonzero()[0]
+                fits = int(ahead[spare]) if spare < ahead.size else n - width
+                self.gamma_start[lo + width : lo + width + fits] = self.clock
+                widths[i] = min(n, width + fits + 1)
+                self.lhs[lo + width : lo + widths[i]] = self.lhs[lo + width - 1]
+        self._widths[rows] = widths
+        self._lay_out(np.flatnonzero(self.remaining_capacity))
 
     @property
     def theta(self) -> np.ndarray:
@@ -265,13 +315,16 @@ class DualState:
         of m runs spans at most m*n disks.
         """
         m, n = self.table.order.shape
+        # The block's index is of no more use.
+        self._index = self._block = None
         # mode="clip" (every index is in range) takes straight into out,
         # which the default mode would buffer.
-        theta = self.theta.take(self.table.order, out=self._rates.reshape(m, n), mode="clip")
+        theta = self.theta.take(self.table.order, out=self._floats[0].reshape(m, n), mode="clip")
         starts = self.gamma_start.reshape(m, n)
-        lhs = np.multiply(self.capacity[:, None], self.beta.reshape(m, n), out=self.uncovered).ravel()
+        # beta is gamma_start now that no disk is in its beta phase.
+        lhs = np.multiply(self.capacity[:, None], starts, out=self.uncovered).ravel()
         # A run opens at rank 0 and wherever the start differs from the rank before.
-        opens = self._flag.reshape(m, n)
+        opens = self._bools[1].reshape(m, n)
         opens[:, 0] = True
         np.not_equal(starts[:, 1:], starts[:, :-1], out=opens[:, 1:])
         servers, ranks = opens.nonzero()
@@ -296,17 +349,19 @@ class DualState:
         gamma_starts = starts[servers, ranks, None]
         for c, high in zip(range(0, count, m), highs.tolist()):
             runs = slice(c, c + m)
-            rows = theta[:, :high].take(servers[runs], axis=0, out=self._scratch[: min(m, count - c) * high].reshape(-1, high), mode="clip")
+            rows = theta[:, :high].take(servers[runs], axis=0, out=self._floats[2, : min(m, count - c) * high].reshape(-1, high), mode="clip")
             np.subtract(rows, gamma_starts[runs], out=rows)
-            prefix = np.add.accumulate(np.maximum(rows, 0.0, out=rows), axis=1, out=self._residual[: rows.size].reshape(-1, high))
+            prefix = np.add.accumulate(np.maximum(rows, 0.0, out=rows), axis=1, out=self._floats[1, : rows.size].reshape(-1, high))
             index = src[runs].repeat(lengths[runs])
             index += np.arange(index.size)
-            sums = prefix.take(index, out=self._scratch[: index.size], mode="clip")
+            sums = prefix.take(index, out=self._floats[2, : index.size], mode="clip")
             index += shift[runs].repeat(lengths[runs])
             lhs[index] += sums
         self.mu = np.maximum(0.0, np.subtract(lhs, self.powers, out=lhs).reshape(m, n).max(axis=1))
         charges = self.lhs.reshape(m, n)
-        charges[:, self._width :] = charges[:, self._width - 1 : self._width]
+        for s in np.flatnonzero(self._widths < n).tolist():
+            width = self._widths[s]
+            charges[s, width:] = charges[s, width - 1]
         for name in EVENT_BUFFERS:
             vars(self).pop(name, None)
 
@@ -326,83 +381,129 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
     the time advanced and the flat indices of every disk tight at the new
     clock, ascending: that is (server id, key) order, the processing order.
 
-    Every array over the ranks [0, width) of all servers is computed in place
-    in the state's work buffers. Rates are small integers held exactly in
-    float64, so each value is the same IEEE expression as with integer rates:
-    the step is min(residual / rate) over the positive rates, the charge
-    lhs + rate * delta and the tight test residual - rate * delta <= tol.
+    The event works on flat arrays of disks, in place in the state's work
+    buffers: at full width on the state's own charges, powers and
+    tolerances, else on the block (see DualState), whose charges, powers
+    and tolerances it takes and whose charges it then steps in place. Rates are small integers held exactly in float64, so
+    each value is the same IEEE expression as with integer rates: the step
+    is min(residual / rate) over the positive rates, the charge lhs + rate *
+    delta and the tight test residual - rate * delta <= tol.
 
-    The ranks beyond the width (see DualState) share the charge L and the
-    rate of their row's rank w = width - 1, and their powers do not fall
-    below p_w. As subtraction and division round monotonically, none has a
-    smaller quotient than w's: the step is that of all m*n disks. A suffix
-    disk t is tight when r_t = (p_t - L) - x <= 1e-9 p_t, x = rate * delta.
-    Then r_w <= r_t, and if r_w > 0 then p_w > L, x < p_w - L and p_t - L is
-    at most x + 1e-9 p_t up to a few ulps, so p_t <= p_w (1 + 2e-9) and
-    r_w <= 1e-9 p_t < SUFFIX_SCREEN p_w. So only the rows whose rank w passes
-    that screen have their suffix tested disk by disk, exactly as above.
+    Each row's ranks beyond its width w_s share the charge L and the rate of
+    its rank w = w_s - 1, and their powers do not fall below p_w. As
+    subtraction and division round monotonically, none has a smaller
+    quotient than w's: the step is that of all m*n disks. A suffix disk t is
+    tight when r_t = (p_t - L) - x <= 1e-9 p_t, x = rate * delta. Then r_w <=
+    r_t, and if r_w > 0 then p_w > L, x < p_w - L and p_t - L is at most x +
+    1e-9 p_t up to a few ulps, so p_t <= p_w (1 + 2e-9) and r_w <= 1e-9 p_t <
+    SUFFIX_SCREEN p_w. So only the rows whose rank w passes that screen have
+    their suffix tested disk by disk, exactly as above.
     """
     m, n = duals.table.order.shape
-    room = duals.remaining_capacity[:, None].astype(np.float64)
-    while True:
-        # The work buffers' leading m * width entries, flat and as [m, width]
-        # rows: elementwise work among buffers runs cheaper on the flat ones.
-        width = duals._width
-        size = m * width
-        rates, positive_flat, tight = duals._rates[:size], duals._positive[:size], duals._flag[:size]
-        census, positive, flag = rates.reshape(m, width), positive_flat.reshape(m, width), tight.reshape(m, width)
-        starts = duals.gamma_start.reshape(m, n)[:, :width]
-        np.add.accumulate(duals.uncovered[:, :width], axis=1, out=census)
+    room = duals.remaining_capacity.astype(np.float64)
+    block = duals._block
+    if block is None:
+        rates, residual, step = duals._floats
+        census = rates.reshape(m, n)
+        np.add.accumulate(duals.uncovered, axis=1, out=census)
         # Within one event "fits the remaining capacity" only turns true, so
         # checking it once per event records the same clock as checking it
         # after every selection. An exhausted server's disks get a gamma phase
         # from now on, so lingering uncovered members keep paying; finalize()
         # routes any excess over the disk power into mu.
-        in_beta = np.isnan(starts, out=flag)
-        if not in_beta.any():
-            break
-        leaves_beta = positive
-        # (census <= room) | (room == 0), with an exhausted server's room as inf.
-        np.less_equal(census, np.where(room == 0, np.inf, room), out=leaves_beta)
-        leaves_beta &= in_beta
-        np.copyto(starts, duals.clock, where=leaves_beta)
-        if width == n or not leaves_beta[:, -1].any():
-            break
-        duals._widen(leaves_beta[:, -1], census[:, -1], room[:, 0])
-        if duals._width == width:
-            break
+        in_beta = np.isnan(duals.gamma_start, out=duals._bools[1])
+        if in_beta.any():
+            leaves_beta = duals._bools[0]
+            # (census <= room) | (room == 0), with an exhausted server's room as inf.
+            np.less_equal(census, np.where(room == 0, np.inf, room)[:, None], out=leaves_beta.reshape(m, n))
+            leaves_beta &= in_beta
+            np.copyto(duals.gamma_start, duals.clock, where=leaves_beta)
+        # The census becomes the rates in place.
+        np.minimum(census, room[:, None], out=census)
+        np.subtract(duals.powers, duals.lhs, out=residual)
+    else:
+        rates = _block_rates(duals, room)
+        block, index = duals._block, duals._index[: rates.size]
+        residual, step = duals._floats[1:, : rates.size]
+        duals.powers.take(index, out=residual, mode="clip")
+        residual -= duals.lhs.take(index, out=step, mode="clip")
 
-    residual_flat, scratch_flat = duals._residual[:size], duals._scratch[:size]
-    residual, scratch = residual_flat.reshape(m, width), scratch_flat.reshape(m, width)
-    lhs, powers = duals.lhs.reshape(m, n)[:, :width], duals.table.power[:, :width]
-    # The census becomes the rates in place.
-    np.minimum(census, room, out=census)
-    np.subtract(powers, lhs, out=residual)
-    np.greater(rates, 0.0, out=positive_flat)
-    # where= leaves the other entries of scratch stale, so the min skips them
+    positive, tight = duals._bools[:, : rates.size]
+    np.greater(rates, 0.0, out=positive)
+    # where= leaves the other entries of step stale, so the min skips them
     # too; it is inf when no rate is positive.
-    np.divide(residual_flat, rates, out=scratch_flat, where=positive_flat)
-    step_min = float(np.minimum.reduce(scratch_flat, where=positive_flat, initial=np.inf))
+    np.divide(residual, rates, out=step, where=positive)
+    step_min = float(np.minimum.reduce(step, where=positive, initial=np.inf))
     if step_min == np.inf:
         raise AscentStalledError("no disk can ascend but users remain uncovered")
     delta = max(step_min, 0.0)
-    step = np.multiply(rates, delta, out=scratch_flat)
-    residual_flat -= step
-    np.less_equal(residual, duals.tight_tol.reshape(m, n)[:, :width], out=flag)
-    tight &= positive_flat
+    np.multiply(rates, delta, out=step)
+    residual -= step
+    # The block's tolerances go where its rates were.
+    tol = duals.tight_tol if block is None else duals.tight_tol.take(index, out=rates, mode="clip")
+    np.less_equal(residual, tol, out=tight)
+    tight &= positive
     tights = tight.nonzero()[0]
-    if width < n:
-        tights += tights // width * (n - width)
-        screened = np.flatnonzero(positive[:, -1] & (residual[:, -1] <= SUFFIX_SCREEN * powers[:, -1]))
+    if block is None:
+        duals.lhs += step
+    else:
+        tights = index.take(tights)
+        # A rank whose census is zero ascends no more; the next layout drops it.
+        ascending = np.add.reduceat(positive, block.starts, dtype=np.int64)
+        duals._lows[block.rows] = block.widths - np.maximum(ascending, 1)
+        screened = np.flatnonzero(residual.take(block.lasts) <= SUFFIX_SCREEN * duals.powers.take(block.tails))
         if screened.size:
-            beyond = slice(width, n)
-            gap = duals.table.power[screened, beyond] - lhs[screened, -1:]
-            gap -= scratch[screened, -1:]
-            rows, ranks = np.nonzero(gap <= duals.tight_tol.reshape(m, n)[screened, beyond])
-            tights = np.sort(np.concatenate((tights, screened[rows] * n + width + ranks)))
-    lhs += scratch
+            found = [tights]
+            rows, lasts, tails = block.rows[screened].tolist(), block.lasts[screened].tolist(), block.tails[screened].tolist()
+            for row, last, tail in zip(rows, lasts, tails):
+                beyond = slice(tail + 1, (row + 1) * n)
+                gap = duals.powers[beyond] - duals.lhs[tail]
+                gap -= step[last]
+                found.append(beyond.start + np.flatnonzero(gap <= duals.tight_tol[beyond]))
+            tights = np.sort(np.concatenate(found))
+        np.add.at(duals.lhs, index, step)
     duals.clock += delta
     return delta, tights.tolist()
+
+
+def _block_rates(duals: DualState, room: np.ndarray) -> np.ndarray:
+    """The rates of the block's disks, in its census buffer, once the disks
+    that leave their beta phase now have left it; `room` is per server.
+
+    The census is one flat cumsum that restarts from zero at each server's
+    first rank z_s, whose ranks below hold no uncovered user. Counts are
+    integers, exact in float64, so it is the per-row cumsum bit for bit.
+
+    Only a row's last rank w_s - 1 can be in beta in the block: once a
+    disk's census fits its room, it fits at every later event, since a
+    selection by its server lowers the room by what it takes from the
+    census of its disks at or beyond the selected rank and empties those
+    below it, and one by another server lowers the census only. So the rate
+    is the census at every other rank, and only the last ranks are checked.
+    When one leaves its beta phase, or a server in the block has run out of
+    capacity, _widen lays the block out again and the census is taken anew.
+    """
+    block = duals._block
+    census = duals.uncovered.take(duals._index[: block.size], out=duals._floats[0, : block.size], mode="clip")
+    # Each row's census at its last rank: the uncovered users of its ranks.
+    counts = np.add.reduceat(census, block.starts)
+    rooms = room.take(block.rows)
+    leaves_beta = counts <= rooms
+    leaves_beta |= rooms == 0
+    leaves_beta &= np.isnan(duals.gamma_start.take(block.tails))
+    if leaves_beta.any() or not rooms.all():
+        # The new last ranks do not fit, and no server left is exhausted.
+        duals.gamma_start[block.tails[leaves_beta]] = duals.clock
+        duals._widen(block.rows[leaves_beta], counts[leaves_beta], rooms[leaves_beta])
+        block = duals._block
+        census = duals.uncovered.take(duals._index[: block.size], out=duals._floats[0, : block.size], mode="clip")
+        counts = np.add.reduceat(census, block.starts)
+        rooms = room.take(block.rows)
+    # The running count enters each row holding the row before's census.
+    census[block.starts[1:]] -= counts[:-1]
+    np.add.accumulate(census, out=census)
+    census[block.lasts] = np.minimum(counts, rooms)
+    return census
 
 
 def apply_selection(duals: DualState, idx: int) -> list[int]:
@@ -417,8 +518,8 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
         raise ValueError("apply_selection: disk is no longer active")
     n = duals.table.order.shape[1]
     s, rank = divmod(idx, n)
-    # A disk beyond the width holds its row's charge at width - 1.
-    if duals.powers[idx] - duals.lhs[s * n + min(rank, duals._width - 1)] > duals.tight_tol[idx]:
+    # A disk beyond its row's width holds the row's charge at width - 1.
+    if duals.powers[idx] - duals.lhs[s * n + min(rank, duals._widths[s] - 1)] > duals.tight_tol[idx]:
         raise ValueError("apply_selection: disk is not tight")
     members = duals.table.order[s, : rank + 1]
     newly = members[np.isnan(duals.covered_at[members])]

@@ -227,6 +227,28 @@ def test_child_runtime_error_reraises_in_parent(monkeypatch):
     assert type(error) is RuntimeError and str(error) == "ncs broke"
 
 
+def test_share_stops_once_a_lower_task_has_failed(tmp_path, monkeypatch):
+    # Task 0 (the caller's) fails at once; the child's share (tasks 1, 3, 5)
+    # stops before its next task, as none of its rows could be used.
+    calls = tmp_path / "calls"
+    real = bench.gen_instance
+
+    def gen(cfg):
+        with open(calls, "a") as log:
+            log.write(f"{os.getpid()} {cfg.seed}\n")
+        if cfg.seed == 100:
+            raise RuntimeError("no instance for seed 100")
+        return real(cfg)
+
+    monkeypatch.setattr(bench, "gen_instance", gen)
+    serial = failure_of(tiny_config(oracle_budget=0), 1)
+    calls.unlink()
+    parallel = failure_of(tiny_config(oracle_budget=0), 2)
+    assert type(parallel) is type(serial) is RuntimeError and str(parallel) == str(serial)
+    by_child = [line for line in calls.read_text().splitlines() if line.split()[0] != str(os.getpid())]
+    assert len(by_child) <= 1
+
+
 class TwoArgumentError(Exception):
     def __init__(self, message, detail):
         super().__init__(message)

@@ -270,12 +270,12 @@ def same_bits(a, b) -> bool:
 
 def charges(duals) -> np.ndarray:
     """A copy of every disk's charge: during the ascent the ranks at or
-    beyond the width take their row's charge at width - 1, the one they
-    share. The state itself is left as it is."""
+    beyond a row's width take its charge at width - 1, the one they share.
+    The state itself is left as it is."""
     m, n = duals.table.order.shape
     filled = duals.lhs.reshape(m, n).copy()
-    width = vars(duals).get("_width", n)
-    filled[:, width:] = filled[:, width - 1 : width]
+    for s, width in enumerate(vars(duals).get("_widths", [n] * m)):
+        filled[s, width:] = filled[s, width - 1]
     return filled.ravel()
 
 
@@ -330,6 +330,10 @@ def suffix_instances():
     grid = [(float(j % 5), float(j // 5)) for j in range(20)]
     yield make_instance([(4.0, 2.0, 6), (2.0, 2.0, 14)], grid)
     yield make_instance([(4.0, 0.0, 3), (3.0, 1.0, 4), (3.0, 0.0, 1), (2.0, 1.0, 12)], grid)
+    # Capacities from 2 to 40: rows of very different widths, and small
+    # servers that run out early, with users left near them.
+    users = [tuple(p) for p in (np.random.default_rng(7).random((80, 2)) * 10.0).tolist()]
+    yield make_instance([(2.0, 2.0, 2), (8.0, 8.0, 3), (2.0, 8.0, 40), (8.0, 2.0, 35), (5.0, 5.0, 4)], users)
     yield gen_instance(GenConfig(m=50, n=800, kbar=20.0, seed=1))
     yield gen_instance(GenConfig(m=20, n=300, kbar=15.0, seed=1))
 
@@ -341,23 +345,29 @@ def test_suffix_ascent_matches_reference_in_lockstep(inst):
     # starts and tight lists at every event, bit for bit; the reference runs
     # at full width.
     duals, reference = at_crossover(0, init_solver, inst), at_crossover(np.inf, init_solver, inst)
-    assert reference._width == inst.n
+    assert reference._block is None and (reference._widths == inst.n).all()
     while np.isnan(duals.covered_at).any():
         step_lockstep(duals, reference)
 
 
 def test_suffix_instances_exercise_the_suffix():
-    # Most start with a suffix, and on the grid ones disks beyond the width
-    # go tight, which only the screen at width - 1 finds.
-    started = beyond = 0
+    # Most start with a suffix; on the grid ones disks beyond a row's width
+    # go tight, which only the screen at width - 1 finds; rows of one state
+    # hold different widths; and an exhausted server's row leaves the block
+    # while users are still uncovered.
+    started = beyond = ragged = left = 0
     for inst in suffix_instances():
         duals = at_crossover(0, init_solver, inst)
-        started += duals._width < inst.n
+        started += bool((duals._widths < inst.n).any())
         while np.isnan(duals.covered_at).any():
+            rows = duals._block.rows
             _, tights = next_event(duals)
-            beyond += sum(idx % inst.n >= duals._width for idx in tights)
+            beyond += sum(idx % inst.n >= duals._widths[idx // inst.n] for idx in tights)
+            ragged += len(set(duals._widths[duals._block.rows].tolist())) >= 2
             select_tight(duals, tights)
-    assert started >= 12 and beyond >= 5
+            gone = np.setdiff1d(rows, duals._block.rows)
+            left += bool(np.isnan(duals.covered_at).any() and gone.size and (duals.remaining_capacity[gone] == 0).all())
+    assert started >= 13 and beyond >= 5 and ragged > 0 and left > 0
 
 
 def shared_attributes(duals) -> list[tuple[str, str]]:
@@ -374,7 +384,7 @@ def test_deep_copy_mid_ascent_ascends_on_its_own():
     duals = init_solver(inst)
     for _ in range(40):
         select_tight(duals, next_event(duals)[1])
-    assert duals._width < inst.n
+    assert (duals._widths < inst.n).any()
     branches = [copy.deepcopy(duals), pickle.loads(pickle.dumps(duals))]
     for state in (duals, *branches):
         assert shared_attributes(state) == []
@@ -393,14 +403,14 @@ def test_deep_copy_mid_ascent_ascends_on_its_own():
 def test_suffix_crossover_and_decreasing_powers_keep_full_width(monkeypatch):
     inst = gen_instance(GenConfig(m=50, n=800, kbar=20.0, seed=1))
     # 50 * (800 - 30) disks spared: above the crossover.
-    assert init_solver(inst)._width == 30
-    assert at_crossover(50 * (800 - 30) + 1, init_solver, inst)._width == 800
+    assert init_solver(inst)._widths.max() == 30
+    assert (at_crossover(50 * (800 - 30) + 1, init_solver, inst)._widths == 800).all()
     # A row of powers that decreases somewhere keeps every rank.
     table = order_table(inst)
     power = table.power.copy()
     power[7, 500] = np.nextafter(power[7, 499], 0.0)
     monkeypatch.setattr(primal_dual, "order_table", lambda _: dataclasses.replace(table, power=power))
-    assert at_crossover(0, init_solver, inst)._width == 800
+    assert (at_crossover(0, init_solver, inst)._widths == 800).all()
 
 
 def grid_instances():
@@ -473,14 +483,14 @@ def test_next_event_allocates_no_disk_array():
     assert traced_peak(lambda: next_event(duals)) < m * n * 8
     # So does every event on the shared suffix (kbar 20), widening or not.
     duals = init_solver(gen_instance(GenConfig(m=m, n=n, kbar=20.0, seed=1)))
-    widths = [duals._width]
+    widths = [tuple(duals._widths.tolist())]
     select_tight(duals, next_event(duals)[1])
     while np.isnan(duals.covered_at).any():
         tights = []
         assert traced_peak(lambda: tights.extend(next_event(duals)[1])) < m * n * 8
         select_tight(duals, tights)
-        widths.append(duals._width)
-    assert widths[0] < n and len(set(widths)) > 10
+        widths.append(tuple(duals._widths.tolist()))
+    assert max(widths[0]) < n and len(set(widths)) > 10
 
 
 def test_solved_state_holds_no_event_buffers():
