@@ -4,7 +4,7 @@ Three studies are supported through one sweep mechanism: user count (n),
 server count crossed with total capacity (m_K), and the attenuation exponent
 (alpha); the server-area concentration (lambda) is a fixed parameter.
 Every (sweep point, trial) pair maps to one deterministic instance seed, so
-a run is reproducible byte for byte, for any number of worker processes.
+a run is reproducible byte for byte, in one process or in two.
 Wall-clock timing is opt-in because it would break that reproducibility.
 """
 
@@ -264,13 +264,13 @@ def _trial_rows(config: ExperimentConfig, gen_template: GenConfig, seed: int) ->
 
 
 def _default_jobs() -> int:
-    """Worker processes of a sweep by default: up to 2 of the usable cores."""
+    """Processes of a sweep: up to 2 of the cores in this process's affinity mask."""
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         return min(2, len(os.sched_getaffinity(0)))
     return 1
 
 
-def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> list[ResultRow]:
+def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run every (sweep point, trial): generate, solve, validate, record.
 
     Per point and trial the instance seed is seed_base + point_index * trials
@@ -284,16 +284,12 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> list
     validation raises BenchValidationError after its instance is written to
     the directory of `out` (the current directory when `out` is unset).
 
-    The (point, trial) tasks run in `jobs` processes (`_run_shares`); None
-    takes `_default_jobs()`. The rows come back in (point, trial) order, so
-    they are the same for every `jobs`, and so is the error raised: that of
-    the first failing task in serial order. With timing on, `runtime_ms` is
-    timed in whichever process solved the instance.
+    The (point, trial) tasks run in `_default_jobs()` processes
+    (`_run_shares`). The rows come back in (point, trial) order, so they are
+    the same for one process and for two, and so is the error raised: that
+    of the first failing task in serial order. With timing on, `runtime_ms`
+    is timed in whichever process solved the instance.
     """
-    if jobs is None:
-        jobs = _default_jobs()
-    elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     templates = [_resolve_point(config, point) for point in config.sweep_values]
     stride = 0 if config.sweep_variable == "alpha" else config.trials
     tasks = [
@@ -301,7 +297,7 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> list
         for p_idx, template in enumerate(templates)
         for trial in range(config.trials)
     ]
-    per_task = _run_shares(lambda i: _trial_rows(config, *tasks[i]), len(tasks), jobs)
+    per_task = _run_shares(lambda i: _trial_rows(config, *tasks[i]), len(tasks))
 
     summaries: list[ResultRow] = []
     for p_idx in range(len(templates)):
@@ -326,40 +322,40 @@ def run_experiment(config: ExperimentConfig, jobs: Optional[int] = None) -> list
     return [row for rows in per_task for row in rows] + summaries
 
 
-def _run_shares(run, count: int, jobs: int) -> list:
-    """[run(i) for i in range(count)], computed in min(jobs, count) processes.
+def _run_shares(run, count: int) -> list:
+    """[run(i) for i in range(count)], computed in min(_default_jobs(), count)
+    processes.
 
-    Task i belongs to share i % jobs, so that every share gets tasks from
-    every sweep point. Share 0 runs in this process, each other share in a
-    child made by os.fork, which pickles its results, or the exception of its
-    first failing task, into a pipe. Every pipe is read and every child
-    reaped before this returns or raises. The exception raised is that of
-    the lowest failing task, the one a serial run would meet first.
+    With two, this process runs the even tasks and a child made by os.fork
+    the odd ones, so that both get tasks from every sweep point. The child
+    pickles its results, or the exception of its first failing task, into a
+    pipe, which is read, and the child reaped, before this returns or
+    raises. The exception raised is that of the lowest failing task, the one
+    a serial run would meet first.
 
-    Each share records its failing task in its own slot of a memory map that
-    the children share, and stops before any task above the lowest slot: no
-    result of such a task could be used. The lowest failing task is never
+    Each process records its failing task in its own slot of a memory map
+    that the child shares, and stops before any task above the lower slot:
+    no result of such a task could be used. The lowest failing task is never
     skipped, as only tasks above a failing one are.
     """
-    jobs = min(jobs, count)
-    shares = [range(share, count, jobs) for share in range(jobs)]
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    failed_at = mmap.mmap(-1, 8 * jobs)
+    step = min(_default_jobs(), count)
+    shares = [range(first, count, step) for first in range(step)]
+    pid = None  # the child's, if there is one
+    failed_at = mmap.mmap(-1, 16)
     slots = memoryview(failed_at).cast("q")
     try:
-        for k in range(jobs):
-            slots[k] = count
-        for k, share in enumerate(shares[1:], start=1):
-            children.append(_fork_share(run, share, slots, k, [fd for _, fd in children]))
+        slots[0] = slots[1] = count
+        if step == 2:
+            pid, read_fd = _fork_share(run, shares[1], slots)
         outcomes = [_run_share(run, shares[0], slots, 0)]
-        for (pid, fd), share in zip(children, shares[1:]):
-            with open(fd, "rb", closefd=False) as pipe:
+        if pid is not None:
+            with open(read_fd, "rb", closefd=False) as pipe:
                 payload = pipe.read()
             lost = RuntimeError(f"sweep worker {pid} exited without sending its rows")
-            outcomes.append(pickle.loads(payload) if payload else ([], (share[0], lost)))
+            outcomes.append(pickle.loads(payload) if payload else ([], (shares[1][0], lost)))
     finally:
-        for pid, fd in children:
-            os.close(fd)
+        if pid is not None:
+            os.close(read_fd)
             os.waitpid(pid, 0)
         slots.release()
         failed_at.close()
@@ -379,8 +375,8 @@ def _run_shares(run, count: int, jobs: int) -> list:
 def _run_share(run, share: range, slots: memoryview, slot: int):
     """(results of the share's tasks up to its first failure, (task, exception) or None).
 
-    Stops before a task above the lowest failing task of any share in
-    `slots`, and records its own failing task in `slots[slot]`.
+    Stops before a task above the lowest failing task in `slots`, and
+    records its own failing task in `slots[slot]`.
     """
     done = []
     for i in share:
@@ -394,19 +390,18 @@ def _run_share(run, share: range, slots: memoryview, slot: int):
     return done, None
 
 
-def _fork_share(run, share: range, slots: memoryview, slot: int, inherited: list[int]) -> tuple[int, int]:
-    """Fork a child that runs `share` and writes its outcome to a new pipe;
-    return the child's pid and the pipe's read end. `inherited` are the read
-    ends of earlier children's pipes, which the child closes."""
+def _fork_share(run, share: range, slots: memoryview) -> tuple[int, int]:
+    """Fork a child that runs `share`, recording a failure in `slots[1]`, and
+    writes its outcome to a new pipe; return the child's pid and the pipe's
+    read end."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                for fd in (read_fd, *inherited):
-                    os.close(fd)
-                done, failure = _run_share(run, share, slots, slot)
+                os.close(read_fd)
+                done, failure = _run_share(run, share, slots, 1)
                 if failure is not None:
                     try:
                         pickle.loads(pickle.dumps(failure[1]))

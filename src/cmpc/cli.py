@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run an experiment config")
     bench.add_argument("--config", required=True)
     bench.add_argument("--out", default=None, help="CSV path (overrides config)")
-    bench.add_argument("--timing", action="store_true")
-    bench.add_argument("--jobs", help="worker processes (default: up to 2 of the usable cores); the CSV is the same for any")
 
     verify = sub.add_parser("verify", help="solve and audit dual feasibility + charging")
     verify.add_argument("--in", dest="infile", required=True)
@@ -155,11 +153,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.jobs is not None and not (args.jobs.isdecimal() and int(args.jobs) >= 1):
-        print(f"bench: --jobs must be an integer >= 1, got {args.jobs!r}", file=sys.stderr)
-        return USAGE_EXIT
     config = _load_json(args.config, ExperimentConfig.from_json_dict)
-    config = replace(config, out=args.out or config.out, timing=args.timing or config.timing)
+    config = replace(config, out=args.out or config.out)
     if not config.out:
         print("bench: no output path (--out or config 'out')", file=sys.stderr)
         return USAGE_EXIT
@@ -167,8 +162,11 @@ def _cmd_bench(args) -> int:
     if out_dir and not os.path.isdir(out_dir):
         print(f"bench: output directory {out_dir} does not exist", file=sys.stderr)
         return USAGE_EXIT
+    if os.path.isdir(config.out):
+        print(f"bench: output path {config.out} is a directory", file=sys.stderr)
+        return USAGE_EXIT
     try:
-        rows = run_experiment(config, None if args.jobs is None else int(args.jobs))
+        rows = run_experiment(config)
     except BenchValidationError as exc:
         print(f"bench aborted: {exc}", file=sys.stderr)
         return FAILURE_EXIT

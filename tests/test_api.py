@@ -1,6 +1,9 @@
 """The package namespace: the exported names, and every one the benchmark calls."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cmpc
@@ -60,3 +63,14 @@ def test_benchmark_api_calls_are_exported():
     names = benchmark_api_names()
     assert "pd_solve" in names  # the walk found the calls
     assert sorted(names - set(cmpc.__all__)) == []
+
+
+def test_import_loads_no_process_pool():
+    # A sweep forks its one child with os.fork. multiprocessing or
+    # concurrent.futures would only add memory and start-up time to every
+    # import of cmpc.
+    src = str(Path(cmpc.__file__).resolve().parents[1])
+    code = "import sys, cmpc; print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

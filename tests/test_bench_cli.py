@@ -5,12 +5,13 @@ import re
 
 import pytest
 
-from cmpc import ExperimentConfig, run_experiment, write_csv
+from cmpc import ExperimentConfig, GenConfig, gen_instance, load_instance, pd_solve, run_experiment, write_csv
 from cmpc import bench
 from cmpc.bench import CSV_HEADER, BenchValidationError, rows_to_csv_text
 from cmpc.cli import cli
 from cmpc.metrics import ValidationReport
 from cmpc.model import dump_instance
+from cmpc.primal_dual import trace_to_json_list
 
 
 THREE_USER_JSON = {
@@ -140,6 +141,25 @@ def test_csv_header_and_types(tmp_path):
 # --- worker processes -------------------------------------------------------
 
 
+def on_cores(monkeypatch, cores):
+    """Give this process an affinity mask of `cores` cores: a sweep then runs
+    in min(2, cores) processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry per os.fork call from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -154,20 +174,27 @@ JOBS_CONFIGS = [
 
 
 @pytest.mark.parametrize("config", JOBS_CONFIGS, ids=lambda c: c.sweep_variable)
-def test_csv_is_the_same_for_every_worker_count(config):
-    serial = run_experiment(config, jobs=1)
+def test_csv_is_the_same_for_every_worker_count(config, monkeypatch):
+    on_cores(monkeypatch, 1)
+    serial = run_experiment(config)
     data = [r for r in serial if r.seed is not None]
     opt_rows = sum(r.algo == "opt" for r in data)
     assert 0 < opt_rows < sum(r.algo == "pd" for r in data)
-    for jobs in (2, 3):
-        assert rows_to_csv_text(run_experiment(config, jobs=jobs)) == rows_to_csv_text(serial)
+    forks = count_forks(monkeypatch)
+    for cores in (2, 3):
+        on_cores(monkeypatch, cores)
+        assert rows_to_csv_text(run_experiment(config)) == rows_to_csv_text(serial)
         assert_no_child_left()
+    assert len(forks) == 2  # one child per sweep, on three cores as on two
 
 
-@pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2"])
-def test_run_experiment_rejects_bad_jobs(jobs):
-    with pytest.raises(ValueError, match="jobs must be an int >= 1"):
-        run_experiment(tiny_config(), jobs=jobs)
+def test_one_core_mask_never_forks(monkeypatch):
+    def fork():
+        raise AssertionError("a sweep on one core forked")
+
+    on_cores(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", fork)
+    assert len(run_experiment(tiny_config())) == 24
 
 
 def test_bench_validation_error_survives_pickling():
@@ -177,17 +204,18 @@ def test_bench_validation_error_survives_pickling():
     assert str(copy) == str(error) and copy.instance_path == error.instance_path
 
 
-def failure_of(config, jobs):
+def failure_of(monkeypatch, config, cores):
+    on_cores(monkeypatch, cores)
     with pytest.raises(Exception) as caught:
-        run_experiment(config, jobs=jobs)
+        run_experiment(config)
     assert_no_child_left()
     return caught.value
 
 
 # With 2 points x 3 trials the tasks are seeds 100..105; task i has seed 100 + i
-# and runs in share i % jobs, share 0 being the calling process.
-@pytest.mark.parametrize("jobs", [2, 3])
-def test_child_validation_failure_matches_serial(tmp_path, monkeypatch, jobs):
+# and runs in the calling process when i is even, in the child when i is odd.
+@pytest.mark.parametrize("cores", [2, 3])
+def test_child_validation_failure_matches_serial(tmp_path, monkeypatch, cores):
     config = tiny_config(oracle_budget=0, out=str(tmp_path / "r.csv"))
     seeds_of = {}
     real_gen = bench.gen_instance
@@ -200,15 +228,15 @@ def test_child_validation_failure_matches_serial(tmp_path, monkeypatch, jobs):
     real_validate = bench.validate
 
     def validate(instance, solution):
-        # Task 1 (a child's) fails before task 2 (the caller's share when jobs = 2).
+        # Task 1 (the child's) fails before task 2 (the caller's).
         if seeds_of[id(instance)] in (101, 102):
             return failing_validate(instance, solution)
         return real_validate(instance, solution)
 
     monkeypatch.setattr(bench, "gen_instance", gen)
     monkeypatch.setattr(bench, "validate", validate)
-    serial = failure_of(config, 1)
-    parallel = failure_of(config, jobs)
+    serial = failure_of(monkeypatch, config, 1)
+    parallel = failure_of(monkeypatch, config, cores)
     assert type(parallel) is type(serial) is BenchValidationError
     assert str(parallel) == str(serial) and "seed 101" in str(serial)
     assert parallel.instance_path == serial.instance_path == str(tmp_path / "cmpc_failed_instance_pd_101.json")
@@ -223,7 +251,7 @@ def test_child_runtime_error_reraises_in_parent(monkeypatch):
         return real(instance)
 
     monkeypatch.setattr(bench, "ncs_solve", ncs)
-    error = failure_of(tiny_config(oracle_budget=0), 2)
+    error = failure_of(monkeypatch, tiny_config(oracle_budget=0), 2)
     assert type(error) is RuntimeError and str(error) == "ncs broke"
 
 
@@ -241,9 +269,9 @@ def test_share_stops_once_a_lower_task_has_failed(tmp_path, monkeypatch):
         return real(cfg)
 
     monkeypatch.setattr(bench, "gen_instance", gen)
-    serial = failure_of(tiny_config(oracle_budget=0), 1)
+    serial = failure_of(monkeypatch, tiny_config(oracle_budget=0), 1)
     calls.unlink()
-    parallel = failure_of(tiny_config(oracle_budget=0), 2)
+    parallel = failure_of(monkeypatch, tiny_config(oracle_budget=0), 2)
     assert type(parallel) is type(serial) is RuntimeError and str(parallel) == str(serial)
     by_child = [line for line in calls.read_text().splitlines() if line.split()[0] != str(os.getpid())]
     assert len(by_child) <= 1
@@ -264,9 +292,9 @@ def test_child_error_that_cannot_be_unpickled_arrives_named(monkeypatch):
         return real(instance)
 
     monkeypatch.setattr(bench, "ncs_solve", ncs)
-    # Serially the task's own exception; from a child's share a RuntimeError naming it.
-    assert type(failure_of(tiny_config(sweep_values=(8,), oracle_budget=0), 1)) is TwoArgumentError
-    error = failure_of(tiny_config(sweep_values=(5, 8), trials=1, oracle_budget=0), 2)
+    # Serially the task's own exception; from the child's share a RuntimeError naming it.
+    assert type(failure_of(monkeypatch, tiny_config(sweep_values=(8,), oracle_budget=0), 1)) is TwoArgumentError
+    error = failure_of(monkeypatch, tiny_config(sweep_values=(5, 8), trials=1, oracle_budget=0), 2)
     assert type(error) is RuntimeError and str(error) == "TwoArgumentError: odd failure"
 
 
@@ -280,7 +308,7 @@ def test_child_that_dies_is_reported(monkeypatch):
         return real(instance)
 
     monkeypatch.setattr(bench, "ncs_solve", ncs)
-    error = failure_of(tiny_config(oracle_budget=0), 2)
+    error = failure_of(monkeypatch, tiny_config(oracle_budget=0), 2)
     assert type(error) is RuntimeError and "exited without sending its rows" in str(error)
 
 
@@ -337,6 +365,19 @@ def test_cli_solve_payload_metrics(tmp_path, capsys):
     timed = json.loads(capsys.readouterr().out)
     assert isinstance(timed["runtime_ms"], float)
     assert timed["per_server_load"] == [2]
+
+
+def test_cli_solve_trace(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    instance = gen_instance(GenConfig(m=3, n=12, kbar=6.0, seed=5))
+    dump_instance(instance, str(path))
+    assert cli(["solve", "--algo", "pd", "--in", str(path), "--trace"]) == 0
+    events = json.loads(capsys.readouterr().out)["events"]
+    trace = pd_solve(load_instance(str(path)))[2]
+    assert len(trace) > 1 and events == trace_to_json_list(trace)
+    # Only the dual ascent has a trace.
+    assert cli(["solve", "--algo", "ncs", "--in", str(path), "--trace"]) == 0
+    assert "events" not in json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize(
@@ -427,26 +468,30 @@ def test_cli_bench_byte_identical(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_cli_bench_jobs_give_the_same_bytes(tmp_path, capsys):
+def test_cli_bench_jobs_give_the_same_bytes(tmp_path, capsys, monkeypatch):
     config = {"experiment_id": "jobs", "sweep": {"variable": "n", "values": [5, 7]},
               "fixed": {"m": 2, "kbar": 4.0}, "trials": 3, "seed_base": 3, "oracle_budget": 20000}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     outputs = []
-    for jobs in ("1", "2", "3"):
-        outputs.append(tmp_path / f"jobs{jobs}.csv")
-        assert cli(["bench", "--config", str(cfg_path), "--out", str(outputs[-1]), "--jobs", jobs]) == 0
+    for cores in (1, 2, 3):
+        on_cores(monkeypatch, cores)
+        outputs.append(tmp_path / f"cores{cores}.csv")
+        assert cli(["bench", "--config", str(cfg_path), "--out", str(outputs[-1])]) == 0
         assert_no_child_left()
     capsys.readouterr()
     assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2", "1.5", "two", ""])
-def test_cli_bench_bad_jobs_exit_1(tmp_path, capsys, jobs):
-    # Rejected before the config is read: the file does not exist.
-    assert cli(["bench", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r.csv"), "--jobs", jobs]) == 1
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--timing"]])
+def test_cli_bench_has_no_jobs_or_timing_option(tmp_path, capsys, option):
+    # The process count comes from the affinity mask, timing from the config.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(GOOD_CONFIG))
+    assert cli(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), *option]) == 1
     err = capsys.readouterr().err
-    assert err == f"bench: --jobs must be an integer >= 1, got {jobs!r}\n"
+    assert f"unrecognized arguments: {' '.join(option)}" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_cli_bench_missing_out_dir_exit_1(tmp_path, capsys, monkeypatch):
@@ -461,6 +506,18 @@ def test_cli_bench_missing_out_dir_exit_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == f"bench: output directory {missing} does not exist\n"
     assert not missing.exists()
+
+
+def test_cli_bench_out_is_a_directory_exit_1(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("cmpc.cli.run_experiment", no_sweep)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(GOOD_CONFIG))
+    assert cli(["bench", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"bench: output path {tmp_path} is a directory\n"
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_cli_bench_bad_config_exit_1(tmp_path, capsys):

@@ -905,6 +905,34 @@ def test_coordinate_unit_keeps_the_cover():
             assert np.allclose(big_duals.mu, duals.mu * power_scale, rtol=1e-12, atol=1e-12 * largest)
 
 
+def coordinate_translated(inst, dx, dy):
+    """`inst` with every coordinate moved by (dx, dy)."""
+    def move(pos):
+        return Point(pos.x + dx, pos.y + dy)
+
+    return dataclasses.replace(
+        inst,
+        servers=tuple(dataclasses.replace(s, pos=move(s.pos)) for s in inst.servers),
+        users=tuple(dataclasses.replace(u, pos=move(u.pos)) for u in inst.users),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_instances(), st.integers(-2**40, 2**40), st.integers(-2**40, 2**40))
+def test_exact_translation_keeps_the_ascent_bit_for_bit(inst, dx, dy):
+    # Integer coordinates moved by an integer offset below 2^52 keep every
+    # coordinate difference exact in float64, so every distance and power is
+    # the same bits: the same covers, events and prices.
+    moved = coordinate_translated(inst, float(dx), float(dy))
+    sol, duals, trace = pd_solve(inst)
+    moved_sol, moved_duals, moved_trace = pd_solve(moved)
+    assert moved_sol == sol
+    assert ncs_solve(moved) == ncs_solve(inst)
+    assert moved_trace == trace
+    for name in ("theta", "beta", "gamma_start", "mu"):
+        assert same_bits(getattr(moved_duals, name), getattr(duals, name)), name
+
+
 def test_tiny_power_unit_gives_the_unit_cover():
     # At c = 1e-12 an absolute floor on the tight test once made every disk
     # tight at its first event: 60 events, one per user, and another cover.
