@@ -130,49 +130,53 @@ class ChargingViolation:
         return f"event {self.event_index}: {self.kind} off by {self.amount:.3e}"
 
 
-def _flat_phase(instance: Instance, trace: Sequence, server: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Segments [a, b) of the flat-price phase [0, g), cut at every event clock
-    (any event can change a census), and `server`'s remaining capacity kp in
-    each: its value after the server's last event at or before a. `trace` is
-    in clock order, as pd_solve records it.
+def _capacity_steps(instance: Instance, trace: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct event clocks from 0 on, ascending, and an [m, 1 + clocks]
+    matrix of every server's remaining capacity: its capacity before clock 0,
+    then from each clock to the next its value after the server's last event
+    at or before that clock. One pass over `trace`, which is in clock order,
+    as pd_solve records it.
     """
-    cuts, kp = [0.0], [instance.servers[server].capacity]
+    capacity = [srv.capacity for srv in instance.servers]
+    clocks, steps = [0.0], [capacity, capacity.copy()]
     for e in trace:
-        if e.clock >= g:
-            break
-        if e.clock > cuts[-1]:
-            cuts.append(e.clock)
-            kp.append(kp[-1])
-        if e.server == server:
-            kp[-1] = e.remaining_after
-    return np.array(cuts), np.array(cuts[1:] + [g]), np.array(kp)
+        if e.clock > clocks[-1]:
+            clocks.append(e.clock)
+            steps.append(steps[-1].copy())
+        steps[-1][e.server] = e.remaining_after
+    return np.array(clocks), np.array(steps).T
+
+
+def _event_charges(table, steps, duals, ev) -> tuple[np.ndarray, float, np.ndarray]:
+    """Members of `ev`'s disk in rank order, the charge it collected and each
+    member's share. Its flat phase [0, g), g its gamma start, is cut at every
+    event clock below g, as any event can change a census: in each segment
+    the kp lowest-key uncovered members pay the server's remaining capacity
+    kp at unit rate. From g on, each uncovered member pays until covered.
+    """
+    clocks, capacity = steps
+    members = table.order[ev.server, : ev.rank + 1]
+    covered_at = np.asarray(duals.covered_at, dtype=np.float64)[members]
+    g = float(duals.gamma_start[ev.disk_index])
+    a = clocks[clocks < g]
+    span, kp = np.diff(np.append(a, g)), capacity[ev.server, 1 : len(a) + 1]
+    alive = covered_at[None, :] > a[:, None]
+    paying = alive & (np.cumsum(alive, axis=1) <= kp[:, None])
+    # The flat charge integrates kp over [0, g): a g below 0 runs backwards,
+    # at the server's capacity before clock 0.
+    charge = float(span @ kp) + min(g, 0.0) * capacity[ev.server, 0] + float(np.maximum(0.0, covered_at - g).sum())
+    # fmax: a NaN price (uncovered user, or no gamma phase) charges nothing.
+    return members, charge, np.fmax(0.0, covered_at - g) + span @ paying
 
 
 def charge_breakdown(instance: Instance, trace: Sequence, duals, event_index: int) -> dict[int, float]:
-    """Per-user charges paying for one selection event's disk power.
-
-    While the disk held more uncovered members than its server's remaining
-    capacity, the remaining-capacity-many lowest-key uncovered members each paid at unit rate
-    into the flat price; afterwards every still-uncovered member paid its
-    individual price until covered. The charges are rebuilt from the event
-    trace and closed-form prices, independently of the ascent's running sums;
-    they sum to the disk's power and never exceed a user's theta. Returns
-    the charges keyed by member, in rank order.
+    """Per-user charges paying for one selection event's disk power, keyed
+    by member in rank order: those `check_charging` audits, rebuilt from the
+    trace and the closed-form prices. They sum to the disk's power and never
+    exceed a user's theta.
     """
-    ev = trace[event_index]
-    members = order_table(instance).order[ev.server, : ev.rank + 1]
-    covered_at = np.asarray(duals.covered_at, dtype=np.float64)[members]
-    g = float(duals.gamma_start[ev.disk_index])
-
-    # fmax: a NaN price (uncovered user, or no gamma phase) charges nothing.
-    charges = np.fmax(0.0, covered_at - g)
-    if g > 0:
-        a, b, kp = _flat_phase(instance, trace, ev.server, g)
-        # In each segment the kp lowest-key uncovered members pay.
-        alive = covered_at[None, :] > a[:, None]
-        paying = alive & (np.cumsum(alive, axis=1) <= kp[:, None])
-        charges += (b - a) @ paying
-    return dict(zip(members.tolist(), charges.tolist()))
+    members, _, paid = _event_charges(order_table(instance), _capacity_steps(instance, trace), duals, trace[event_index])
+    return dict(zip(members.tolist(), paid.tolist()))
 
 
 def check_charging(instance: Instance, trace: Sequence, duals) -> list[ChargingViolation]:
@@ -192,20 +196,14 @@ def check_charging(instance: Instance, trace: Sequence, duals) -> list[ChargingV
     table = order_table(instance)
     tol = CHECK_TOL * float(table.power.max())
     theta = np.asarray(duals.theta, dtype=np.float64)
-    covered_at = np.asarray(duals.covered_at, dtype=np.float64)
+    steps = _capacity_steps(instance, trace)
 
     violations: list[ChargingViolation] = []
     for ev_i, ev in enumerate(trace):
-        members = table.order[ev.server, : ev.rank + 1]
-        g = float(duals.gamma_start[ev.disk_index])
-        a, b, kp = _flat_phase(instance, trace, ev.server, g)
-        charge = float((b - a) @ kp) + float(np.maximum(0.0, covered_at[members] - g).sum())
+        members, charge, paid = _event_charges(table, steps, duals, ev)
         short = tol + TIGHTNESS_TOL * ev.power
         if abs(ev.power - charge) > short:
             violations.append(ChargingViolation(ev_i, "power vs beta-charge + gamma", abs(ev.power - charge)))
-
-        charges = charge_breakdown(instance, trace, duals, ev_i)
-        paid = np.fromiter(charges.values(), np.float64, len(charges))
         # Pairwise, not sequential, summation: its rounding stays far below
         # CHECK_TOL even for disks with thousands of members.
         total = float(paid.sum())

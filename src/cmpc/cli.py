@@ -179,7 +179,10 @@ def _cmd_verify(args) -> int:
     instance = _load_json(args.infile, instance_from_json_dict)
     try:
         solution, duals, trace = pd_solve(instance)
-    except (InsufficientCapacityError, CapacityInvariantError) as exc:
+    except InsufficientCapacityError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return FAILURE_EXIT
+    except CapacityInvariantError as exc:
         print(f"solver invariant failure: {exc}", file=sys.stderr)
         return FAILURE_EXIT
 

@@ -223,7 +223,14 @@ def is_json_kind(value, kind: type) -> bool:
     return kind is float or isinstance(value, int) or value.is_integer()
 
 
+def _json_type(value) -> str:
+    """The JSON name of the type of a value that `json.load` returned."""
+    return {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(type(value), "a number")
+
+
 def _json_field(record: dict, field_name: str, kind: type, where: str):
+    if not isinstance(record, dict):
+        raise ValueError(f"{where.rstrip('.')} must be an object, got {_json_type(record)}")
     value = record[field_name]
     if not is_json_kind(value, kind):
         noun = "an integer" if kind is int else "a number"
@@ -237,9 +244,14 @@ def instance_from_json_dict(data: dict) -> Instance:
     Numbers must be JSON numbers (not booleans or strings) and capacities
     integers, so that nothing is silently truncated or coerced.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"instance JSON: the top level must be an object, got {_json_type(data)}")
     for field_name in ("c", "alpha", "servers", "users"):
         if field_name not in data:
             raise ValueError(f"instance JSON: missing field '{field_name}'")
+    for field_name in ("servers", "users"):
+        if not isinstance(data[field_name], list):
+            raise ValueError(f"instance JSON: {field_name} must be an array, got {_json_type(data[field_name])}")
     try:
         params = PowerParams(c=_json_field(data, "c", float, ""), alpha=_json_field(data, "alpha", float, ""))
         servers = tuple(

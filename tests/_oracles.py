@@ -5,11 +5,13 @@ must equal bit for bit, and, as references for differential tests, a
 per-disk, per-member loop over the covering dual's constraints with gamma
 prices in the ascent's closed form, which `verify_dual_feasibility` checks
 by running maxima and prefix sums, the per-segment loop that
-`charge_breakdown` replaced, the `next_event` that built every m*n array
-afresh on each event, which the in-place one replaced, the `finalize` that
-took one prefix sum per run of equal gamma start, which the one summing up
-to m runs at a time replaced, and the exact search before its reach bound,
-capacity prune and private-user leaf test.
+`charge_breakdown` replaced, the rescan of the trace per event that
+`check_charging`'s one table of capacity steps replaced, the `next_event`
+that built every m*n array afresh on each event, which the in-place one
+replaced, the `finalize` that took one prefix sum per run of equal gamma
+start, which the one summing up to m runs at a time replaced, and the
+exact search before its reach bound, capacity prune and private-user leaf
+test.
 """
 
 from __future__ import annotations
@@ -197,6 +199,25 @@ def reference_charge_breakdown(instance: Instance, trace, duals, event_index: in
             for h in paying:
                 charges[h] += b - a
     return charges
+
+
+def flat_phase_reference(instance: Instance, trace, server: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segments [a, b) of the flat-price phase [0, g), cut at every event
+    clock, and `server`'s remaining capacity kp in each: its value after the
+    server's last event at or before a. One rescan of the clock-ordered
+    trace per call; a g that is not positive gives the one segment [0, g) at
+    the server's capacity before any event.
+    """
+    cuts, kp = [0.0], [instance.servers[server].capacity]
+    for e in trace:
+        if e.clock >= g:
+            break
+        if e.clock > cuts[-1]:
+            cuts.append(e.clock)
+            kp.append(kp[-1])
+        if e.server == server:
+            kp[-1] = e.remaining_after
+    return np.array(cuts), np.array(cuts[1:] + [g]), np.array(kp)
 
 
 def next_event_reference(duals) -> tuple[float, list[int]]:

@@ -11,7 +11,7 @@ from cmpc.bench import CSV_HEADER, BenchValidationError, rows_to_csv_text
 from cmpc.cli import cli
 from cmpc.metrics import ValidationReport
 from cmpc.model import dump_instance
-from cmpc.primal_dual import trace_to_json_list
+from cmpc.primal_dual import CapacityInvariantError, trace_to_json_list
 
 
 THREE_USER_JSON = {
@@ -441,6 +441,39 @@ def test_cli_missing_field_exit_1(tmp_path, capsys):
     path.write_text('{"c": 1.0, "alpha": 2.0, "users": []}')
     assert cli(["solve", "--algo", "pd", "--in", str(path)]) == 1
     assert "servers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve", "--algo", "pd"], ["verify"]])
+@pytest.mark.parametrize("text", ["5", "null", '"abc"', '{"c": 1, "alpha": 2, "servers": {"x": 1}, "users": []}'])
+def test_cli_instance_of_wrong_shape_exit_1(tmp_path, capsys, command, text):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    assert cli([*command, "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: instance JSON: ") and captured.err.count("\n") == 1
+    assert "must be an" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_verify_infeasible_instance_exit_2(tmp_path, capsys):
+    # Total capacity below n is the input's fault, not the solver's.
+    bad = dict(THREE_USER_JSON)
+    bad["servers"] = [{"x": 0.0, "y": 0.0, "k": 1}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert cli(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "infeasible: total capacity 1 < 3 users\n"
+
+
+def test_cli_verify_invariant_failure_exit_2(tmp_path, capsys, monkeypatch):
+    def broken(instance):
+        raise CapacityInvariantError("server 0 holds 2 users, capacity 1", 0, 1, [0, 1], 1)
+
+    monkeypatch.setattr("cmpc.cli.pd_solve", broken)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(THREE_USER_JSON))
+    assert cli(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "solver invariant failure: server 0 holds 2 users, capacity 1\n"
 
 
 def test_cli_usage_error_exit_1(capsys):

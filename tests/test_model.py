@@ -202,6 +202,25 @@ def test_instance_json_missing_field():
         instance_from_json_dict({"c": 1.0, "alpha": 2.0, "users": []})
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (5, "the top level must be an object, got a number"),
+        (None, "the top level must be an object, got null"),
+        ("abc", "the top level must be an object, got a string"),
+        ([], "the top level must be an object, got an array"),
+        ({"c": 1.0, "alpha": 2.0, "servers": {"x": 1}, "users": []}, "servers must be an array, got an object"),
+        ({"c": 1.0, "alpha": 2.0, "servers": [], "users": "ab"}, "users must be an array, got a string"),
+        ({"c": 1.0, "alpha": 2.0, "servers": [5], "users": []}, r"servers\[0\] must be an object, got a number"),
+        ({"c": 1.0, "alpha": 2.0, "servers": [], "users": [None]}, r"users\[0\] must be an object, got null"),
+    ],
+)
+def test_instance_json_rejects_wrong_containers(data, message):
+    with pytest.raises(ValueError, match=message) as caught:
+        instance_from_json_dict(data)
+    assert "\n" not in str(caught.value)
+
+
 def _json_instance():
     return {
         "c": 1.0,

@@ -28,7 +28,7 @@ from cmpc import (
 from cmpc import primal_dual
 from cmpc.cli import cli
 from cmpc.model import dump_instance, order_table
-from cmpc.certify import CHECK_TOL, TIGHTNESS_TOL, charge_breakdown
+from cmpc.certify import CHECK_TOL, TIGHTNESS_TOL, _capacity_steps, charge_breakdown
 from cmpc.primal_dual import (
     EVENT_BUFFERS,
     AscentStalledError,
@@ -41,6 +41,7 @@ from cmpc.primal_dual import (
 from _oracles import (
     ManualDuals,
     finalize_mu_by_runs,
+    flat_phase_reference,
     next_event_reference,
     reference_charge_breakdown,
     reference_dual_violations,
@@ -837,6 +838,53 @@ def test_charge_breakdown_matches_per_segment_reference(seed):
         assert all(abs(got[h] - expected[h]) <= 1e-12 * max(1.0, ev.power) for h in expected)
 
 
+def capacity_step_instances():
+    # The 20 users of ascent_instances() on a grid: events tie in clock.
+    grid = [(float(j % 5), float(j // 5)) for j in range(20)]
+    yield make_instance([(4.0, 2.0, 6), (2.0, 2.0, 14)], grid)
+    yield make_instance([(4.0, 0.0, 3), (3.0, 1.0, 4), (3.0, 0.0, 1), (2.0, 1.0, 12)], grid)
+    # Users on top of a server: a disk of power 0 is selected at clock 0.
+    yield make_instance([(0.0, 0.0, 2), (5.0, 0.0, 3)], [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (5.0, 0.0), (6.0, 1.0)])
+    # Small servers run out early, with users left near them.
+    users = [tuple(p) for p in (np.random.default_rng(7).random((80, 2)) * 10.0).tolist()]
+    yield make_instance([(2.0, 2.0, 2), (8.0, 8.0, 3), (2.0, 8.0, 40), (8.0, 2.0, 35), (5.0, 5.0, 4)], users)
+    yield from (checker_instance(seed) for seed in range(0, 40, 8))
+    yield gen_instance(GenConfig(m=10, n=150, kbar=15.0, seed=3000))
+
+
+def test_capacity_step_instances_tie_start_at_zero_and_run_out():
+    ties = at_zero = run_out = False
+    for inst in capacity_step_instances():
+        trace = pd_solve(inst)[2]
+        clocks = [ev.clock for ev in trace]
+        ties |= len(set(clocks)) < len(clocks)
+        at_zero |= clocks[0] == 0.0
+        run_out |= any(ev.remaining_after == 0 and ev.clock < clocks[-1] for ev in trace)
+    assert ties and at_zero and run_out
+
+
+@pytest.mark.parametrize("inst", capacity_step_instances(), ids=lambda inst: f"m{inst.m}-n{inst.n}")
+def test_capacity_steps_match_per_event_rescan(inst):
+    # check_charging's one table must give every server, below every event's
+    # gamma start g, the segments and capacities of the rescan it replaced;
+    # a g that is not positive has no segments in the table, and the
+    # reference's one segment [0, g) runs at the capacity before clock 0.
+    _, duals, trace = pd_solve(inst)
+    clocks, capacity = _capacity_steps(inst, trace)
+    assert capacity[:, 0].tolist() == [srv.capacity for srv in inst.servers]
+    for ev in trace:
+        g = float(duals.gamma_start[ev.disk_index])
+        below = int(np.count_nonzero(clocks < g))
+        for s in range(inst.m):
+            a, b, kp = flat_phase_reference(inst, trace, s, g)
+            if g > 0:
+                assert clocks[:below].tolist() == a.tolist()
+                assert np.append(clocks[1:below], g).tolist() == b.tolist()
+                assert capacity[s, 1 : below + 1].tolist() == kp.tolist()
+            else:
+                assert (below, a.tolist(), b.tolist(), kp.tolist()) == (0, [0.0], [g], [capacity[s, 0]])
+
+
 # --- unit independence ------------------------------------------------------
 
 
@@ -1056,6 +1104,27 @@ def test_check_charging_pins_raised_power_to_its_event(bench_scale):
     violations = check_charging(inst, bumped, duals)
     assert {v.event_index for v in violations} == {i}
     assert "power vs beta-charge + gamma" in {v.kind for v in violations}
+
+
+def test_check_charging_reads_the_trace_twice(bench_scale, monkeypatch):
+    # Once for the capacity steps and once for the events: no event rescans
+    # the trace or goes through the public charge_breakdown.
+    inst, _, duals, trace = bench_scale
+
+    class CountedTrace(list):
+        passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            return super().__iter__()
+
+    def refuse(*args):
+        raise AssertionError("check_charging called charge_breakdown")
+
+    monkeypatch.setattr("cmpc.certify.charge_breakdown", refuse)
+    counted = CountedTrace(trace)
+    assert check_charging(inst, counted, duals) == []
+    assert counted.passes == 2
 
 
 def test_check_charging_pins_lowered_theta_to_its_user(bench_scale):
