@@ -202,14 +202,15 @@ def check_charging(instance: Instance, trace: Sequence, duals) -> list[ChargingV
     for ev_i, ev in enumerate(trace):
         members, charge, paid = _event_charges(table, steps, duals, ev)
         short = tol + TIGHTNESS_TOL * ev.power
-        if abs(ev.power - charge) > short:
+        # Each test is written as "not within", so that a NaN fails it.
+        if not abs(ev.power - charge) <= short:
             violations.append(ChargingViolation(ev_i, "power vs beta-charge + gamma", abs(ev.power - charge)))
         # Pairwise, not sequential, summation: its rounding stays far below
         # CHECK_TOL even for disks with thousands of members.
         total = float(paid.sum())
-        if abs(ev.power - total) > short:
+        if not abs(ev.power - total) <= short:
             violations.append(ChargingViolation(ev_i, "power vs per-user charges", abs(ev.power - total)))
         overpaid = float((paid - theta[members]).max(initial=0.0))
-        if overpaid > tol:
+        if not overpaid <= tol:
             violations.append(ChargingViolation(ev_i, "charge exceeds a user's theta", overpaid))
     return violations

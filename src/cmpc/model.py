@@ -148,6 +148,34 @@ def order_table(instance: Instance) -> OrderTable:
     return instance._order_table
 
 
+def key_order(dist: np.ndarray, cosine: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
+    """Stable argsort along the last axis by the key (dist, cosine, tiebreak).
+
+    One stable argsort on dist, after which only the runs of exactly equal
+    dist, rare on random draws and common on grids, are sorted again by
+    (cosine, tiebreak). The key compares lexicographically, and entries
+    equal in all three keys keep their input order, so on an OrderTable's
+    flat arrays (server s's row from s * n on) the server breaks those ties.
+    """
+    order = np.argsort(dist, axis=-1, kind="stable")
+    ranked = np.take_along_axis(dist, order, axis=-1)
+    tied = ranked[..., 1:] == ranked[..., :-1]
+    if not np.count_nonzero(tied):
+        return order
+    edge = np.zeros(tied.shape[:-1] + (1,), dtype=bool)
+    follows = np.concatenate((edge, tied), axis=-1).ravel()  # equal to the entry before it
+    at = np.flatnonzero(follows | np.concatenate((tied, edge), axis=-1).ravel())
+    flat = order.reshape(-1)
+    picked = flat[at]
+    source = at - at % dist.shape[-1] + picked  # flat index into the key arrays
+    run = np.cumsum(~follows[at])
+    resort = np.argsort(tiebreak.reshape(-1)[source], kind="stable")
+    resort = resort[np.argsort(cosine.reshape(-1)[source[resort]], kind="stable")]
+    resort = resort[np.argsort(run[resort], kind="stable")]
+    flat[at] = picked[resort]
+    return flat.reshape(order.shape)
+
+
 def _build_order_table(instance: Instance) -> OrderTable:
     """Build the OrderTable of `instance`, with read-only arrays.
 
@@ -169,7 +197,7 @@ def _build_order_table(instance: Instance) -> OrderTable:
     sign_y = (dy > 0).astype(np.int64) - (dy < 0)
     tiebreak = (1 - sign_y) * _TIEBREAK_STRIDE + np.arange(n, dtype=np.int64)
 
-    order = np.lexsort((tiebreak, cosine, dist), axis=-1)
+    order = key_order(dist, cosine, tiebreak)
     rows = np.arange(m)[:, None]
     rank = np.empty((m, n), dtype=np.int64)
     rank[rows, order] = np.arange(n, dtype=np.int64)

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Instance, OrderTable, order_table
+from .model import Instance, OrderTable, key_order, order_table
 from .primal_dual import InsufficientCapacityError
 from .solution import Solution, make_solution
 
@@ -263,12 +263,13 @@ def ncs_solve(instance: Instance) -> Solution:
         )
     n, m = instance.n, instance.m
     table = order_table(instance)
-    pair_server = np.repeat(np.arange(m), n)
-    pairs = np.lexsort((pair_server, table.tiebreak.ravel(), table.cosine.ravel(), table.dist.ravel()))
+    # Each row of the table is sorted already, so the one stable argsort in
+    # key_order leaves only ties in distance across servers to settle.
+    pairs = key_order(table.dist.ravel(), table.cosine.ravel(), table.tiebreak.ravel())
     remaining = [srv.capacity for srv in instance.servers]
     assignment = [-1] * n
     assigned = 0
-    for s, u in zip(pair_server[pairs].tolist(), table.order.ravel()[pairs].tolist()):
+    for s, u in zip((pairs // n).tolist(), table.order.ravel()[pairs].tolist()):
         if assigned == n:
             break
         if assignment[u] != -1 or remaining[s] == 0:

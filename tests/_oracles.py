@@ -11,7 +11,8 @@ that built every m*n array afresh on each event, which the in-place one
 replaced, the `finalize` that took one prefix sum per run of equal gamma
 start, which the one summing up to m runs at a time replaced, and the
 exact search before its reach bound, capacity prune and private-user leaf
-test.
+test, and the multi-key lexsorts that `key_order` replaced, in the order
+table and in the greedy `ncs_solve`.
 """
 
 from __future__ import annotations
@@ -75,6 +76,37 @@ def table_key(table: OrderTable, server: int, rank: int) -> OrderKey:
         float(table.cosine[server, rank]),
         int(table.tiebreak[server, rank]),
     )
+
+
+def table_order_reference(instance: Instance) -> np.ndarray:
+    """Every server's users by order key: a 3-key lexsort of the scalar keys, row by row."""
+    keys = [[order_key(srv, u) for u in instance.users] for srv in instance.servers]
+    dist, cosine, tiebreak = (np.array([[getattr(k, f) for k in row] for row in keys]) for f in ("dist", "cosine", "tiebreak"))
+    return np.lexsort((tiebreak, cosine, dist), axis=-1)
+
+
+def pair_order_reference(table: OrderTable) -> np.ndarray:
+    """The table's m*n disks, flat index s * n + t, by (dist, cosine, tiebreak, server): a 4-key lexsort."""
+    m, n = table.order.shape
+    pair_server = np.repeat(np.arange(m), n)
+    return np.lexsort((pair_server, table.tiebreak.ravel(), table.cosine.ravel(), table.dist.ravel()))
+
+
+def ncs_solve_reference(instance: Instance):
+    """The greedy ncs_solve, scanning its pairs in pair_order_reference's order."""
+    n, m = instance.n, instance.m
+    table = order_table(instance)
+    pairs = pair_order_reference(table)
+    remaining = [srv.capacity for srv in instance.servers]
+    assignment = [-1] * n
+    for flat in pairs.tolist():
+        s, t = divmod(flat, n)
+        u = int(table.order[s, t])
+        if assignment[u] == -1 and remaining[s] > 0:
+            assignment[u] = s
+            remaining[s] -= 1
+    ranks = [max((int(table.rank[s, u]) for u in range(n) if assignment[u] == s), default=-1) for s in range(m)]
+    return make_solution(instance, ranks, assignment)
 
 
 def assignment_power(instance: Instance, assign: tuple[int, ...]) -> float | None:

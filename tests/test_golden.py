@@ -85,7 +85,7 @@ def test_bench_csv_digest_is_pinned(config, digest):
 
 
 def test_known_m_opt_exceedance_is_pinned():
-    # Open fault, ROADMAP item 4: on this tight-capacity instance the ascent
+    # Open fault, ROADMAP item 2: on this tight-capacity instance the ascent
     # pays 4.72 * OPT = 1.18 * m * OPT, above the paper's m * OPT bound.
     # Pinned so that any change to it shows; criterion 2 keeps checking the
     # bound on the ample-capacity suite.

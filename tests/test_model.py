@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from cmpc import (
@@ -22,11 +22,19 @@ from cmpc import (
     verify_dual_feasibility,
 )
 from cmpc import model
-from cmpc.model import instance_from_json_dict, instance_to_json_dict, order_table
+from cmpc.model import instance_from_json_dict, instance_to_json_dict, key_order, order_table
 from cmpc.certify import charge_breakdown
 from cmpc.reference import feasible_assignment
 
-from _oracles import OrderKey, order_key, power, table_key
+from _oracles import (
+    OrderKey,
+    ncs_solve_reference,
+    order_key,
+    pair_order_reference,
+    power,
+    table_key,
+    table_order_reference,
+)
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
@@ -322,6 +330,67 @@ def test_order_table_matches_scalar_keys_on_generated_instance(alpha):
     # 5000 pairs at random float coordinates: enough that np.hypot or
     # np.power in place of the scalar operations would differ on some.
     assert_table_matches_scalar_path(gen_instance(GenConfig(m=10, n=500, kbar=60.0, seed=11, alpha=alpha)))
+
+
+# --- key_order against the multi-key lexsorts it replaced -------------------
+
+
+@st.composite
+def tied_grid_instances(draw):
+    """Servers and users on a small integer grid, so that distances tie within
+    a row and across servers; servers coincide, users sit on a server and
+    share positions. Total capacity covers every user."""
+    side = draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(0, side).map(float), st.integers(0, side).map(float))
+    servers = draw(st.lists(cell, min_size=1, max_size=6))
+    users = draw(st.lists(cell, min_size=1, max_size=30))
+    capacity = draw(st.lists(st.integers(0, len(users)), min_size=len(servers), max_size=len(servers)))
+    capacity[-1] += max(0, len(users) - sum(capacity))
+    return make_instance([(x, y, k) for (x, y), k in zip(servers, capacity)], users)
+
+
+def flat_keys(table):
+    return table.dist.ravel(), table.cosine.ravel(), table.tiebreak.ravel()
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=tied_grid_instances())
+def test_key_order_matches_four_key_lexsort(inst):
+    table = order_table(inst)
+    assert key_order(*flat_keys(table)).tolist() == pair_order_reference(table).tolist()
+    assert table.order.tolist() == table_order_reference(inst).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=tied_grid_instances())
+def test_ncs_matches_lexsort_greedy(inst):
+    assert ncs_solve(inst).to_json_dict() == ncs_solve_reference(inst).to_json_dict()
+
+
+def test_tied_grid_instances_reach_the_fix_up():
+    # Distance alone orders a tied run by position: in a row by user id, in
+    # the flat pairs by server. Each strategy draw below has such a run that
+    # (cosine, tiebreak) must reorder, plus the degenerate positions.
+    def positions(inst):
+        return [(s.pos.x, s.pos.y) for s in inst.servers], [(u.pos.x, u.pos.y) for u in inst.users]
+
+    def reorders_across_servers(inst):
+        dist = order_table(inst).dist.ravel()
+        return not np.array_equal(np.argsort(dist, kind="stable"), pair_order_reference(order_table(inst)))
+
+    def reorders_in_a_row(inst):
+        dist = np.array([[order_key(srv, u).dist for u in inst.users] for srv in inst.servers])
+        return not np.array_equal(np.argsort(dist, axis=-1, kind="stable"), order_table(inst).order)
+
+    conditions = [
+        reorders_across_servers,
+        reorders_in_a_row,
+        lambda inst: len(set(positions(inst)[0])) < inst.m,
+        lambda inst: len(set(positions(inst)[1])) < inst.n,
+        lambda inst: bool(set(positions(inst)[0]) & set(positions(inst)[1])),
+    ]
+    for condition in conditions:
+        find(tied_grid_instances(), condition, settings=settings(max_examples=500, database=None, phases=[Phase.generate]))
 
 
 # --- one table per instance -------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 import tracemalloc
 from types import SimpleNamespace
@@ -1145,6 +1146,37 @@ def test_check_charging_pins_lowered_theta_to_its_user(bench_scale):
     assert [v.event_index for v in violations] == overcharged
     assert final_event in overcharged
     assert next(v.amount for v in violations if v.event_index == final_event) == charges[h] / 2
+
+
+@pytest.mark.parametrize("field", ["gamma_start", "covered_at", "theta"])
+def test_check_charging_reports_a_nan(bench_scale, field):
+    # Every comparison with NaN is False, so each test must fail unless its
+    # amount is within the tolerance. A NaN gamma start of the middle event's
+    # disk, or a NaN covered_at of its boundary user, leaves the charge of
+    # every disk it enters unknown; a NaN theta of that user, the cap on
+    # every charge to the user.
+    inst, _, duals, trace = bench_scale
+    table = order_table(inst)
+    i = len(trace) // 2
+    ev = trace[i]
+    assert ev.power > 0
+    h = int(table.order[ev.server, ev.rank])
+    holding_h = [j for j, e in enumerate(trace) if table.rank[e.server, h] <= e.rank]
+    prices = {name: np.array(getattr(duals, name), dtype=np.float64) for name in ("theta", "gamma_start", "covered_at")}
+    assert check_charging(inst, trace, SimpleNamespace(**prices)) == []
+    if field == "gamma_start":
+        prices[field][ev.disk_index] = np.nan
+    else:
+        prices[field][h] = np.nan
+    violations = check_charging(inst, trace, SimpleNamespace(**prices))
+    reported = {kind: [v.event_index for v in violations if v.kind == kind] for kind in {v.kind for v in violations}}
+    if field == "gamma_start":
+        assert reported == {"power vs beta-charge + gamma": [i], "power vs per-user charges": [i]}
+    elif field == "covered_at":
+        assert reported["power vs beta-charge + gamma"] == holding_h
+    else:
+        assert reported == {"charge exceeds a user's theta": holding_h}
+    assert all(math.isnan(v.amount) for v in violations if v.kind != "power vs per-user charges")
 
 
 def test_checkers_find_faults_at_a_tiny_power_unit(bench_scale):
