@@ -5,7 +5,9 @@ server count crossed with total capacity (m_K), and the attenuation exponent
 (alpha); the server-area concentration (lambda) is a fixed parameter.
 Every (sweep point, trial) pair maps to one deterministic instance seed, so
 a run is reproducible byte for byte, in one process or in two.
-Wall-clock timing is opt-in because it would break that reproducibility.
+Wall-clock timing is opt-in because it would break that reproducibility;
+with it off, the pd covers of a point's trials come from one batched ascent
+(`pd_solve_batch`), the same bits as one solve at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 from .generate import GenConfig, gen_instance
 from .metrics import approximation_ratio, util_variance, validate
 from .model import Instance, PowerParams, dump_instance, is_json_kind
-from .primal_dual import pd_solve
+from .primal_dual import pd_solve, pd_solve_batch, takes_block
 from .reference import ncs_solve, opt_solve
 from .solution import Solution
 
@@ -224,9 +226,13 @@ def _validated(instance: Instance, solution: Solution, seed: int, algo: str, out
         )
 
 
-def _trial_rows(config: ExperimentConfig, gen_template: GenConfig, seed: int) -> list[ResultRow]:
-    """Generate, solve, validate and record one (sweep point, trial)."""
-    instance = gen_instance(replace(gen_template, seed=seed))
+def _trial_rows(
+    config: ExperimentConfig, gen_template: GenConfig, seed: int, instance: Optional[Instance] = None, pd_solution: Optional[Solution] = None
+) -> list[ResultRow]:
+    """Generate, solve, validate and record one (sweep point, trial); a
+    point's batch passes its instance and pd cover in."""
+    if instance is None:
+        instance = gen_instance(replace(gen_template, seed=seed))
 
     opt_power = None
     opt_row = []
@@ -236,7 +242,9 @@ def _trial_rows(config: ExperimentConfig, gen_template: GenConfig, seed: int) ->
             opt_power = result.value
             opt_row = [("opt", result.solution, opt_ms)]
 
-    pd_solution, pd_ms = _timed(lambda ins: pd_solve(ins)[0], instance, timing=config.timing)
+    pd_ms = None
+    if pd_solution is None:
+        pd_solution, pd_ms = _timed(lambda ins: pd_solve(ins)[0], instance, timing=config.timing)
     ncs_solution, ncs_ms = _timed(ncs_solve, instance, timing=config.timing)
     solved = [("pd", pd_solution, pd_ms), ("ncs", ncs_solution, ncs_ms), *opt_row]
 
@@ -263,6 +271,29 @@ def _trial_rows(config: ExperimentConfig, gen_template: GenConfig, seed: int) ->
     return rows
 
 
+def _point_rows(config: ExperimentConfig, gen_template: GenConfig, seeds: list[int]) -> list[list[ResultRow]]:
+    """The rows of one sweep point's trials, their pd covers from one batch.
+
+    If anything raises, the trials run again one at a time, so that the
+    error raised, and the instance dumped, are those a serial run meets first.
+    """
+    try:
+        instances = [gen_instance(replace(gen_template, seed=seed)) for seed in seeds]
+        covers = _pd_covers(instances)
+        return [_trial_rows(config, gen_template, *trial) for trial in zip(seeds, instances, covers)]
+    except Exception:
+        return [_trial_rows(config, gen_template, seed) for seed in seeds]
+
+
+def _pd_covers(instances: list[Instance]) -> list[Solution]:
+    """pd's covers of instances of one shape: one batch of those at full
+    width, and each that takes the block alone."""
+    alone = [takes_block(instance) for instance in instances]
+    batch = [instance for instance, own in zip(instances, alone) if not own]
+    covers = iter(pd_solve_batch(batch)[0] if batch else ())
+    return [pd_solve_batch([instance])[0][0] if own else next(covers) for instance, own in zip(instances, alone)]
+
+
 def _default_jobs() -> int:
     """Processes of a sweep: up to 2 of the cores in this process's affinity mask."""
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -284,20 +315,23 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     validation raises BenchValidationError after its instance is written to
     the directory of `out` (the current directory when `out` is unset).
 
-    The (point, trial) tasks run in `_default_jobs()` processes
-    (`_run_shares`). The rows come back in (point, trial) order, so they are
-    the same for one process and for two, and so is the error raised: that
-    of the first failing task in serial order. With timing on, `runtime_ms`
-    is timed in whichever process solved the instance.
+    The tasks run in `_default_jobs()` processes (`_run_shares`). With
+    timing on, a task is one (point, trial), its `runtime_ms` timed in
+    whichever process solved it; with timing off, a task is a point, whose
+    trials are solved as one batch (`_point_rows`). The rows come back in
+    (point, trial) order, so they are the same for one process and for two,
+    and with timing on and off but for `runtime_ms`; so is the error raised:
+    that of the first failing (point, trial) in serial order.
     """
     templates = [_resolve_point(config, point) for point in config.sweep_values]
     stride = 0 if config.sweep_variable == "alpha" else config.trials
-    tasks = [
-        (template, config.seed_base + p_idx * stride + trial)
-        for p_idx, template in enumerate(templates)
-        for trial in range(config.trials)
-    ]
-    per_task = _run_shares(lambda i: _trial_rows(config, *tasks[i]), len(tasks))
+    seeds = [[config.seed_base + p_idx * stride + trial for trial in range(config.trials)] for p_idx in range(len(templates))]
+    if config.timing:
+        tasks = [(template, seed) for template, point in zip(templates, seeds) for seed in point]
+        per_task = _run_shares(lambda i: _trial_rows(config, *tasks[i]), len(tasks))
+    else:
+        per_point = _run_shares(lambda p: _point_rows(config, templates[p], seeds[p]), len(templates))
+        per_task = [rows for point in per_point for rows in point]
 
     summaries: list[ResultRow] = []
     for p_idx in range(len(templates)):
@@ -327,7 +361,7 @@ def _run_shares(run, count: int) -> list:
     processes.
 
     With two, this process runs the even tasks and a child made by os.fork
-    the odd ones, so that both get tasks from every sweep point. The child
+    the odd ones, so that both get tasks from all over the sweep. The child
     pickles its results, or the exception of its first failing task, into a
     pipe, which is read, and the child reaped, before this returns or
     raises. The exception raised is that of the lowest failing task, the one

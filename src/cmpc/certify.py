@@ -185,8 +185,11 @@ def check_charging(instance: Instance, trace: Sequence, duals) -> list[ChargingV
     For each selected disk, its power must equal the flat-price charge it
     collected (remaining capacity integrated over its flat-price phase) plus
     its members' individual payments, and the same total must be recoverable
-    as per-user charges of at most theta_h each. The final cover is at most m
-    disks, one per server, so these give total power <= m * sum(theta).
+    as per-user charges of at most theta_h each, and its gamma start must not
+    be negative (the first identity cannot see one: a start g < 0 moves
+    k_s * g from the flat charge to the individual prices). The final cover
+    is at most m disks, one per server, so these give total power <= m *
+    sum(theta).
     Everything is reconstructed from the trace and the closed-form prices,
     independently of the ascent's running sums, and checked to within
     CHECK_TOL * the largest candidate power; the two power identities also
@@ -196,12 +199,15 @@ def check_charging(instance: Instance, trace: Sequence, duals) -> list[ChargingV
     table = order_table(instance)
     tol = CHECK_TOL * float(table.power.max())
     theta = np.asarray(duals.theta, dtype=np.float64)
+    starts = np.asarray(duals.gamma_start, dtype=np.float64)
     steps = _capacity_steps(instance, trace)
 
     violations: list[ChargingViolation] = []
     for ev_i, ev in enumerate(trace):
         members, charge, paid = _event_charges(table, steps, duals, ev)
         short = tol + TIGHTNESS_TOL * ev.power
+        if starts[ev.disk_index] < -tol:
+            violations.append(ChargingViolation(ev_i, "negative gamma start", float(-starts[ev.disk_index])))
         # Each test is written as "not within", so that a NaN fails it.
         if not abs(ev.power - charge) <= short:
             violations.append(ChargingViolation(ev_i, "power vs beta-charge + gamma", abs(ev.power - charge)))

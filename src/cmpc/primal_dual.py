@@ -31,7 +31,6 @@ even though remaining capacity (not nominal capacity) drives the ascent:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,7 +47,10 @@ from .certify import (  # noqa: F401
     verify_dual_feasibility,
 )
 from .model import Instance, order_table
-from .solution import Solution, make_solution
+from .slack import slack_prices
+
+# So do the trace types, which live in solution.
+from .solution import EventTrace, SelectionEvent, Solution, make_solution, trace_to_json_list  # noqa: F401
 
 
 class InsufficientCapacityError(ValueError):
@@ -75,33 +77,12 @@ class AscentStalledError(RuntimeError):
     """Users remain uncovered but no disk can ascend, or an event covered none."""
 
 
-@dataclass(frozen=True)
-class SelectionEvent:
-    """One selection: a disk went tight and took over its uncovered users."""
+class UnionTable(NamedTuple):
+    """A batch's order tables as one (see DualState)."""
 
-    clock: float
-    server: int
-    boundary_user: int
-    rank: int
-    disk_index: int
-    newly_covered: tuple[int, ...]
-    power: float
-    remaining_after: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "clock": self.clock,
-            "server": self.server,
-            "boundary_user": self.boundary_user,
-            "newly_covered": list(self.newly_covered),
-        }
-
-
-EventTrace = list[SelectionEvent]
-
-
-def trace_to_json_list(trace: EventTrace) -> list[dict]:
-    return [ev.to_json_dict() for ev in trace]
+    order: np.ndarray  # [B * m, n]: instance b's rows, its users offset by b * n
+    rank: np.ndarray  # [m, B * n]: the instances' rank tables side by side
+    power: np.ndarray  # [B * m, n]
 
 
 class Block(NamedTuple):
@@ -181,35 +162,46 @@ class DualState:
     a server in it runs out of capacity, with the lows the event before
     found. `_block` is None at full width, where the event loop works on
     the state's own flat arrays.
+
+    The batch. A state of B > 1 instances of one shape (m, n) is the
+    disjoint union of theirs, always at full width: row b*m + s is server s
+    of instance b, whose users are offset by b*n, and `table` is their
+    UnionTable. `clock` then holds each instance's clock in an array (a
+    lone instance's is a float), and an event steps each instance by its
+    own delta (next_event).
     """
 
-    def __init__(self, instance: Instance):
-        m, n = instance.m, instance.n
-        self.table = order_table(instance)
+    def __init__(self, *instances: Instance):
+        count, m, n = len(instances), instances[0].m, instances[0].n
+        tables = [order_table(instance) for instance in instances]
+        self.table = tables[0] if count == 1 else UnionTable(
+            np.concatenate([table.order + b * n for b, table in enumerate(tables)]),
+            np.concatenate([table.rank for table in tables], axis=1),
+            np.concatenate([table.power for table in tables]),
+        )
         self.powers = self.table.power.ravel()
         self.tight_tol = TIGHTNESS_TOL * self.powers
         self.lhs = np.zeros(self.powers.size, dtype=np.float64)
-        self.capacity = np.array([s.capacity for s in instance.servers], dtype=np.int64)
+        self.capacity = np.array([s.capacity for instance in instances for s in instance.servers], dtype=np.int64)
         self.remaining_capacity = self.capacity.copy()
-        self.last_selected = [-1] * m
-        self.assignment = np.full(n, -1, dtype=np.int64)
-        self.clock = 0.0
-        self.covered_at = np.full(n, np.nan, dtype=np.float64)
+        self.last_selected = [-1] * (count * m)
+        self.assignment = np.full(count * n, -1, dtype=np.int64)
+        self.clock = 0.0 if count == 1 else np.zeros(count)
+        self.covered_at = np.full(count * n, np.nan, dtype=np.float64)
         # Before any selection the disk at rank t holds t + 1 uncovered users.
         self.gamma_start = np.where(np.arange(1, n + 1) > self.capacity[:, None], np.nan, 0.0).ravel()
-        self.mu = np.zeros(m, dtype=np.float64)
+        self.mu = np.zeros(count * m, dtype=np.float64)
         # float64, not bool: a cumsum over bools would allocate a float copy.
-        self.uncovered = np.ones((m, n), dtype=np.float64)
-        self._rows = np.arange(m)[:, None]
+        self.uncovered = np.ones((count * m, n), dtype=np.float64)
+        # Each instance's rows.
+        self._rows = [np.arange(b * m, (b + 1) * m)[:, None] for b in range(count)]
         self._widths = np.minimum(n, self.capacity + 1)
-        self._lows = np.zeros(m, dtype=np.int64)
-        power = self.table.power
-        full = m * (n - int(self._widths.max())) < SUFFIX_CROSSOVER or (power[:, 1:] < power[:, :-1]).any()
+        self._lows = np.zeros(count * m, dtype=np.int64)
         # Rates (census), residuals and steps.
-        self._floats = np.empty((3, m * n), dtype=np.float64)
-        self._bools = np.empty((2, m * n), dtype=bool)
+        self._floats = np.empty((3, count * m * n), dtype=np.float64)
+        self._bools = np.empty((2, count * m * n), dtype=bool)
         self._index = self._block = None
-        if full:
+        if count > 1 or not takes_block(instances[0]):
             self._widths[:] = n
         else:
             self._index = np.empty(m * n, dtype=np.int64)
@@ -269,13 +261,19 @@ class DualState:
         self._widths[rows] = widths
         self._lay_out(np.flatnonzero(self.remaining_capacity))
 
+    def _clocks(self, prices: np.ndarray):
+        """The clock of each of `prices`: its instance's, in a batch."""
+        if isinstance(self.clock, float):
+            return self.clock
+        return self.clock.repeat(prices.size // self.clock.size)
+
     @property
     def theta(self) -> np.ndarray:
-        return np.where(np.isnan(self.covered_at), self.clock, self.covered_at)
+        return np.where(np.isnan(self.covered_at), self._clocks(self.covered_at), self.covered_at)
 
     @property
     def beta(self) -> np.ndarray:
-        return np.where(np.isnan(self.gamma_start), self.clock, self.gamma_start)
+        return np.where(np.isnan(self.gamma_start), self._clocks(self.gamma_start), self.gamma_start)
 
     def is_active(self, idx: int) -> bool:
         """Whether the disk at flat index `idx` can still be selected.
@@ -287,77 +285,13 @@ class DualState:
         return bool(self.remaining_capacity[s] > 0) and idx > self.last_selected[s]
 
     def finalize(self) -> None:
-        """Set mu to the least slack making every disk constraint feasible.
-
-        The disk of server s at rank t needs k_s * beta + sum over its members
-        order[s, :t + 1] of gamma <= power + mu_s, where gamma[h, disk] =
-        max(0, theta_h - gamma_start[disk]). So the disks of a run [lo, hi) of
-        ranks that share one gamma start g take their gamma sums from one
-        prefix sum of max(0, theta - g) over order[s, :hi], whatever the
-        starts are. Called once every disk has left its beta phase.
-
-        The runs are few because gamma_start never decreases with rank: it
-        starts at 0 below the capacity and NaN above; each event stamps its
-        clock on the disks in beta that leave it, (census <= room) |
-        (room == 0), a rank prefix of them since census is a cumsum over rank;
-        and pd_solve stamps the rest with the last clock. So a server has at
-        most E + 1 runs for E events: O(m * n * (E + 1)) time.
-
-        The runs of all servers are summed up to m at a time, in order of
-        their end rank hi: one matrix with a row max(0, theta[order[s, :H]] -
-        g) per run of server s and start g, H the block's largest hi, one
-        cumsum along the ranks, and a gather that gives each disk the sum in
-        its own run's row. A row is the same sequential sum as a cumsum over
-        order[s, :hi] alone, so the budgets are those of one run at a time,
-        bit for bit; as blocks hold runs of similar ends, the sums stop near
-        where their runs do. Ranked theta, the budgets, the matrix and its
-        sums use the ascent's m*n work buffers, free by now; the gather index
-        of m runs spans at most m*n disks.
-        """
+        """Set mu to the least slack making every disk constraint feasible
+        (cmpc.slack), fill in each row's charges beyond its width, and drop
+        the event buffers. Called once every disk has left its beta phase."""
         m, n = self.table.order.shape
         # The block's index is of no more use.
         self._index = self._block = None
-        # mode="clip" (every index is in range) takes straight into out,
-        # which the default mode would buffer.
-        theta = self.theta.take(self.table.order, out=self._floats[0].reshape(m, n), mode="clip")
-        starts = self.gamma_start.reshape(m, n)
-        # beta is gamma_start now that no disk is in its beta phase.
-        lhs = np.multiply(self.capacity[:, None], starts, out=self.uncovered).ravel()
-        # A run opens at rank 0 and wherever the start differs from the rank before.
-        opens = self._bools[1].reshape(m, n)
-        opens[:, 0] = True
-        np.not_equal(starts[:, 1:], starts[:, :-1], out=opens[:, 1:])
-        servers, ranks = opens.nonzero()
-        heads = servers * n + ranks
-        lengths = np.empty_like(heads)
-        np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
-        lengths[-1] = m * n - heads[-1]
-        by_end = (ranks + lengths).argsort(kind="stable")
-        # Run r holds the ranks [ranks[r], ends[r]) of servers[r]; the runs
-        # are now in order of their ends, and run r takes row r % m of its
-        # block, which stops at the block's last end.
-        servers, ranks, lengths = servers[by_end], ranks[by_end], lengths[by_end]
-        ends = ranks + lengths
-        count = servers.size
-        highs = ends[np.minimum(np.arange(m - 1, count + m - 1, m), count - 1)]
-        row = np.arange(count) % m * highs.repeat(m)[:count]
-        # Rank t of run r takes prefix[row r, t], at src[r] + its place among
-        # the block's disks, into lhs at that plus shift[r], s * n + t.
-        first = lengths.cumsum() - lengths
-        src = row + ranks - first + first[::m].repeat(m)[:count]
-        shift = servers * n - row
-        gamma_starts = starts[servers, ranks, None]
-        for c, high in zip(range(0, count, m), highs.tolist()):
-            runs = slice(c, c + m)
-            rows = theta[:, :high].take(servers[runs], axis=0, out=self._floats[2, : min(m, count - c) * high].reshape(-1, high), mode="clip")
-            np.subtract(rows, gamma_starts[runs], out=rows)
-            prefix = np.add.accumulate(np.maximum(rows, 0.0, out=rows), axis=1, out=self._floats[1, : rows.size].reshape(-1, high))
-            index = src[runs].repeat(lengths[runs])
-            index += np.arange(index.size)
-            sums = prefix.take(index, out=self._floats[2, : index.size], mode="clip")
-            index += shift[runs].repeat(lengths[runs])
-            lhs[index] += sums
-        self.mu = np.maximum(0.0, np.subtract(lhs, self.powers, out=lhs).reshape(m, n).max(axis=1))
+        self.mu = slack_prices(self)
         charges = self.lhs.reshape(m, n)
         for s in np.flatnonzero(self._widths < n).tolist():
             width = self._widths[s]
@@ -366,8 +300,20 @@ class DualState:
             vars(self).pop(name, None)
 
 
-def init_solver(instance: Instance) -> DualState:
-    return DualState(instance)
+def takes_block(instance: Instance) -> bool:
+    """Whether the ascent of `instance` works on the block (see DualState):
+    when the suffixes spare at least SUFFIX_CROSSOVER disks at the start,
+    m * (n - max k_s - 1), and no row of powers decreases."""
+    n = instance.n
+    if instance.m * (n - min(n, max(s.capacity for s in instance.servers) + 1)) < SUFFIX_CROSSOVER:
+        return False
+    power = order_table(instance).power
+    return not (power[:, 1:] < power[:, :-1]).any()
+
+
+def init_solver(instance: Instance, *batch: Instance) -> DualState:
+    """The state of `instance`'s ascent, or of a batch's with `batch`'s instances after it."""
+    return DualState(instance, *batch)
 
 
 def next_event(duals: DualState) -> tuple[float, list[int]]:
@@ -398,14 +344,23 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
     1e-9 p_t up to a few ulps, so p_t <= p_w (1 + 2e-9) and r_w <= 1e-9 p_t <
     SUFFIX_SCREEN p_w. So only the rows whose rank w passes that screen have
     their suffix tested disk by disk, exactly as above.
+
+    A batch's state (see DualState) takes each instance's step as the
+    minimum over its own m*n disks, exact in any order, and 0 once the
+    instance has covered every user; each clock advances by its own step,
+    and the time advanced is the array of them.
     """
     m, n = duals.table.order.shape
     room = duals.remaining_capacity.astype(np.float64)
     block = duals._block
+    clocks = None if isinstance(duals.clock, float) else duals.clock
     if block is None:
         rates, residual, step = duals._floats
         census = rates.reshape(m, n)
         np.add.accumulate(duals.uncovered, axis=1, out=census)
+        if clocks is not None:
+            # Each row's census at rank n - 1 counts its instance's uncovered users.
+            done = census[:: m // clocks.size, -1] == 0.0
         # Within one event "fits the remaining capacity" only turns true, so
         # checking it once per event records the same clock as checking it
         # after every selection. An exhausted server's disks get a gamma phase
@@ -417,7 +372,10 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
             # (census <= room) | (room == 0), with an exhausted server's room as inf.
             np.less_equal(census, np.where(room == 0, np.inf, room)[:, None], out=leaves_beta.reshape(m, n))
             leaves_beta &= in_beta
-            np.copyto(duals.gamma_start, duals.clock, where=leaves_beta)
+            if clocks is None:
+                np.copyto(duals.gamma_start, duals.clock, where=leaves_beta)
+            else:
+                np.copyto(duals.gamma_start.reshape(clocks.size, -1), clocks[:, None], where=leaves_beta.reshape(clocks.size, -1))
         # The census becomes the rates in place.
         np.minimum(census, room[:, None], out=census)
         np.subtract(duals.powers, duals.lhs, out=residual)
@@ -433,11 +391,20 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
     # where= leaves the other entries of step stale, so the min skips them
     # too; it is inf when no rate is positive.
     np.divide(residual, rates, out=step, where=positive)
-    step_min = float(np.minimum.reduce(step, where=positive, initial=np.inf))
-    if step_min == np.inf:
-        raise AscentStalledError("no disk can ascend but users remain uncovered")
-    delta = max(step_min, 0.0)
-    np.multiply(rates, delta, out=step)
+    if clocks is None:
+        step_min = float(np.minimum.reduce(step, where=positive, initial=np.inf))
+        if step_min == np.inf:
+            raise AscentStalledError("no disk can ascend but users remain uncovered")
+        delta = max(step_min, 0.0)
+        np.multiply(rates, delta, out=step)
+    else:
+        steps = step.reshape(clocks.size, -1)
+        delta = np.minimum.reduce(steps, axis=1, where=positive.reshape(clocks.size, -1), initial=np.inf)
+        delta[done] = 0.0
+        if np.isinf(delta).any():
+            raise AscentStalledError("an instance has users uncovered but no disk that can ascend")
+        np.maximum(delta, 0.0, out=delta)
+        np.multiply(rates.reshape(clocks.size, -1), delta[:, None], out=steps)
     residual -= step
     # The block's tolerances go where its rates were.
     tol = duals.tight_tol if block is None else duals.tight_tol.take(index, out=rates, mode="clip")
@@ -510,9 +477,10 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
     """Select a tight disk: assign its uncovered users to its server.
 
     `idx` is the disk's flat index. Returns the newly covered users,
-    ascending. A tight disk whose uncovered set was emptied by an earlier
-    selection in the same event changes nothing. Smaller disks of the server
-    stop ascending, as their members are all covered.
+    ascending (in a batch, as numbered in the union). A tight disk whose
+    uncovered set was emptied by an earlier selection in the same event
+    changes nothing. Smaller disks of the server stop ascending, as their
+    members are all covered.
     """
     if not duals.is_active(idx):
         raise ValueError("apply_selection: disk is no longer active")
@@ -535,63 +503,86 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
             int(duals.remaining_capacity[s]),
         )
 
+    b = s // len(duals._rows[0])
     duals.assignment[newly] = s
-    duals.covered_at[newly] = duals.clock
-    duals.uncovered[duals._rows, duals.table.rank[:, newly]] = 0.0
+    duals.covered_at[newly] = duals.clock if isinstance(duals.clock, float) else duals.clock[b]
+    duals.uncovered[duals._rows[b], duals.table.rank[:, newly]] = 0.0
     duals.remaining_capacity[s] -= len(newly)
     duals.last_selected[s] = idx
     return sorted(newly.tolist())
 
 
 def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
-    """Cover all users by dual ascent; return the cover, prices and trace.
+    """Cover all users by dual ascent; return the cover, prices and trace:
+    pd_solve_batch on `instance` alone, then finalize.
 
     Raises InsufficientCapacityError when total capacity < n,
     CapacityInvariantError (trace attached) if a selection would ever exceed
     remaining capacity, and AscentStalledError if an event covers no user.
     """
-    if not instance.has_sufficient_capacity():
-        raise InsufficientCapacityError(
-            f"total capacity {instance.total_capacity} < {instance.n} users"
-        )
-    duals = init_solver(instance)
-    n = instance.n
-    trace: EventTrace = []
-    uncovered = n
-    while uncovered:
+    (solution,), duals, (trace,) = pd_solve_batch([instance])
+    duals.finalize()
+    return solution, duals, trace
+
+
+def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualState, list[EventTrace]]:
+    """pd_solve on each of `instances` in one ascent, all but finalize: the
+    covers, the state and the traces.
+
+    The instances must share one shape (m, n); two or more work at full
+    width, whatever takes_block says. Their state is the union of theirs (see
+    DualState): instance b's prices are covered_at and theta[b*n:(b+1)*n],
+    gamma_start and beta[b*m*n:(b+1)*m*n], its clock is clock[b], and mu
+    stays zero. Each event steps every instance by its own delta until the
+    last one has covered every user, so each cover, trace and price is bit
+    for bit that of the instance's own pd_solve. Raises as pd_solve does,
+    for the first instance short of capacity or at the first failing event.
+    """
+    for instance in instances:
+        if not instance.has_sufficient_capacity():
+            raise InsufficientCapacityError(f"total capacity {instance.total_capacity} < {instance.n} users")
+    if len({(instance.m, instance.n) for instance in instances}) > 1:
+        raise ValueError("a batch takes instances of one shape (m, n)")
+    m, n = instances[0].m, instances[0].n
+    duals = init_solver(*instances)
+    traces: list[EventTrace] = [[] for _ in instances]
+    uncovered = [n] * len(instances)
+    while any(uncovered):
         _, tights = next_event(duals)
-        before = uncovered
+        clocks = [duals.clock] if len(instances) == 1 else duals.clock.tolist()
+        before = list(uncovered)
         for idx in tights:
             if not duals.is_active(idx):
                 continue
+            s, rank = divmod(idx, n)
+            b = s // m
             try:
                 newly = apply_selection(duals, idx)
             except CapacityInvariantError as err:
-                err.trace = list(trace)
+                err.trace = list(traces[b])
                 raise
             if newly:
-                uncovered -= len(newly)
-                s, rank = divmod(idx, n)
-                trace.append(
+                uncovered[b] -= len(newly)
+                traces[b].append(
                     SelectionEvent(
-                        clock=duals.clock,
-                        server=s,
-                        boundary_user=int(duals.table.order[s, rank]),
+                        clock=clocks[b],
+                        server=s - b * m,
+                        boundary_user=int(duals.table.order[s, rank]) - b * n,
                         rank=rank,
-                        disk_index=idx,
-                        newly_covered=tuple(newly),
+                        disk_index=idx - b * m * n,
+                        newly_covered=tuple(u - b * n for u in newly) if b else tuple(newly),
                         power=float(duals.powers[idx]),
                         remaining_after=int(duals.remaining_capacity[s]),
                     )
                 )
-        if uncovered == before:
+        if any(left and left == now for left, now in zip(before, uncovered)):
             raise AscentStalledError("an event covered no user although users remain uncovered")
 
     # Every disk has left its beta phase once nobody is uncovered.
-    leftover = np.isnan(duals.gamma_start)
-    duals.gamma_start[leftover] = duals.clock
-    duals.finalize()
-
-    ranks = [i - s * n if i >= 0 else -1 for s, i in enumerate(duals.last_selected)]
-    solution = make_solution(instance, ranks, duals.assignment.tolist())
-    return solution, duals, trace
+    np.copyto(duals.gamma_start, duals._clocks(duals.gamma_start), where=np.isnan(duals.gamma_start))
+    solutions = []
+    for b, instance in enumerate(instances):
+        ranks = [i - (b * m + s) * n if i >= 0 else -1 for s, i in enumerate(duals.last_selected[b * m : (b + 1) * m])]
+        assignment = duals.assignment[b * n : (b + 1) * n] - b * m
+        solutions.append(make_solution(instance, ranks, assignment.tolist()))
+    return solutions, duals, traces

@@ -1,4 +1,5 @@
-"""Cover solutions: one radius and power per server plus a user->server assignment."""
+"""What the solvers return: a cover (one radius and power per server plus a
+user->server assignment) and the dual ascent's trace of selections."""
 
 from __future__ import annotations
 
@@ -52,3 +53,32 @@ def make_solution(instance: Instance, ranks: Sequence[int], assignment: Sequence
     power = tuple(None if t < 0 else float(table.power[s, t]) for s, t in enumerate(ranks))
     total = sum(p for p in power if p is not None)
     return Solution(radius=radius, power=power, assignment=tuple(assignment), total_power=total)
+
+
+@dataclass(frozen=True)
+class SelectionEvent:
+    """One selection: a disk went tight and took over its uncovered users."""
+
+    clock: float
+    server: int
+    boundary_user: int
+    rank: int
+    disk_index: int
+    newly_covered: tuple[int, ...]
+    power: float
+    remaining_after: int
+
+    def to_json_dict(self) -> dict:
+        return {
+            "clock": self.clock,
+            "server": self.server,
+            "boundary_user": self.boundary_user,
+            "newly_covered": list(self.newly_covered),
+        }
+
+
+EventTrace = list[SelectionEvent]
+
+
+def trace_to_json_list(trace: EventTrace) -> list[dict]:
+    return [ev.to_json_dict() for ev in trace]

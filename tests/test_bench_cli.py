@@ -2,6 +2,8 @@ import json
 import os
 import pickle
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,27 @@ def test_one_core_mask_never_forks(monkeypatch):
     assert len(run_experiment(tiny_config())) == 24
 
 
+def user_study(trials):
+    """experiments/user_sweep.json with `trials` trials per point."""
+    path = Path(__file__).resolve().parent.parent / "experiments" / "user_sweep.json"
+    return replace(ExperimentConfig.from_json_dict(json.loads(path.read_text())), trials=trials)
+
+
+def without_runtime(text):
+    """The CSV's lines with column 11, runtime_ms, cut."""
+    return [line.split(",")[:10] + line.split(",")[11:] for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("config", [*JOBS_CONFIGS, user_study(3)], ids=lambda c: c.experiment_id + "-" + c.sweep_variable)
+def test_timing_on_and_off_give_the_same_rows(config):
+    # Timing off solves each point's trials as one batch, timing on one at a time.
+    on = rows_to_csv_text(run_experiment(replace(config, timing=True)))
+    off = rows_to_csv_text(run_experiment(replace(config, timing=False)))
+    assert without_runtime(on) == without_runtime(off)
+    assert all(line.split(",")[10] == "" for line in off.splitlines()[1:])
+    assert all(line.split(",")[10] != "" for line in on.splitlines()[1:])
+
+
 def test_bench_validation_error_survives_pickling():
     error = BenchValidationError("pd solution failed validation on seed 3", "out/cmpc_failed_instance_pd_3.json")
     copy = pickle.loads(pickle.dumps(error))
@@ -212,11 +235,12 @@ def failure_of(monkeypatch, config, cores):
     return caught.value
 
 
-# With 2 points x 3 trials the tasks are seeds 100..105; task i has seed 100 + i
-# and runs in the calling process when i is even, in the child when i is odd.
+# With 2 points x 3 trials and timing on, the tasks are seeds 100..105; task
+# i has seed 100 + i and runs in the calling process when i is even, in the
+# child when i is odd.
 @pytest.mark.parametrize("cores", [2, 3])
 def test_child_validation_failure_matches_serial(tmp_path, monkeypatch, cores):
-    config = tiny_config(oracle_budget=0, out=str(tmp_path / "r.csv"))
+    config = tiny_config(oracle_budget=0, out=str(tmp_path / "r.csv"), timing=True)
     seeds_of = {}
     real_gen = bench.gen_instance
 
@@ -246,7 +270,7 @@ def test_child_runtime_error_reraises_in_parent(monkeypatch):
     real = bench.ncs_solve
 
     def ncs(instance):
-        if instance.n == 8:  # tasks 3-5; the first of them, 3, is the child's
+        if instance.n == 8:  # point 1, the child's
             raise RuntimeError("ncs broke")
         return real(instance)
 
@@ -256,8 +280,9 @@ def test_child_runtime_error_reraises_in_parent(monkeypatch):
 
 
 def test_share_stops_once_a_lower_task_has_failed(tmp_path, monkeypatch):
-    # Task 0 (the caller's) fails at once; the child's share (tasks 1, 3, 5)
-    # stops before its next task, as none of its rows could be used.
+    # With timing on a task is one trial. Task 0 (the caller's) fails at
+    # once; the child's share (tasks 1, 3, 5) stops before its next task, as
+    # none of its rows could be used.
     calls = tmp_path / "calls"
     real = bench.gen_instance
 
@@ -268,13 +293,67 @@ def test_share_stops_once_a_lower_task_has_failed(tmp_path, monkeypatch):
             raise RuntimeError("no instance for seed 100")
         return real(cfg)
 
+    def child_seeds():
+        return [int(line.split()[1]) for line in calls.read_text().splitlines() if line.split()[0] != str(os.getpid())]
+
     monkeypatch.setattr(bench, "gen_instance", gen)
-    serial = failure_of(monkeypatch, tiny_config(oracle_budget=0), 1)
+    config = tiny_config(oracle_budget=0, timing=True)
+    serial = failure_of(monkeypatch, config, 1)
     calls.unlink()
-    parallel = failure_of(monkeypatch, tiny_config(oracle_budget=0), 2)
+    parallel = failure_of(monkeypatch, config, 2)
     assert type(parallel) is type(serial) is RuntimeError and str(parallel) == str(serial)
-    by_child = [line for line in calls.read_text().splitlines() if line.split()[0] != str(os.getpid())]
-    assert len(by_child) <= 1
+    assert len(child_seeds()) <= 1
+    # With timing off a task is a sweep point. The caller's point 0 (seeds
+    # 100-102) fails; the child's share (points 1 and 3) draws at most point
+    # 1's instances, never point 3's.
+    calls.unlink()
+    parallel = failure_of(monkeypatch, replace(config, sweep_values=(5, 8, 5, 8), timing=False), 2)
+    assert type(parallel) is RuntimeError and str(parallel) == str(serial)
+    assert set(child_seeds()) <= {103, 104, 105}
+
+
+def fail_one_trial(monkeypatch, seed, fault):
+    """Make trial `seed` fail: its pd raises, as its instance falls short of
+    capacity, or its cover fails validation."""
+    real_gen, real_validate = bench.gen_instance, bench.validate
+    # Instances compare by value; an id could be reused by a later draw.
+    invalid = set()
+
+    def gen(cfg):
+        instance = real_gen(cfg)
+        if cfg.seed == seed:
+            if fault == "pd":
+                return replace(instance, servers=tuple(replace(s, capacity=0) for s in instance.servers))
+            invalid.add(instance)
+        return instance
+
+    def validate(instance, solution):
+        return failing_validate(instance, solution) if instance in invalid else real_validate(instance, solution)
+
+    monkeypatch.setattr(bench, "gen_instance", gen)
+    monkeypatch.setattr(bench, "validate", validate)
+
+
+@pytest.mark.parametrize("fault", ["pd", "validation"])
+def test_batched_sweep_fails_like_a_serial_one(tmp_path, monkeypatch, fault):
+    # 3 points x 3 trials, seeds 100-108. Seed 104 fails, in point 1: the
+    # child's on two cores. Timing off solves each point as one batch, and
+    # must raise what the one-trial-at-a-time path (timing on) raises on one
+    # core, leaving the same one dump or none.
+    def sweep(cores, timing):
+        for name in os.listdir(tmp_path):
+            os.remove(tmp_path / name)
+        config = tiny_config(sweep_values=(5, 8, 6), oracle_budget=0, out=str(tmp_path / "r.csv"), timing=timing)
+        error = failure_of(monkeypatch, config, cores)
+        dumps = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        return type(error), str(error), dumps
+
+    fail_one_trial(monkeypatch, 104, fault)
+    serial = sweep(1, True)
+    assert len(serial[2]) == (fault == "validation")
+    assert ("seed 104" if fault == "validation" else "< 8 users") in serial[1]
+    for cores in (1, 2):
+        assert sweep(cores, False) == serial
 
 
 class TwoArgumentError(Exception):

@@ -828,6 +828,28 @@ def test_perturbed_duals_raise_every_violation_kind():
     }
 
 
+def test_perturbed_duals_raise_every_charging_kind():
+    # The noise makes some selected disks' gamma starts negative (seeds 0, 2,
+    # 12, 13, 18, 24, 26, 28, 29 and 31); at seed 12 the first identity does
+    # not see it.
+    kinds, negative = set(), []
+    for seed in range(40):
+        inst = checker_instance(seed)
+        _, duals, trace = pd_solve(inst)
+        noisy = perturbed_duals(inst, seed)
+        paid = SimpleNamespace(theta=noisy.theta, gamma_start=noisy.gamma_start, covered_at=duals.covered_at)
+        found = {v.kind for v in check_charging(inst, trace, paid)}
+        kinds |= found
+        negative += [seed] * ("negative gamma start" in found)
+    assert kinds == {
+        "negative gamma start",
+        "power vs beta-charge + gamma",
+        "power vs per-user charges",
+        "charge exceeds a user's theta",
+    }
+    assert negative == [0, 2, 12, 13, 18, 24, 26, 28, 29, 31]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_charge_breakdown_matches_per_segment_reference(seed):
     inst = checker_instance(seed)
@@ -1105,6 +1127,34 @@ def test_check_charging_pins_raised_power_to_its_event(bench_scale):
     violations = check_charging(inst, bumped, duals)
     assert {v.event_index for v in violations} == {i}
     assert "power vs beta-charge + gamma" in {v.kind for v in violations}
+
+
+def test_check_charging_reports_a_negative_gamma_start():
+    # A selected disk's gamma start g < 0 moves k_s * g from its flat charge
+    # to its members' individual prices, so the first identity still holds:
+    # the start is reported as its own kind, by -g.
+    inst = gen_instance(GenConfig(m=10, n=150, kbar=15.0, seed=3000))
+    _, duals, trace = pd_solve(inst)
+    ev = trace[8]
+    starts = duals.gamma_start.copy()
+    starts[ev.disk_index] = -ev.power
+    violations = check_charging(inst, trace, SimpleNamespace(theta=duals.theta, gamma_start=starts, covered_at=duals.covered_at))
+    assert [(v.event_index, v.kind) for v in violations] == [
+        (8, "negative gamma start"),
+        (8, "power vs per-user charges"),
+        (8, "charge exceeds a user's theta"),
+    ]
+    assert violations[0].amount == ev.power
+
+
+@pytest.mark.parametrize("m, n", [(10, 400), (15, 350), (20, 300)])
+def test_checkers_accept_pd_at_certify_tight_sizes(m, n):
+    # The certify-tight benchmark's sizes, capacity about n, two seeds each.
+    for seed in (1000 + m, 2000 + m):
+        inst = gen_instance(GenConfig(m=m, n=n, kbar=n / m, seed=seed))
+        _, duals, trace = pd_solve(inst)
+        assert verify_dual_feasibility(inst, duals) == []
+        assert check_charging(inst, trace, duals) == []
 
 
 def test_check_charging_reads_the_trace_twice(bench_scale, monkeypatch):
