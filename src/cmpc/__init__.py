@@ -10,13 +10,8 @@ from .bench import ExperimentConfig, ResultRow, run_experiment, write_csv
 from .certify import check_charging, dual_objective, verify_dual_feasibility
 from .generate import GenConfig, gen_instance
 from .metrics import validate
-from .model import Instance, Point, PowerParams, Server, User, dump_instance, load_instance
-from .primal_dual import (
-    AscentStalledError,
-    CapacityInvariantError,
-    InsufficientCapacityError,
-    pd_solve,
-)
+from .model import Instance, InsufficientCapacityError, Point, PowerParams, Server, User, dump_instance, load_instance
+from .primal_dual import AscentStalledError, CapacityInvariantError, pd_solve
 from .reference import ncs_solve, opt_solve
 from .solution import Solution
 

@@ -12,6 +12,7 @@ with it off, the pd covers of a point's trials come from one batched ascent
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import pickle
@@ -22,7 +23,7 @@ from typing import Optional
 from .generate import GenConfig, gen_instance
 from .metrics import approximation_ratio, util_variance, validate
 from .model import Instance, PowerParams, dump_instance, is_json_kind
-from .primal_dual import pd_solve, pd_solve_batch, takes_block
+from .primal_dual import pd_solve, pd_solve_batch
 from .reference import ncs_solve, opt_solve
 from .solution import Solution
 
@@ -202,7 +203,16 @@ def _resolve_point(config: ExperimentConfig, point) -> GenConfig:
     elif config.sweep_variable == "alpha":
         alpha = float(point)
     PowerParams(config.c, alpha)
-    return GenConfig(m=m, n=n, kbar=kbar, seed=0, c=config.c, alpha=alpha, l=config.l, lam=config.lam)
+    template = GenConfig(m=m, n=n, kbar=kbar, seed=0, c=config.c, alpha=alpha, l=config.l, lam=config.lam)
+    # A draw lies in the square [0, l]^2, so no power exceeds c * (2 l)**alpha
+    # and no cover's total exceeds m times that.
+    try:
+        largest = m * config.c * (2.0 * config.l) ** alpha
+    except OverflowError:
+        largest = math.inf
+    if not math.isfinite(largest):
+        raise ValueError(f"m = {m}, c = {config.c}, l = {config.l} and alpha = {alpha} admit powers past the float range")
+    return template
 
 
 def _timed(fn, *args, timing: bool):
@@ -272,26 +282,22 @@ def _trial_rows(
 
 
 def _point_rows(config: ExperimentConfig, gen_template: GenConfig, seeds: list[int]) -> list[list[ResultRow]]:
-    """The rows of one sweep point's trials, their pd covers from one batch.
+    """The rows of a run of one sweep point's trials, one list per trial.
 
-    If anything raises, the trials run again one at a time, so that the
-    error raised, and the instance dumped, are those a serial run meets first.
+    With timing off, the run's instances are drawn first and their pd covers
+    come from one batch (`pd_solve_batch`). With timing on, or if anything
+    in the batch raises, the trials run one at a time (`_trial_rows`), so
+    that each solve is timed alone, and the error raised and the instance
+    dumped are those a serial run meets first.
     """
-    try:
-        instances = [gen_instance(replace(gen_template, seed=seed)) for seed in seeds]
-        covers = _pd_covers(instances)
-        return [_trial_rows(config, gen_template, *trial) for trial in zip(seeds, instances, covers)]
-    except Exception:
-        return [_trial_rows(config, gen_template, seed) for seed in seeds]
-
-
-def _pd_covers(instances: list[Instance]) -> list[Solution]:
-    """pd's covers of instances of one shape: one batch of those at full
-    width, and each that takes the block alone."""
-    alone = [takes_block(instance) for instance in instances]
-    batch = [instance for instance, own in zip(instances, alone) if not own]
-    covers = iter(pd_solve_batch(batch)[0] if batch else ())
-    return [pd_solve_batch([instance])[0][0] if own else next(covers) for instance, own in zip(instances, alone)]
+    if not config.timing:
+        try:
+            instances = [gen_instance(replace(gen_template, seed=seed)) for seed in seeds]
+            covers = pd_solve_batch(instances)[0]
+            return [_trial_rows(config, gen_template, *trial) for trial in zip(seeds, instances, covers)]
+        except Exception:
+            pass
+    return [_trial_rows(config, gen_template, seed) for seed in seeds]
 
 
 def _default_jobs() -> int:
@@ -315,27 +321,28 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     validation raises BenchValidationError after its instance is written to
     the directory of `out` (the current directory when `out` is unset).
 
-    The tasks run in `_default_jobs()` processes (`_run_shares`). With
-    timing on, a task is one (point, trial), its `runtime_ms` timed in
-    whichever process solved it; with timing off, a task is a point, whose
-    trials are solved as one batch (`_point_rows`). The rows come back in
-    (point, trial) order, so they are the same for one process and for two,
-    and with timing on and off but for `runtime_ms`; so is the error raised:
-    that of the first failing (point, trial) in serial order.
+    A task is a run of one point's trials (`_point_rows`): one trial with
+    timing on, its `runtime_ms` timed in whichever process solved it, and
+    the whole point with timing off, its trials' pd covers from one batch.
+    The tasks run in `_default_jobs()` processes (`_run_shares`). The rows
+    come back in (point, trial) order, so they are the same for one process
+    and for two, and with timing on and off but for `runtime_ms`; so is the
+    error raised: that of the first failing (point, trial) in serial order.
     """
     templates = [_resolve_point(config, point) for point in config.sweep_values]
     stride = 0 if config.sweep_variable == "alpha" else config.trials
-    seeds = [[config.seed_base + p_idx * stride + trial for trial in range(config.trials)] for p_idx in range(len(templates))]
-    if config.timing:
-        tasks = [(template, seed) for template, point in zip(templates, seeds) for seed in point]
-        per_task = _run_shares(lambda i: _trial_rows(config, *tasks[i]), len(tasks))
-    else:
-        per_point = _run_shares(lambda p: _point_rows(config, templates[p], seeds[p]), len(templates))
-        per_task = [rows for point in per_point for rows in point]
+    size = 1 if config.timing else config.trials
+    tasks = [
+        (template, [config.seed_base + p_idx * stride + trial for trial in range(first, first + size)])
+        for p_idx, template in enumerate(templates)
+        for first in range(0, config.trials, size)
+    ]
+    runs = _run_shares(lambda i: _point_rows(config, *tasks[i]), len(tasks))
+    per_trial = [rows for trials in runs for rows in trials]
 
     summaries: list[ResultRow] = []
     for p_idx in range(len(templates)):
-        point_rows = [row for rows in per_task[p_idx * config.trials:(p_idx + 1) * config.trials] for row in rows]
+        point_rows = [row for rows in per_trial[p_idx * config.trials:(p_idx + 1) * config.trials] for row in rows]
         for algo in ("pd", "ncs", "opt"):
             group = [r for r in point_rows if r.algo == algo]
             if not group:
@@ -353,7 +360,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     util_variance=sum(r.util_variance for r in group) / len(group),
                 )
             )
-    return [row for rows in per_task for row in rows] + summaries
+    return [row for rows in per_trial for row in rows] + summaries
 
 
 def _run_shares(run, count: int) -> list:

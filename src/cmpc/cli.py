@@ -22,14 +22,10 @@ from .bench import BenchValidationError, ExperimentConfig, run_experiment, write
 from .certify import check_charging, dual_objective, verify_dual_feasibility
 from .generate import GenConfig, gen_instance
 from .metrics import util_variance, validate
-from .model import dump_instance, instance_from_json_dict
-from .primal_dual import (
-    InsufficientCapacityError,
-    CapacityInvariantError,
-    pd_solve,
-    trace_to_json_list,
-)
+from .model import InsufficientCapacityError, dump_instance, instance_from_json_dict, order_table
+from .primal_dual import CapacityInvariantError, pd_solve
 from .reference import DEFAULT_NODE_BUDGET, ncs_solve, opt_solve
+from .solution import trace_to_json_list
 
 USAGE_EXIT = 1
 FAILURE_EXIT = 2
@@ -90,6 +86,14 @@ def _load_json(path: str, parse):
         raise SystemExit(USAGE_EXIT)
 
 
+def _parse_instance(data):
+    """The instance of a JSON document, its order table built: a power or a
+    cover's total past the float range is malformed input too."""
+    instance = instance_from_json_dict(data)
+    order_table(instance)
+    return instance
+
+
 def _cmd_gen(args) -> int:
     try:
         template = GenConfig(
@@ -113,7 +117,7 @@ def _cmd_solve(args) -> int:
     if args.oracle_budget < 1:
         print(f"solve: oracle budget must be >= 1, got {args.oracle_budget}", file=sys.stderr)
         return USAGE_EXIT
-    instance = _load_json(args.infile, instance_from_json_dict)
+    instance = _load_json(args.infile, _parse_instance)
     start = time.perf_counter()
     trace = None
     try:
@@ -176,7 +180,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = _load_json(args.infile, instance_from_json_dict)
+    instance = _load_json(args.infile, _parse_instance)
     try:
         solution, duals, trace = pd_solve(instance)
     except InsufficientCapacityError as exc:

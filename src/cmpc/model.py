@@ -23,6 +23,9 @@ import numpy as np
 # User ids must stay below it.
 _TIEBREAK_STRIDE = 2**32
 
+# The ascent holds capacities in int64 arrays.
+_MAX_CAPACITY = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class PowerParams:
@@ -57,6 +60,8 @@ class Server:
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError(f"server {self.id}: capacity must be >= 0, got {self.capacity}")
+        if self.capacity > _MAX_CAPACITY:
+            raise ValueError(f"server {self.id}: capacity must be <= 2**63 - 1, got {self.capacity}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,17 @@ class Instance:
         # Not a field: equality, hashing and dataclasses.replace() ignore it,
         # and a replaced instance builds its own table.
         return _build_order_table(self)
+
+
+class InsufficientCapacityError(ValueError):
+    """Total capacity is below the number of users."""
+
+
+def require_capacity(instance: Instance) -> None:
+    """Raise InsufficientCapacityError unless the servers can hold every user,
+    as the covering solvers need."""
+    if not instance.has_sufficient_capacity():
+        raise InsufficientCapacityError(f"total capacity {instance.total_capacity} < {instance.n} users")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,13 +202,18 @@ def _build_order_table(instance: Instance) -> OrderTable:
     and np.power round differently from them in the last bit on some inputs,
     and one such bit can reorder two users at nearly equal distance or move
     an event time, and so change a cover.
+
+    Raises a ValueError naming a server and a user (_check_powers) unless
+    every power is finite and so is every cover's total power.
     """
     m, n = instance.m, instance.n
     sx = np.array([s.pos.x for s in instance.servers], dtype=np.float64)[:, None]
     sy = np.array([s.pos.y for s in instance.servers], dtype=np.float64)[:, None]
-    dx = np.array([u.pos.x for u in instance.users], dtype=np.float64)[None, :] - sx
-    dy = np.array([u.pos.y for u in instance.users], dtype=np.float64)[None, :] - sy
+    with np.errstate(over="ignore"):  # an infinite offset is reported by _check_powers
+        dx = np.array([u.pos.x for u in instance.users], dtype=np.float64)[None, :] - sx
+        dy = np.array([u.pos.y for u in instance.users], dtype=np.float64)[None, :] - sy
     dist = np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()), np.float64, m * n).reshape(m, n)
+    _check_powers(instance, dist)
     cosine = np.divide(dx, dist, out=np.zeros((m, n)), where=dist > 0)
     sign_y = (dy > 0).astype(np.int64) - (dy < 0)
     tiebreak = (1 - sign_y) * _TIEBREAK_STRIDE + np.arange(n, dtype=np.int64)
@@ -215,6 +236,35 @@ def _build_order_table(instance: Instance) -> OrderTable:
     for array in (table.order, table.rank, table.dist, table.cosine, table.tiebreak, table.power):
         array.flags.writeable = False
     return table
+
+
+def _check_powers(instance: Instance, dist: np.ndarray) -> None:
+    """Raise a ValueError naming a server and a user unless every power
+    c * dist**alpha is finite and so is every cover's total power.
+
+    Power grows with distance, so a row's largest power is that of its
+    farthest user, and it is worked out for those m pairs only, with the
+    order build's own Python expression (whose ** raises OverflowError past
+    the float range). A cover's total sums at most one power per server in
+    server order, as make_solution and opt_solve sum it, and rounding is
+    monotone, so it is at most the same sum of the row maxima.
+    """
+    c, alpha = instance.params.c, instance.params.alpha
+    farthest = dist.argmax(axis=1)
+    total = 0.0
+    for s, (user, r) in enumerate(zip(farthest.tolist(), dist[np.arange(instance.m), farthest].tolist())):
+        try:
+            largest = c * r**alpha
+        except OverflowError:
+            largest = math.inf
+        total += largest
+        if not math.isfinite(largest):
+            raise ValueError(f"server {s}, user {user}: power c * r**alpha = {c!r} * {r!r}**{alpha!r} is past the float range")
+        if not math.isfinite(total):
+            raise ValueError(
+                f"server {s}, user {user}: the largest powers of servers 0..{s} sum past the float range, "
+                "so a cover's total power could overflow"
+            )
 
 
 # --- instance JSON format -------------------------------------------------

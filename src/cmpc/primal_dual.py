@@ -46,15 +46,9 @@ from .certify import (  # noqa: F401
     dual_objective,
     verify_dual_feasibility,
 )
-from .model import Instance, order_table
+from .model import Instance, order_table, require_capacity
 from .slack import slack_prices
-
-# So do the trace types, which live in solution.
-from .solution import EventTrace, SelectionEvent, Solution, make_solution, trace_to_json_list  # noqa: F401
-
-
-class InsufficientCapacityError(ValueError):
-    """Total capacity is below the number of users."""
+from .solution import EventTrace, SelectionEvent, Solution, make_solution
 
 
 class CapacityInvariantError(RuntimeError):
@@ -195,13 +189,17 @@ class DualState:
         self.uncovered = np.ones((count * m, n), dtype=np.float64)
         # Each instance's rows.
         self._rows = [np.arange(b * m, (b + 1) * m)[:, None] for b in range(count)]
-        self._widths = np.minimum(n, self.capacity + 1)
+        self._widths = np.minimum(n - 1, self.capacity) + 1
         self._lows = np.zeros(count * m, dtype=np.int64)
         # Rates (census), residuals and steps.
         self._floats = np.empty((3, count * m * n), dtype=np.float64)
         self._bools = np.empty((2, count * m * n), dtype=bool)
         self._index = self._block = None
-        if count > 1 or not takes_block(instances[0]):
+        # The gate of the block (see above): a lone instance whose suffixes
+        # spare SUFFIX_CROSSOVER disks at the start and whose rows of powers
+        # never decrease.
+        power = self.table.power
+        if count > 1 or m * (n - self._widths.max()) < SUFFIX_CROSSOVER or (power[:, 1:] < power[:, :-1]).any():
             self._widths[:] = n
         else:
             self._index = np.empty(m * n, dtype=np.int64)
@@ -298,17 +296,6 @@ class DualState:
             charges[s, width:] = charges[s, width - 1]
         for name in EVENT_BUFFERS:
             vars(self).pop(name, None)
-
-
-def takes_block(instance: Instance) -> bool:
-    """Whether the ascent of `instance` works on the block (see DualState):
-    when the suffixes spare at least SUFFIX_CROSSOVER disks at the start,
-    m * (n - max k_s - 1), and no row of powers decreases."""
-    n = instance.n
-    if instance.m * (n - min(n, max(s.capacity for s in instance.servers) + 1)) < SUFFIX_CROSSOVER:
-        return False
-    power = order_table(instance).power
-    return not (power[:, 1:] < power[:, :-1]).any()
 
 
 def init_solver(instance: Instance, *batch: Instance) -> DualState:
@@ -530,7 +517,7 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
     covers, the state and the traces.
 
     The instances must share one shape (m, n); two or more work at full
-    width, whatever takes_block says. Their state is the union of theirs (see
+    width, whatever their own gates say. Their state is the union of theirs (see
     DualState): instance b's prices are covered_at and theta[b*n:(b+1)*n],
     gamma_start and beta[b*m*n:(b+1)*m*n], its clock is clock[b], and mu
     stays zero. Each event steps every instance by its own delta until the
@@ -539,8 +526,7 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
     for the first instance short of capacity or at the first failing event.
     """
     for instance in instances:
-        if not instance.has_sufficient_capacity():
-            raise InsufficientCapacityError(f"total capacity {instance.total_capacity} < {instance.n} users")
+        require_capacity(instance)
     if len({(instance.m, instance.n) for instance in instances}) > 1:
         raise ValueError("a batch takes instances of one shape (m, n)")
     m, n = instances[0].m, instances[0].n

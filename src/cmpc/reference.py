@@ -24,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Instance, OrderTable, key_order, order_table
-from .primal_dual import InsufficientCapacityError
+from .model import Instance, OrderTable, key_order, order_table, require_capacity
 from .solution import Solution, make_solution
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -257,10 +256,7 @@ def ncs_solve(instance: Instance) -> Solution:
     has remaining capacity. Every server's final disk reaches its farthest
     assigned user.
     """
-    if not instance.has_sufficient_capacity():
-        raise InsufficientCapacityError(
-            f"total capacity {instance.total_capacity} < {instance.n} users"
-        )
+    require_capacity(instance)
     n, m = instance.n, instance.m
     table = order_table(instance)
     # Each row of the table is sorted already, so the one stable argsort in

@@ -74,3 +74,25 @@ def test_import_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def cmpc_imports(module):
+    """The cmpc modules that src/cmpc/<module>.py imports."""
+    tree = ast.parse((ROOT / "src" / "cmpc" / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # "from .x import y" and "from . import x" both import cmpc.x.
+            found.update([f"cmpc.{node.module}"] if node.module else [f"cmpc.{alias.name}" for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return {name for name in found if name.split(".")[0] == "cmpc"}
+
+
+def test_checkers_and_reference_solvers_do_not_import_the_ascent():
+    # The certificate checkers and the baselines check or compete with the
+    # solver under test, so they are built from the model alone.
+    assert cmpc_imports("certify") == {"cmpc.model"}
+    assert cmpc_imports("reference") == {"cmpc.model", "cmpc.solution"}

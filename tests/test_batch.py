@@ -135,3 +135,13 @@ def test_batch_of_one_is_pd_solve_but_finalize():
 def test_batch_rejects_mixed_shapes():
     with pytest.raises(ValueError, match="one shape"):
         pd_solve_batch([drawn(3, 10, 2.0, 2.0, 1), drawn(3, 11, 2.0, 2.0, 2)])
+
+
+def test_batch_stalls_where_one_instance_cannot_ascend():
+    # Instance 1 of the union keeps its users but loses every server's room:
+    # none of its disks has a positive rate, so its step has no minimum.
+    first, second = drawn(3, 10, 2.0, 2.0, 1), drawn(3, 10, 2.0, 2.0, 2)
+    duals = primal_dual.init_solver(first, second)
+    duals.remaining_capacity[first.m :] = 0
+    with pytest.raises(primal_dual.AscentStalledError, match="an instance has users uncovered but no disk that can ascend"):
+        primal_dual.next_event(duals)

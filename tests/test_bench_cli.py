@@ -4,16 +4,18 @@ import pickle
 import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from cmpc import ExperimentConfig, GenConfig, gen_instance, load_instance, pd_solve, run_experiment, write_csv
+from cmpc import ExperimentConfig, GenConfig, gen_instance, load_instance, ncs_solve, pd_solve, run_experiment, write_csv
 from cmpc import bench
 from cmpc.bench import CSV_HEADER, BenchValidationError, rows_to_csv_text
 from cmpc.cli import cli
 from cmpc.metrics import ValidationReport
 from cmpc.model import dump_instance
-from cmpc.primal_dual import CapacityInvariantError, trace_to_json_list
+from cmpc.primal_dual import CapacityInvariantError
+from cmpc.solution import trace_to_json_list
 
 
 THREE_USER_JSON = {
@@ -785,3 +787,108 @@ def test_experiment_config_from_json():
         ExperimentConfig.from_json_dict(
             {"experiment_id": "x", "sweep": {"variable": "bogus", "values": [1]}}
         )
+
+
+# --- report paths -------------------------------------------------------------
+
+# Instances whose numbers the machine cannot hold: a power past the float
+# range (r**alpha, then c * r**alpha), two finite powers whose sum, every
+# cover's total, is not, and a capacity beyond int64.
+OUT_OF_RANGE = {
+    "pow": {"c": 1, "alpha": 2, "servers": [{"x": 0, "y": 0, "k": 2}], "users": [{"x": 1e200, "y": 0}]},
+    "c": {"c": 1e300, "alpha": 2, "servers": [{"x": 0, "y": 0, "k": 2}], "users": [{"x": 1e10, "y": 0}]},
+    "sum": {
+        "c": 1,
+        "alpha": 2,
+        "servers": [{"x": 0, "y": 0, "k": 1}, {"x": 0, "y": 0, "k": 1}],
+        "users": [{"x": 1.2e154, "y": 0}, {"x": -1.2e154, "y": 1}],
+    },
+    "k": {"c": 1, "alpha": 2, "servers": [{"x": 0, "y": 0, "k": 1e19}], "users": [{"x": 1, "y": 0}]},
+}
+
+
+@pytest.mark.parametrize("command", [["solve", "--algo", "pd"], ["solve", "--algo", "ncs"], ["solve", "--algo", "opt"], ["verify"]])
+@pytest.mark.parametrize("name", OUT_OF_RANGE)
+def test_cli_numbers_out_of_range_exit_1(tmp_path, capsys, command, name):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(OUT_OF_RANGE[name]))
+    assert cli([*command, "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: ") and captured.err.count("\n") == 1
+    expected = "capacity must be <= 2**63 - 1" if name == "k" else "past the float range"
+    assert expected in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_verify_reports_every_violation_exit_2(tmp_path, capsys, monkeypatch):
+    # pd's own prices pass; these are perturbed: the last selection's disk
+    # gets beta 0, so its members' prices exceed its own, and the first
+    # selection's disk a negative gamma start, which the charging audit sees.
+    def perturbed(instance):
+        solution, duals, trace = pd_solve(instance)
+        beta, gamma_start = duals.beta.copy(), duals.gamma_start.copy()
+        beta[trace[-1].disk_index] = 0.0
+        gamma_start[trace[0].disk_index] = -1.0
+        prices = SimpleNamespace(theta=duals.theta, beta=beta, mu=duals.mu, gamma_start=gamma_start, covered_at=duals.covered_at)
+        return solution, prices, trace
+
+    monkeypatch.setattr("cmpc.cli.pd_solve", perturbed)
+    path = tmp_path / "inst.json"
+    dump_instance(gen_instance(GenConfig(m=3, n=12, kbar=5.0, seed=1)), str(path))
+    assert cli(["verify", "--in", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"verify: {len(lines) - 1} violation(s)"
+    assert any(re.fullmatch(r"user price exceeds disk prices violated by \S+ \(user \d+, disk \d+\)", line) for line in lines)
+    assert "event 0: negative gamma start off by 1.000e+00" in lines
+    assert all(" violated by " in line or line.startswith("event ") for line in lines[:-1])
+
+
+def test_cli_solve_invalid_cover_exit_2(tmp_path, capsys, monkeypatch):
+    # Every user on server 0, whose capacity is 1 and whose disk holds one user.
+    def crowded(instance):
+        solution = ncs_solve(instance)
+        return replace(solution, assignment=(0,) * instance.n)
+
+    monkeypatch.setattr("cmpc.cli.ncs_solve", crowded)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(THREE_USER_JSON))
+    assert cli(["solve", "--algo", "ncs", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("constraint ") for line in lines)
+    assert "constraint capacity: server 0 serves 3 users, capacity 1" in lines
+
+
+@pytest.mark.parametrize(
+    "sweep, extra, message",
+    [
+        ({"variable": "n", "values": []}, {}, "sweep needs at least one point"),
+        ({"variable": "n", "values": [5]}, {"trials": 0}, "trials must be >= 1"),
+        ({"variable": "n"}, {}, "sweep needs 'variable' and 'values'"),
+        ({"variable": "m_K", "values": [[3]]}, {}, "sweep.values[0] must be a list of 2 numbers, got [3]"),
+        ({"variable": "m_K", "values": [4]}, {}, "sweep.values[0] must be a list of 2 numbers, got 4"),
+    ],
+    ids=["no-points", "no-trials", "no-values", "m_K-single", "m_K-number"],
+)
+def test_cli_bench_config_without_a_point_exit_1(tmp_path, capsys, sweep, extra, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment_id": "x", "sweep": sweep, "fixed": {"m": 2}, **extra}))
+    assert cli(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: ") and message in captured.err and captured.err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("fixed", [{"c": 1e305}, {"l": 1e200}, {"alpha": 200.0}], ids=["c", "l", "alpha"])
+def test_cli_bench_point_with_powers_past_the_float_range_exit_1(tmp_path, capsys, fixed):
+    # Some draw of such a point would hold a power, or a cover's total, past
+    # the float range, which the order build rejects: the config is rejected
+    # before anything is solved.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**GOOD_CONFIG, "fixed": {"m": 2, **fixed}}))
+    assert cli(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: sweep.values[0] = 5: m = 2, ") and err.endswith("admit powers past the float range\n")
+    assert not (tmp_path / "r.csv").exists()

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -444,3 +447,58 @@ def test_cached_table_leaves_equality_and_hash_alone():
     order_table(a)
     assert a == b and hash(a) == hash(b) == before
     assert a != dataclasses.replace(b, params=PowerParams(2.0, 2.0))
+
+
+# --- powers and capacities past the machine's range ---------------------------
+
+# Each is rejected by the order build with one ValueError naming a server and
+# a user: a power whose ** overflows, a finite r**alpha that c scales past
+# the float range, and two finite powers (1.44e308 each) whose sum, every
+# cover's total, overflows.
+OVERFLOWING = {
+    "pow": ([(0.0, 0.0, 2)], [(1e200, 0.0)], 1.0, "server 0, user 0: power c * r**alpha"),
+    "c": ([(0.0, 0.0, 2)], [(1e10, 0.0)], 1e300, "server 0, user 0: power c * r**alpha"),
+    "sum": (
+        [(0.0, 0.0, 1), (0.0, 0.0, 1)],
+        [(1.2e154, 0.0), (-1.2e154, 1.0)],
+        1.0,
+        "server 1, user 0: the largest powers of servers 0..1 sum past the float range",
+    ),
+    "offset": ([(-1e308, 0.0, 2)], [(1e308, 0.0)], 1.0, "server 0, user 0: power c * r**alpha = 1.0 * inf**2.0"),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_order_table_rejects_powers_past_the_float_range(case):
+    servers, users, c, message = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        for solve in (order_table, pd_solve, ncs_solve, opt_solve):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                solve(make_instance(servers, users, c=c))
+
+
+def test_covers_just_inside_the_float_range_stay_finite():
+    # Two largest powers of 8e307 sum to 1.6e308 and one of c = the largest
+    # float: the order build accepts them, every cover's total is finite and
+    # the exact search starts from an incumbent it can beat.
+    r = math.sqrt(8e307)
+    for inst in (
+        make_instance([(0.0, 0.0, 1), (0.0, 0.0, 1)], [(r, 0.0), (-r, 1.0)]),
+        make_instance([(0.0, 0.0, 1)], [(1.0, 0.0)], c=sys.float_info.max, alpha=1.0),
+    ):
+        result = opt_solve(inst)
+        assert result.status == "optimal" and math.isfinite(result.value)
+        assert pd_solve(inst)[0].total_power == ncs_solve(inst).total_power == result.value
+
+
+def test_capacity_must_fit_int64():
+    # The ascent holds capacities in an int64 array.
+    with pytest.raises(ValueError, match=re.escape("server 0: capacity must be <= 2**63 - 1, got 9223372036854775808")):
+        Server(0, Point(0.0, 0.0), 2**63)
+    data = _json_instance()
+    data["servers"][0]["k"] = 1e19
+    with pytest.raises(ValueError, match=re.escape("capacity must be <= 2**63 - 1, got 10000000000000000000")):
+        instance_from_json_dict(data)
+    inst = make_instance([(0.0, 0.0, 2**63 - 1)], [(1.0, 0.0), (2.0, 0.0)])
+    assert pd_solve(inst)[0].total_power == ncs_solve(inst).total_power == opt_solve(inst).value == 4.0

@@ -36,8 +36,8 @@ from cmpc.primal_dual import (
     apply_selection,
     init_solver,
     next_event,
-    trace_to_json_list,
 )
+from cmpc.solution import trace_to_json_list
 
 from _oracles import (
     ManualDuals,
