@@ -96,8 +96,7 @@ def verify_dual_feasibility(instance: Instance, duals) -> list[DualViolation]:
 
     ranked = theta[table.order]
     exceeds = (np.minimum(starts.reshape(m, n), np.maximum.accumulate(ranked, axis=1)) - beta.reshape(m, n) > tol).ravel()
-    capacity = np.array([srv.capacity for srv in instance.servers], dtype=np.float64)
-    lhs = capacity[:, None] * beta.reshape(m, n)
+    lhs = instance.capacity.astype(np.float64)[:, None] * beta.reshape(m, n)
     # Each disk takes one start, so the starts may come in any order. The
     # sums run up to the last rank holding g.
     for g in set(starts[starts < np.inf].tolist()):
@@ -137,7 +136,7 @@ def _capacity_steps(instance: Instance, trace: Sequence) -> tuple[np.ndarray, np
     at or before that clock. One pass over `trace`, which is in clock order,
     as pd_solve records it.
     """
-    capacity = [srv.capacity for srv in instance.servers]
+    capacity = instance.capacity.tolist()
     clocks, steps = [0.0], [capacity, capacity.copy()]
     for e in trace:
         if e.clock > clocks[-1]:

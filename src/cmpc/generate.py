@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Point, PowerParams, Server, User
+from .model import MAX_CAPACITY, Instance, PowerParams
 
 
 def _capacity_bounds(kbar: float) -> tuple[int, int]:
@@ -52,10 +52,13 @@ class GenConfig:
         lo, hi = _capacity_bounds(self.kbar)
         if lo > hi:
             raise ValueError(f"kbar must be 0 or >= 2/3 (no integer capacity in [kbar/2, 3*kbar/2]), got {self.kbar}")
+        if hi > MAX_CAPACITY:
+            raise ValueError(f"kbar is too large: the largest capacity drawn, floor(3*kbar/2), exceeds 2**63 - 1, got {self.kbar}")
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lam must be in [0, 1]")
-        if self.l <= 0:
-            raise ValueError("side length l must be positive")
+        if not (self.l > 0 and math.isfinite(self.l)):
+            raise ValueError(f"side length l must be finite and positive, got {self.l}")
+        PowerParams(self.c, self.alpha)  # raises for a c or alpha that gen_instance could not use
 
 
 def adjust_capacities(capacities: list[int], n: int) -> list[int]:
@@ -67,9 +70,8 @@ def adjust_capacities(capacities: list[int], n: int) -> list[int]:
     deficit = n - sum(caps)
     if deficit <= 0:
         return caps
-    for i in range(deficit):
-        caps[i % len(caps)] += 1
-    return caps
+    rounds, rest = divmod(deficit, len(caps))
+    return [k + rounds + (i < rest) for i, k in enumerate(caps)]
 
 
 def gen_instance(config: GenConfig) -> Instance:
@@ -86,12 +88,5 @@ def gen_instance(config: GenConfig) -> Instance:
     user_xy = user_stream.uniform(0.0, config.l, size=(config.n, 2))
 
     lo, hi = _capacity_bounds(config.kbar)
-    caps = cap_stream.integers(lo, hi + 1, size=config.m).tolist()
-    caps = adjust_capacities(caps, config.n)
-
-    servers = tuple(
-        Server(id=i, pos=Point(x, y), capacity=k)
-        for i, ((x, y), k) in enumerate(zip(server_xy.tolist(), caps))
-    )
-    users = tuple(User(id=j, pos=Point(x, y)) for j, (x, y) in enumerate(user_xy.tolist()))
-    return Instance(params=PowerParams(config.c, config.alpha), servers=servers, users=users)
+    caps = adjust_capacities(cap_stream.integers(lo, hi + 1, size=config.m).tolist(), config.n)
+    return Instance(PowerParams(config.c, config.alpha), server_xy=server_xy, user_xy=user_xy, capacity=np.array(caps, dtype=np.int64))

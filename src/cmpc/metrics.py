@@ -35,23 +35,19 @@ def validate(instance: Instance, solution: Solution) -> ValidationReport:
     boundary user it falls in the order table's tiebreak.
     """
     violations: list[tuple[str, str]] = []
-    for u, user in enumerate(instance.users):
-        s = solution.assignment[u]
-        if s < 0 or s >= instance.m:
+    m, radii = instance.m, solution.radius
+    (sx, sy), (ux, uy) = instance.server_xy.T.tolist(), instance.user_xy.T.tolist()
+    for u, (x, y, s) in enumerate(zip(ux, uy, solution.assignment, strict=True)):
+        if s < 0 or s >= m:
             violations.append(("coverage", f"user {u} is not assigned to any server"))
-            continue
-        radius = solution.radius[s]
-        if radius is None:
+        elif radii[s] is None:
             violations.append(("no-disk", f"user {u} assigned to server {s} which selected no disk"))
-            continue
-        server = instance.servers[s].pos
-        if math.hypot(user.pos.x - server.x, user.pos.y - server.y) > radius:
+        elif math.hypot(x - sx[s], y - sy[s]) > radii[s]:
             violations.append(("containment", f"server {s}'s disk does not contain assigned user {u}"))
 
-    loads = solution.loads()
-    for s, srv in enumerate(instance.servers):
-        if loads[s] > srv.capacity:
-            violations.append(("capacity", f"server {s} serves {loads[s]} users, capacity {srv.capacity}"))
+    for s, (load, capacity) in enumerate(zip(solution.loads(), instance.capacity.tolist())):
+        if load > capacity:
+            violations.append(("capacity", f"server {s} serves {load} users, capacity {capacity}"))
     return ValidationReport(violations=tuple(violations))
 
 

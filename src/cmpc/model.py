@@ -1,7 +1,9 @@
 """Geometric domain types for capacitated power cover instances.
 
 A problem instance is a set of servers (position + integer capacity) and a
-set of users (position) in the plane, plus the power-law constants. Each
+set of users (position) in the plane, plus the power-law constants, held as
+coordinate and capacity arrays; the Point/Server/User objects serve the
+public API and are built from the arrays only when asked for. Each
 (server, user) pair induces a candidate coverage disk centered at the server
 with that user on its boundary; the solvers only ever consider these m*n
 disks, all held in one array table per instance (OrderTable). Membership
@@ -15,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -24,7 +27,7 @@ import numpy as np
 _TIEBREAK_STRIDE = 2**32
 
 # The ascent holds capacities in int64 arrays.
-_MAX_CAPACITY = 2**63 - 1
+MAX_CAPACITY = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class Server:
     def __post_init__(self) -> None:
         if self.capacity < 0:
             raise ValueError(f"server {self.id}: capacity must be >= 0, got {self.capacity}")
-        if self.capacity > _MAX_CAPACITY:
+        if self.capacity > MAX_CAPACITY:
             raise ValueError(f"server {self.id}: capacity must be <= 2**63 - 1, got {self.capacity}")
 
 
@@ -70,54 +73,134 @@ class User:
     pos: Point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Instance:
     """A power-cover problem: servers with capacities, users to cover.
 
-    Construction checks shape invariants only. Total capacity >= n is a
-    precondition of the covering solvers, not of the type itself, so that
-    deficient instances can still be built and reported infeasible by the
-    exact oracle.
+    Held as read-only arrays: `server_xy` [m, 2] and `user_xy` [n, 2]
+    float64 coordinates and `capacity` [m] int64, checked once when built
+    (m, n >= 1, finite coordinates, capacities in [0, 2**63 - 1]). Built
+    from arrays, `Instance(params, server_xy=..., user_xy=..., capacity=...)`,
+    or from objects, `Instance(params, servers, users)`; objects given next
+    to arrays replace them, as in `dataclasses.replace(inst, servers=...)`.
+    `servers` and `users` are the objects again, built on first access.
+    Equal params and arrays make equal instances with equal hashes, however
+    they were built.
+
+    Total capacity >= n is a precondition of the covering solvers, not of
+    the type itself, so that deficient instances can still be built and
+    reported infeasible by the exact oracle.
     """
 
     params: PowerParams
-    servers: tuple[Server, ...]
-    users: tuple[User, ...]
+    server_xy: np.ndarray
+    user_xy: np.ndarray
+    capacity: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "servers", tuple(self.servers))
-        object.__setattr__(self, "users", tuple(self.users))
-        if len(self.servers) < 1:
-            raise ValueError("instance needs at least one server")
-        if len(self.users) < 1:
-            raise ValueError("instance needs at least one user")
-        for i, s in enumerate(self.servers):
-            if s.id != i:
-                raise ValueError(f"server ids must be 0..m-1 in order, got {s.id} at {i}")
-        for j, u in enumerate(self.users):
-            if u.id != j:
-                raise ValueError(f"user ids must be 0..n-1 in order, got {u.id} at {j}")
+    def __init__(self, params: PowerParams, servers=None, users=None, *, server_xy=None, user_xy=None, capacity=None):
+        if servers is not None:
+            servers = _in_order(servers, "server", "m")
+            server_xy, capacity = [(s.pos.x, s.pos.y) for s in servers], [s.capacity for s in servers]
+        if users is not None:
+            user_xy = [(u.pos.x, u.pos.y) for u in _in_order(users, "user", "n")]
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "server_xy", _coordinates(server_xy, "server"))
+        object.__setattr__(self, "user_xy", _coordinates(user_xy, "user"))
+        object.__setattr__(self, "capacity", _capacities(capacity, self.m))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        arrays = zip((self.server_xy, self.user_xy, self.capacity), (other.server_xy, other.user_xy, other.capacity))
+        return self.params == other.params and all(np.array_equal(a, b) for a, b in arrays)
+
+    def __hash__(self) -> int:
+        # Adding 0.0 turns -0.0 into 0.0, which it equals.
+        return hash((self.params, (self.server_xy + 0.0).tobytes(), (self.user_xy + 0.0).tobytes(), self.capacity.tobytes()))
+
+    def __reduce__(self):
+        # Pickles and copies are built again through __init__, so that their
+        # arrays are read-only too (an unpickled array is writeable).
+        return _from_arrays, (self.params, self.server_xy, self.user_xy, self.capacity)
 
     @property
     def m(self) -> int:
-        return len(self.servers)
+        return len(self.server_xy)
 
     @property
     def n(self) -> int:
-        return len(self.users)
+        return len(self.user_xy)
 
     @property
     def total_capacity(self) -> int:
-        return sum(s.capacity for s in self.servers)
+        return sum(self.capacity.tolist())
 
     def has_sufficient_capacity(self) -> bool:
         return self.total_capacity >= self.n
+
+    @cached_property
+    def servers(self) -> tuple[Server, ...]:
+        return tuple(Server(i, Point(x, y), k) for i, ((x, y), k) in enumerate(zip(self.server_xy.tolist(), self.capacity.tolist())))
+
+    @cached_property
+    def users(self) -> tuple[User, ...]:
+        return tuple(User(j, Point(x, y)) for j, (x, y) in enumerate(self.user_xy.tolist()))
 
     @cached_property
     def _order_table(self) -> "OrderTable":
         # Not a field: equality, hashing and dataclasses.replace() ignore it,
         # and a replaced instance builds its own table.
         return _build_order_table(self)
+
+
+def _from_arrays(params: PowerParams, server_xy, user_xy, capacity) -> Instance:
+    return Instance(params, server_xy=server_xy, user_xy=user_xy, capacity=capacity)
+
+
+def _in_order(records, kind: str, count: str) -> tuple:
+    """`records` as a tuple, or a ValueError unless their ids are 0, 1, ... in order."""
+    records = tuple(records)
+    for i, record in enumerate(records):
+        if record.id != i:
+            raise ValueError(f"{kind} ids must be 0..{count}-1 in order, got {record.id} at {i}")
+    return records
+
+
+def _coordinates(xy, kind: str) -> np.ndarray:
+    """`xy` as a read-only [count, 2] float64 array, or a ValueError naming
+    the first `kind` (server or user) whose coordinates are not finite."""
+    xy = np.array(xy, dtype=np.float64)
+    if not xy.size:
+        raise ValueError(f"instance needs at least one {kind}")
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"{kind}_xy must have shape ({kind} count, 2), got {xy.shape}")
+    if not np.isfinite(xy).all():
+        i = int(np.isfinite(xy).all(axis=1).argmin())
+        raise ValueError(f"{kind} {i}: coordinates must be finite, got ({xy[i, 0]}, {xy[i, 1]})")
+    xy.flags.writeable = False
+    return xy
+
+
+def _capacities(capacity, m: int) -> np.ndarray:
+    """`capacity` as a read-only [m] int64 array, or a ValueError naming the
+    first server whose capacity is not an integer in [0, 2**63 - 1]. A
+    sequence is read as Python ints, which numpy would turn into floats past
+    the int64 range."""
+    values = capacity if isinstance(capacity, np.ndarray) else np.array(list(capacity), dtype=object)
+    if values.shape != (m,):
+        raise ValueError(f"capacity must have one entry per server, shape ({m},), got {values.shape}")
+    if values.dtype.kind not in "iu":
+        for s, k in enumerate(values.tolist()):
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+                raise ValueError(f"server {s}: capacity must be an integer, got {k!r}")
+    bad = (values < 0) | (values > MAX_CAPACITY)
+    if bad.any():
+        s = int(bad.argmax())
+        bound = ">= 0" if values[s] < 0 else "<= 2**63 - 1"
+        raise ValueError(f"server {s}: capacity must be {bound}, got {values[s]}")
+    values = values.astype(np.int64)
+    values.flags.writeable = False
+    return values
 
 
 class InsufficientCapacityError(ValueError):
@@ -196,22 +279,20 @@ def _build_order_table(instance: Instance) -> OrderTable:
     """Build the OrderTable of `instance`, with read-only arrays.
 
     Keys and powers equal a scalar Python computation per pair bit for bit.
-    Coordinate differences and the cosine division are single IEEE
-    operations, so numpy computes them exactly as Python does; distances use
-    math.hypot and powers Python's float `**`, pair by pair, because np.hypot
-    and np.power round differently from them in the last bit on some inputs,
-    and one such bit can reorder two users at nearly equal distance or move
-    an event time, and so change a cover.
+    Coordinate differences, the cosine division and the multiply by c are
+    single IEEE operations, so numpy computes them exactly as Python does;
+    distances use math.hypot and r**alpha math.pow (the C pow behind
+    Python's float `**`), pair by pair, because np.hypot and np.power round
+    differently from them in the last bit on some inputs, and one such bit
+    can reorder two users at nearly equal distance or move an event time,
+    and so change a cover.
 
     Raises a ValueError naming a server and a user (_check_powers) unless
     every power is finite and so is every cover's total power.
     """
     m, n = instance.m, instance.n
-    sx = np.array([s.pos.x for s in instance.servers], dtype=np.float64)[:, None]
-    sy = np.array([s.pos.y for s in instance.servers], dtype=np.float64)[:, None]
     with np.errstate(over="ignore"):  # an infinite offset is reported by _check_powers
-        dx = np.array([u.pos.x for u in instance.users], dtype=np.float64)[None, :] - sx
-        dy = np.array([u.pos.y for u in instance.users], dtype=np.float64)[None, :] - sy
+        dx, dy = instance.user_xy.T[:, None, :] - instance.server_xy.T[:, :, None]
     dist = np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()), np.float64, m * n).reshape(m, n)
     _check_powers(instance, dist)
     cosine = np.divide(dx, dist, out=np.zeros((m, n)), where=dist > 0)
@@ -224,7 +305,7 @@ def _build_order_table(instance: Instance) -> OrderTable:
     rank[rows, order] = np.arange(n, dtype=np.int64)
     dist = dist[rows, order]
     c, alpha = instance.params.c, instance.params.alpha
-    powers = np.fromiter((c * r**alpha for r in dist.ravel().tolist()), np.float64, m * n)
+    powers = c * np.fromiter(map(math.pow, dist.ravel().tolist(), repeat(alpha)), np.float64, m * n)
     table = OrderTable(
         order=order,
         rank=rank,
@@ -280,10 +361,8 @@ def instance_to_json_dict(instance: Instance) -> dict:
     return {
         "c": instance.params.c,
         "alpha": instance.params.alpha,
-        "servers": [
-            {"x": s.pos.x, "y": s.pos.y, "k": s.capacity} for s in instance.servers
-        ],
-        "users": [{"x": u.pos.x, "y": u.pos.y} for u in instance.users],
+        "servers": [{"x": x, "y": y, "k": k} for (x, y), k in zip(instance.server_xy.tolist(), instance.capacity.tolist())],
+        "users": [{"x": x, "y": y} for x, y in instance.user_xy.tolist()],
     }
 
 
@@ -332,23 +411,16 @@ def instance_from_json_dict(data: dict) -> Instance:
             raise ValueError(f"instance JSON: {field_name} must be an array, got {_json_type(data[field_name])}")
     try:
         params = PowerParams(c=_json_field(data, "c", float, ""), alpha=_json_field(data, "alpha", float, ""))
-        servers = tuple(
-            Server(
-                id=i,
-                pos=Point(_json_field(rec, "x", float, f"servers[{i}]."), _json_field(rec, "y", float, f"servers[{i}].")),
-                capacity=_json_field(rec, "k", int, f"servers[{i}]."),
-            )
+        servers = [
+            tuple(_json_field(rec, key, kind, f"servers[{i}].") for key, kind in (("x", float), ("y", float), ("k", int)))
             for i, rec in enumerate(data["servers"])
-        )
-        users = tuple(
-            User(id=j, pos=Point(_json_field(rec, "x", float, f"users[{j}]."), _json_field(rec, "y", float, f"users[{j}].")))
-            for j, rec in enumerate(data["users"])
-        )
+        ]
+        user_xy = [(_json_field(rec, "x", float, f"users[{j}]."), _json_field(rec, "y", float, f"users[{j}].")) for j, rec in enumerate(data["users"])]
+        return Instance(params, server_xy=[s[:2] for s in servers], user_xy=user_xy, capacity=[s[2] for s in servers])
     except KeyError as exc:
         raise ValueError(f"instance JSON: missing field {exc} in a server/user record") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"instance JSON: bad value ({exc})") from exc
-    return Instance(params=params, servers=servers, users=users)
 
 
 def dump_instance(instance: Instance, path: str) -> None:

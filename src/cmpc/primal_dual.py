@@ -176,7 +176,7 @@ class DualState:
         self.powers = self.table.power.ravel()
         self.tight_tol = TIGHTNESS_TOL * self.powers
         self.lhs = np.zeros(self.powers.size, dtype=np.float64)
-        self.capacity = np.array([s.capacity for instance in instances for s in instance.servers], dtype=np.int64)
+        self.capacity = np.concatenate([instance.capacity for instance in instances])
         self.remaining_capacity = self.capacity.copy()
         self.last_selected = [-1] * (count * m)
         self.assignment = np.full(count * n, -1, dtype=np.int64)

@@ -70,7 +70,7 @@ def feasible_assignment(ranks: list[Optional[int]], instance: Instance) -> Optio
         for h in order[s, : rank + 1].tolist():
             allowed[h].append(s)
 
-    capacity = [srv.capacity for srv in instance.servers]
+    capacity = instance.capacity.tolist()
     served: list[list[int]] = [[] for _ in range(m)]
     assignment = [-1] * n
 
@@ -150,7 +150,7 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
     n, m = instance.n, instance.m
     table = order_table(instance)
     power = table.power.tolist()
-    capacity = [srv.capacity for srv in instance.servers]
+    capacity = instance.capacity.tolist()
 
     # member_mask[s * n + t]: bit set of the users inside server s's disk at rank t.
     member_mask = []
@@ -262,7 +262,7 @@ def ncs_solve(instance: Instance) -> Solution:
     # Each row of the table is sorted already, so the one stable argsort in
     # key_order leaves only ties in distance across servers to settle.
     pairs = key_order(table.dist.ravel(), table.cosine.ravel(), table.tiebreak.ravel())
-    remaining = [srv.capacity for srv in instance.servers]
+    remaining = instance.capacity.tolist()
     assignment = [-1] * n
     assigned = 0
     for s, u in zip((pairs // n).tolist(), table.order.ravel()[pairs].tolist()):

@@ -892,3 +892,23 @@ def test_cli_bench_point_with_powers_past_the_float_range_exit_1(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"{path}: sweep.values[0] = 5: m = 2, ") and err.endswith("admit powers past the float range\n")
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kbar", "1e19"], "gen: kbar is too large"),
+        (["--kbar", "3", "--l", "nan"], "gen: side length l must be finite and positive, got nan"),
+        (["--kbar", "3", "--l", "inf"], "gen: side length l must be finite and positive, got inf"),
+        (["--kbar", "3", "--c", "-1"], "gen: power scale c must be positive, got -1.0"),
+    ],
+    ids=["kbar", "l-nan", "l-inf", "c"],
+)
+def test_cli_gen_draw_numpy_cannot_make_exit_1(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert cli(["gen", "--m", "2", "--n", "5", "--seed", "1", *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmpc import ExperimentConfig, GenConfig, gen_instance
+from cmpc.cli import cli
 from cmpc.generate import adjust_capacities
 from cmpc.model import instance_to_json_dict
 
@@ -135,3 +137,56 @@ PINNED_DRAWS = [
 def test_instance_draws_are_pinned(config, digest):
     text = json.dumps(instance_to_json_dict(gen_instance(config)), sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"kbar": 1e19}, "kbar is too large: the largest capacity drawn, floor(3*kbar/2), exceeds 2**63 - 1, got 1e+19"),
+        ({"kbar": 1e300}, "kbar is too large"),
+        ({"l": math.nan}, "side length l must be finite and positive, got nan"),
+        ({"l": math.inf}, "side length l must be finite and positive, got inf"),
+        ({"l": 0.0}, "side length l must be finite and positive, got 0.0"),
+        ({"c": -1.0}, "power scale c must be positive, got -1.0"),
+        ({"alpha": 0.5}, "attenuation factor alpha must be >= 1, got 0.5"),
+    ],
+    ids=["kbar-1e19", "kbar-1e300", "l-nan", "l-inf", "l-zero", "c", "alpha"],
+)
+def test_config_rejects_draws_numpy_cannot_make(overrides, message):
+    # Each would otherwise pass here and fail later in gen_instance, inside
+    # numpy or PowerParams, with a traceback.
+    with pytest.raises(ValueError) as caught:
+        GenConfig(**{**dict(m=2, n=5, kbar=3.0, seed=1), **overrides})
+    assert str(caught.value).startswith(message) and "\n" not in str(caught.value)
+
+
+def test_largest_drawable_kbar_generates():
+    # The largest kbar whose floor(3 * kbar / 2) is below 2**63.
+    kbar = 2.0**63 * 2.0 / 3.0
+    while math.floor(3.0 * kbar / 2.0) > 2**63 - 1:
+        kbar = math.nextafter(kbar, 0.0)
+    inst = gen_instance(GenConfig(m=3, n=4, kbar=kbar, seed=2))
+    assert inst.capacity.dtype == np.int64
+    lo, hi = math.ceil(kbar / 2.0), math.floor(3.0 * kbar / 2.0)
+    assert hi <= 2**63 - 1
+    assert all(lo <= k <= hi for k in inst.capacity.tolist())
+    with pytest.raises(ValueError, match="kbar is too large"):
+        GenConfig(m=3, n=4, kbar=2.0**63 * 2.0 / 3.0, seed=2)
+
+
+def test_draw_fills_the_arrays():
+    inst = gen_instance(GenConfig(m=4, n=9, kbar=3.0, seed=6))
+    assert inst.server_xy.shape == (4, 2) and inst.user_xy.shape == (9, 2) and inst.capacity.shape == (4,)
+    assert [(s.pos.x, s.pos.y, s.capacity) for s in inst.servers] == [
+        (x, y, k) for (x, y), k in zip(inst.server_xy.tolist(), inst.capacity.tolist())
+    ]
+
+
+FIXTURE = Path(__file__).parent / "fixtures" / "gen_m3_n20_kbar10.json"
+
+
+def test_gen_writes_the_committed_instance_bytes(tmp_path):
+    # FIXTURE holds `cmpc gen --m 3 --n 20 --kbar 10` as an Instance of
+    # Server and User objects wrote it; the arrays must write the same bytes.
+    assert cli(["gen", "--m", "3", "--n", "20", "--kbar", "10", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "instance_00000000.json").read_bytes() == FIXTURE.read_bytes()

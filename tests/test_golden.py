@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,29 @@ def test_known_m_opt_exceedance_is_pinned():
     assert pd_power == pytest.approx(15457.800512195146, rel=1e-12)
     assert result.value == pytest.approx(3273.316131872016, rel=1e-12)
     assert pd_power / (inst.m * result.value) == pytest.approx(1.1806, abs=1e-4)
+
+
+def test_capacity_study_m_opt_exceedance_is_pinned():
+    # Open fault, ROADMAP item 2: capacity_sweep.json point (2, 150), trial
+    # 2. Total capacity is 2n, yet the ascent pays 3.17 * OPT = 1.58 * m *
+    # OPT: server 1 fills its 94 slots up to rank 93, and server 0 must
+    # open its rank-99 disk for the 6 far users left; OPT gives them to
+    # server 0 at far less. The worst of the 13 breaches on the studies.
+    path = Path(__file__).resolve().parent.parent / "experiments" / "capacity_sweep.json"
+    config = ExperimentConfig.from_json_dict(json.loads(path.read_text()))
+    point_index, trial = config.sweep_values.index((2, 150.0)), 2
+    seed = config.seed_base + point_index * config.trials + trial
+    assert seed == 453
+    inst = gen_instance(GenConfig(m=2, n=config.n, kbar=150.0 / 2, seed=seed, lam=config.lam, alpha=config.alpha))
+    assert inst.capacity.tolist() == [106, 94] and inst.n == 100
+    pd_power = pd_solve(inst)[0].total_power
+    result = opt_solve(inst)
+    assert result.status == "optimal"
+    assert result.nodes_explored == 162
+    assert pd_power == pytest.approx(18037.068626892495, rel=1e-12)
+    assert result.value == pytest.approx(5696.150405384808, rel=1e-12)
+    assert pd_power / (inst.m * result.value) == pytest.approx(1.5833, abs=1e-4)
+    assert ncs_solve(inst).total_power == pytest.approx(6561.74, abs=5e-3)
 
 
 def ascent_instances():
