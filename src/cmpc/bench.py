@@ -12,7 +12,6 @@ with it off, the pd covers of a point's trials come from one batched ascent
 
 from __future__ import annotations
 
-import math
 import mmap
 import os
 import pickle
@@ -22,7 +21,7 @@ from typing import Optional
 
 from .generate import GenConfig, gen_instance
 from .metrics import approximation_ratio, util_variance, validate
-from .model import Instance, PowerParams, dump_instance, is_json_kind
+from .model import Instance, dump_instance, is_json_kind
 from .primal_dual import pd_solve, pd_solve_batch
 from .reference import ncs_solve, opt_solve
 from .solution import Solution
@@ -202,17 +201,7 @@ def _resolve_point(config: ExperimentConfig, point) -> GenConfig:
         kbar = total / m
     elif config.sweep_variable == "alpha":
         alpha = float(point)
-    PowerParams(config.c, alpha)
-    template = GenConfig(m=m, n=n, kbar=kbar, seed=0, c=config.c, alpha=alpha, l=config.l, lam=config.lam)
-    # A draw lies in the square [0, l]^2, so no power exceeds c * (2 l)**alpha
-    # and no cover's total exceeds m times that.
-    try:
-        largest = m * config.c * (2.0 * config.l) ** alpha
-    except OverflowError:
-        largest = math.inf
-    if not math.isfinite(largest):
-        raise ValueError(f"m = {m}, c = {config.c}, l = {config.l} and alpha = {alpha} admit powers past the float range")
-    return template
+    return GenConfig(m=m, n=n, kbar=kbar, seed=0, c=config.c, alpha=alpha, l=config.l, lam=config.lam)
 
 
 def _timed(fn, *args, timing: bool):

@@ -59,6 +59,14 @@ class GenConfig:
         if not (self.l > 0 and math.isfinite(self.l)):
             raise ValueError(f"side length l must be finite and positive, got {self.l}")
         PowerParams(self.c, self.alpha)  # raises for a c or alpha that gen_instance could not use
+        # A draw lies in the square [0, l]^2, so no power exceeds c * (2 l)**alpha
+        # and no cover's total exceeds m times that.
+        try:
+            largest = self.m * self.c * (2.0 * self.l) ** self.alpha
+        except OverflowError:
+            largest = math.inf
+        if not math.isfinite(largest):
+            raise ValueError(f"m = {self.m}, c = {self.c}, l = {self.l} and alpha = {self.alpha} admit powers past the float range")
 
 
 def adjust_capacities(capacities: list[int], n: int) -> list[int]:

@@ -157,12 +157,12 @@ class DualState:
     found. `_block` is None at full width, where the event loop works on
     the state's own flat arrays.
 
-    The batch. A state of B > 1 instances of one shape (m, n) is the
-    disjoint union of theirs, always at full width: row b*m + s is server s
-    of instance b, whose users are offset by b*n, and `table` is their
-    UnionTable. `clock` then holds each instance's clock in an array (a
-    lone instance's is a float), and an event steps each instance by its
-    own delta (next_event).
+    The batch. `clock` holds one clock per instance, in an array of shape
+    (B,), and an event steps each instance by its own delta (next_event); a
+    lone instance is a batch of one. A state of B > 1 instances of one
+    shape (m, n) is the disjoint union of theirs, always at full width: row
+    b*m + s is server s of instance b, whose users are offset by b*n, and
+    `table` is their UnionTable.
     """
 
     def __init__(self, *instances: Instance):
@@ -180,7 +180,7 @@ class DualState:
         self.remaining_capacity = self.capacity.copy()
         self.last_selected = [-1] * (count * m)
         self.assignment = np.full(count * n, -1, dtype=np.int64)
-        self.clock = 0.0 if count == 1 else np.zeros(count)
+        self.clock = np.zeros(count)
         self.covered_at = np.full(count * n, np.nan, dtype=np.float64)
         # Before any selection the disk at rank t holds t + 1 uncovered users.
         self.gamma_start = np.where(np.arange(1, n + 1) > self.capacity[:, None], np.nan, 0.0).ravel()
@@ -259,19 +259,18 @@ class DualState:
         self._widths[rows] = widths
         self._lay_out(np.flatnonzero(self.remaining_capacity))
 
-    def _clocks(self, prices: np.ndarray):
-        """The clock of each of `prices`: its instance's, in a batch."""
-        if isinstance(self.clock, float):
-            return self.clock
-        return self.clock.repeat(prices.size // self.clock.size)
+    def _at_clock(self, prices: np.ndarray) -> np.ndarray:
+        """`prices` with each NaN, a price still rising, at its instance's clock."""
+        rows = prices.reshape(self.clock.size, -1)
+        return np.where(np.isnan(rows), self.clock[:, None], rows).ravel()
 
     @property
     def theta(self) -> np.ndarray:
-        return np.where(np.isnan(self.covered_at), self._clocks(self.covered_at), self.covered_at)
+        return self._at_clock(self.covered_at)
 
     @property
     def beta(self) -> np.ndarray:
-        return np.where(np.isnan(self.gamma_start), self._clocks(self.gamma_start), self.gamma_start)
+        return self._at_clock(self.gamma_start)
 
     def is_active(self, idx: int) -> bool:
         """Whether the disk at flat index `idx` can still be selected.
@@ -303,24 +302,29 @@ def init_solver(instance: Instance, *batch: Instance) -> DualState:
     return DualState(instance, *batch)
 
 
-def next_event(duals: DualState) -> tuple[float, list[int]]:
-    """Advance the clock to the next time a disk goes tight.
+def next_event(duals: DualState) -> tuple[np.ndarray, list[int]]:
+    """Advance each instance's clock to the next time one of its disks goes
+    tight.
 
     Ascent rates are min(remaining capacity, uncovered members): zero for
     disks at or below their server's last selection, whose members are all
     covered, and for exhausted servers. Disks still in their beta phase whose
     uncovered members fit the remaining capacity, or whose server is
     exhausted, leave it at the current clock, before the rates apply. Returns
-    the time advanced and the flat indices of every disk tight at the new
-    clock, ascending: that is (server id, key) order, the processing order.
+    the time each clock advanced and the flat indices of every disk tight at
+    the new clocks, ascending: that is (server id, key) order, the
+    processing order.
 
     The event works on flat arrays of disks, in place in the state's work
     buffers: at full width on the state's own charges, powers and
     tolerances, else on the block (see DualState), whose charges, powers
     and tolerances it takes and whose charges it then steps in place. Rates are small integers held exactly in float64, so
     each value is the same IEEE expression as with integer rates: the step
-    is min(residual / rate) over the positive rates, the charge lhs + rate *
-    delta and the tight test residual - rate * delta <= tol.
+    is min(residual / rate) over an instance's positive rates, exact in any
+    order, the charge lhs + rate * delta and the tight test residual - rate *
+    delta <= tol. An instance with no positive rate steps by 0 once it has
+    covered every user, as a finished instance of a batch waits for the
+    others, and stalls (AscentStalledError) while it has not.
 
     Each row's ranks beyond its width w_s share the charge L and the rate of
     its rank w = w_s - 1, and their powers do not fall below p_w. As
@@ -331,23 +335,14 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
     1e-9 p_t up to a few ulps, so p_t <= p_w (1 + 2e-9) and r_w <= 1e-9 p_t <
     SUFFIX_SCREEN p_w. So only the rows whose rank w passes that screen have
     their suffix tested disk by disk, exactly as above.
-
-    A batch's state (see DualState) takes each instance's step as the
-    minimum over its own m*n disks, exact in any order, and 0 once the
-    instance has covered every user; each clock advances by its own step,
-    and the time advanced is the array of them.
     """
     m, n = duals.table.order.shape
     room = duals.remaining_capacity.astype(np.float64)
-    block = duals._block
-    clocks = None if isinstance(duals.clock, float) else duals.clock
+    block, clocks = duals._block, duals.clock
     if block is None:
         rates, residual, step = duals._floats
         census = rates.reshape(m, n)
         np.add.accumulate(duals.uncovered, axis=1, out=census)
-        if clocks is not None:
-            # Each row's census at rank n - 1 counts its instance's uncovered users.
-            done = census[:: m // clocks.size, -1] == 0.0
         # Within one event "fits the remaining capacity" only turns true, so
         # checking it once per event records the same clock as checking it
         # after every selection. An exhausted server's disks get a gamma phase
@@ -359,10 +354,7 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
             # (census <= room) | (room == 0), with an exhausted server's room as inf.
             np.less_equal(census, np.where(room == 0, np.inf, room)[:, None], out=leaves_beta.reshape(m, n))
             leaves_beta &= in_beta
-            if clocks is None:
-                np.copyto(duals.gamma_start, duals.clock, where=leaves_beta)
-            else:
-                np.copyto(duals.gamma_start.reshape(clocks.size, -1), clocks[:, None], where=leaves_beta.reshape(clocks.size, -1))
+            np.copyto(duals.gamma_start.reshape(clocks.size, -1), clocks[:, None], where=leaves_beta.reshape(clocks.size, -1))
         # The census becomes the rates in place.
         np.minimum(census, room[:, None], out=census)
         np.subtract(duals.powers, duals.lhs, out=residual)
@@ -376,22 +368,17 @@ def next_event(duals: DualState) -> tuple[float, list[int]]:
     positive, tight = duals._bools[:, : rates.size]
     np.greater(rates, 0.0, out=positive)
     # where= leaves the other entries of step stale, so the min skips them
-    # too; it is inf when no rate is positive.
+    # too; an instance's is inf when none of its rates is positive.
     np.divide(residual, rates, out=step, where=positive)
-    if clocks is None:
-        step_min = float(np.minimum.reduce(step, where=positive, initial=np.inf))
-        if step_min == np.inf:
-            raise AscentStalledError("no disk can ascend but users remain uncovered")
-        delta = max(step_min, 0.0)
-        np.multiply(rates, delta, out=step)
-    else:
-        steps = step.reshape(clocks.size, -1)
-        delta = np.minimum.reduce(steps, axis=1, where=positive.reshape(clocks.size, -1), initial=np.inf)
-        delta[done] = 0.0
-        if np.isinf(delta).any():
+    steps = step.reshape(clocks.size, -1)
+    delta = np.minimum.reduce(steps, axis=1, where=positive.reshape(clocks.size, -1), initial=np.inf)
+    if np.inf in delta.tolist():
+        idle = delta == np.inf
+        if (idle & np.isnan(duals.covered_at).reshape(clocks.size, -1).any(axis=1)).any():
             raise AscentStalledError("an instance has users uncovered but no disk that can ascend")
-        np.maximum(delta, 0.0, out=delta)
-        np.multiply(rates.reshape(clocks.size, -1), delta[:, None], out=steps)
+        delta[idle] = 0.0
+    delta = np.maximum(delta, 0.0)
+    np.multiply(rates.reshape(clocks.size, -1), delta[:, None], out=steps)
     residual -= step
     # The block's tolerances go where its rates were.
     tol = duals.tight_tol if block is None else duals.tight_tol.take(index, out=rates, mode="clip")
@@ -492,7 +479,7 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
 
     b = s // len(duals._rows[0])
     duals.assignment[newly] = s
-    duals.covered_at[newly] = duals.clock if isinstance(duals.clock, float) else duals.clock[b]
+    duals.covered_at[newly] = duals.clock[b]
     duals.uncovered[duals._rows[b], duals.table.rank[:, newly]] = 0.0
     duals.remaining_capacity[s] -= len(newly)
     duals.last_selected[s] = idx
@@ -517,13 +504,14 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
     covers, the state and the traces.
 
     The instances must share one shape (m, n); two or more work at full
-    width, whatever their own gates say. Their state is the union of theirs (see
-    DualState): instance b's prices are covered_at and theta[b*n:(b+1)*n],
-    gamma_start and beta[b*m*n:(b+1)*m*n], its clock is clock[b], and mu
-    stays zero. Each event steps every instance by its own delta until the
-    last one has covered every user, so each cover, trace and price is bit
-    for bit that of the instance's own pd_solve. Raises as pd_solve does,
-    for the first instance short of capacity or at the first failing event.
+    width, whatever their own gates say, and one as its gate says. Their
+    state is the union of theirs (see DualState): instance b's prices are
+    covered_at and theta[b*n:(b+1)*n], gamma_start and beta[b*m*n:(b+1)*m*n],
+    its clock is clock[b], and mu stays zero. Each event steps every
+    instance by its own delta until the last one has covered every user, so
+    each cover, trace and price is bit for bit that of the instance's own
+    pd_solve. Raises as pd_solve does, for the first instance short of
+    capacity or at the first failing event.
     """
     for instance in instances:
         require_capacity(instance)
@@ -535,7 +523,7 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
     uncovered = [n] * len(instances)
     while any(uncovered):
         _, tights = next_event(duals)
-        clocks = [duals.clock] if len(instances) == 1 else duals.clock.tolist()
+        clocks = duals.clock.tolist()
         before = list(uncovered)
         for idx in tights:
             if not duals.is_active(idx):
@@ -565,7 +553,8 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
             raise AscentStalledError("an event covered no user although users remain uncovered")
 
     # Every disk has left its beta phase once nobody is uncovered.
-    np.copyto(duals.gamma_start, duals._clocks(duals.gamma_start), where=np.isnan(duals.gamma_start))
+    starts = duals.gamma_start.reshape(len(instances), -1)
+    np.copyto(starts, duals.clock[:, None], where=np.isnan(starts))
     solutions = []
     for b, instance in enumerate(instances):
         ranks = [i - (b * m + s) * n if i >= 0 else -1 for s, i in enumerate(duals.last_selected[b * m : (b + 1) * m])]

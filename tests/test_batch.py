@@ -99,7 +99,7 @@ def test_fixed_groups_tie_run_out_and_finish_apart(monkeypatch):
     real, apart = primal_dual.next_event, []
 
     def next_event(duals):
-        if not isinstance(duals.clock, float):
+        if duals.clock.size > 1:
             left = np.isnan(duals.covered_at).reshape(duals.clock.size, -1).any(axis=1)
             apart.append(bool(left.any() and not left.all()))
         return real(duals)
@@ -129,7 +129,8 @@ def test_batch_of_one_is_pd_solve_but_finalize():
     (solution,), duals, (trace,) = pd_solve_batch([instance])
     lone = pd_solve(instance)
     assert (solution, trace) == (lone[0], lone[2])
-    assert isinstance(duals.clock, float) and not duals.mu.any() and (lone[1].mu > 0).any()
+    assert same_bits(duals.clock, lone[1].clock) and duals.clock.shape == (1,)
+    assert not duals.mu.any() and (lone[1].mu > 0).any()
 
 
 def test_batch_rejects_mixed_shapes():
@@ -145,3 +146,19 @@ def test_batch_stalls_where_one_instance_cannot_ascend():
     duals.remaining_capacity[first.m :] = 0
     with pytest.raises(primal_dual.AscentStalledError, match="an instance has users uncovered but no disk that can ascend"):
         primal_dual.next_event(duals)
+
+
+@pytest.mark.parametrize("m, n, kbar, count", [(3, 10, 20.0, 1), (50, 800, 20.0, 1), (3, 10, 20.0, 2)], ids=["lone", "lone-block", "batch"])
+def test_finished_ascent_steps_by_zero(m, n, kbar, count):
+    # Once every user is covered, no disk ascends: each clock steps by 0 and
+    # no disk goes tight, on the full-width and the block path alike.
+    duals = primal_dual.init_solver(*(gen_instance(GenConfig(m=m, n=n, kbar=kbar, seed=b)) for b in range(count)))
+    assert (duals._block is not None) == (m == 50)
+    while np.isnan(duals.covered_at).any():
+        for idx in primal_dual.next_event(duals)[1]:
+            if duals.is_active(idx):
+                primal_dual.apply_selection(duals, idx)
+    clocks = np.copy(duals.clock)
+    delta, tights = primal_dual.next_event(duals)
+    assert same_bits(delta, np.zeros(count)) and tights == []
+    assert same_bits(duals.clock, clocks)

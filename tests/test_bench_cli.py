@@ -901,8 +901,9 @@ def test_cli_bench_point_with_powers_past_the_float_range_exit_1(tmp_path, capsy
         (["--kbar", "3", "--l", "nan"], "gen: side length l must be finite and positive, got nan"),
         (["--kbar", "3", "--l", "inf"], "gen: side length l must be finite and positive, got inf"),
         (["--kbar", "3", "--c", "-1"], "gen: power scale c must be positive, got -1.0"),
+        (["--kbar", "3", "--l", "1e308", "--alpha", "3"], "gen: m = 2, c = 1.0, l = 1e+308 and alpha = 3.0 admit powers past the float range"),
     ],
-    ids=["kbar", "l-nan", "l-inf", "c"],
+    ids=["kbar", "l-nan", "l-inf", "c", "powers"],
 )
 def test_cli_gen_draw_numpy_cannot_make_exit_1(tmp_path, capsys, flags, message):
     out = tmp_path / "out"

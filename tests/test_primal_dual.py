@@ -206,7 +206,7 @@ def test_next_event_stall_detection():
     inst = two_user_line()
     duals = init_solver(inst)
     duals.remaining_capacity[:] = 0
-    with pytest.raises(AscentStalledError):
+    with pytest.raises(AscentStalledError, match="an instance has users uncovered but no disk that can ascend"):
         next_event(duals)
 
 
