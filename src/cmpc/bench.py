@@ -21,7 +21,7 @@ from typing import Optional
 
 from .generate import GenConfig, gen_instance
 from .metrics import approximation_ratio, util_variance, validate
-from .model import Instance, dump_instance, is_json_kind
+from .model import Instance, dump_instance, json_value
 from .primal_dual import pd_solve, pd_solve_batch
 from .reference import ncs_solve, opt_solve
 from .solution import Solution
@@ -148,9 +148,7 @@ def _check_keys(record, allowed, where: str) -> None:
 
 def _convert(value, kind, where: str):
     """`value` as `kind`, by the instance JSON's rules, or a ValueError naming `where`."""
-    if not is_json_kind(value, kind):
-        raise ValueError(f"experiment config: {where} must be {kind.__name__}, got {value!r}")
-    return kind(value)
+    return json_value(value, kind, f"experiment config: {where}", kind.__name__)
 
 
 def _sweep_point(value, kinds, where: str):

@@ -75,8 +75,8 @@ def _load_json(path: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except FileNotFoundError:
-        print(f"{path}: no such file", file=sys.stderr)
+    except OSError as exc:  # no such file, a directory, no permission, ...
+        print(f"{path}: {_reason(exc)}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
     except json.JSONDecodeError as exc:
         print(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
@@ -84,6 +84,11 @@ def _load_json(path: str, parse):
     except ValueError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+
+
+def _reason(exc: OSError) -> str:
+    """The reason an OS call failed, in lower case: "no such file or directory"."""
+    return (exc.strerror or str(exc)).lower()
 
 
 def _parse_instance(data):
@@ -105,7 +110,11 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"gen: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file of that name, say
+        print(f"gen: cannot make output directory {args.out}: {_reason(exc)}", file=sys.stderr)
+        return USAGE_EXIT
     for seed in range(args.seed, args.seed + args.trials):
         path = os.path.join(args.out, f"instance_{seed:08d}.json")
         dump_instance(gen_instance(replace(template, seed=seed)), path)

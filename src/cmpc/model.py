@@ -2,13 +2,13 @@
 
 A problem instance is a set of servers (position + integer capacity) and a
 set of users (position) in the plane, plus the power-law constants, held as
-coordinate and capacity arrays; the Point/Server/User objects serve the
-public API and are built from the arrays only when asked for. Each
-(server, user) pair induces a candidate coverage disk centered at the server
-with that user on its boundary; the solvers only ever consider these m*n
-disks, all held in one array table per instance (OrderTable). Membership
-in a disk is decided by a strict total order on (distance, direction) so
-that equidistant users are still served in a well-defined sequence.
+coordinate and capacity arrays; Point/Server/User records are read-only
+views of them, built only when asked for. Each (server, user) pair induces
+a candidate coverage disk centered at the server with that user on its
+boundary; the solvers only ever consider these m*n disks, all held in one
+array table per instance (OrderTable). Membership in a disk is decided by
+a strict total order on (distance, direction) so that equidistant users
+are still served in a well-defined sequence.
 """
 
 from __future__ import annotations
@@ -46,46 +46,40 @@ class PowerParams:
 
 @dataclass(frozen=True)
 class Point:
+    """A position in the plane, as `Instance.servers` and `.users` give it."""
+
     x: float
     y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
 
 @dataclass(frozen=True)
 class Server:
+    """Server `id` of an instance, as `Instance.servers` gives it."""
+
     id: int
     pos: Point
     capacity: int
 
-    def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ValueError(f"server {self.id}: capacity must be >= 0, got {self.capacity}")
-        if self.capacity > MAX_CAPACITY:
-            raise ValueError(f"server {self.id}: capacity must be <= 2**63 - 1, got {self.capacity}")
-
 
 @dataclass(frozen=True)
 class User:
+    """User `id` of an instance, as `Instance.users` gives it."""
+
     id: int
     pos: Point
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A power-cover problem: servers with capacities, users to cover.
 
     Held as read-only arrays: `server_xy` [m, 2] and `user_xy` [n, 2]
-    float64 coordinates and `capacity` [m] int64, checked once when built
-    (m, n >= 1, finite coordinates, capacities in [0, 2**63 - 1]). Built
-    from arrays, `Instance(params, server_xy=..., user_xy=..., capacity=...)`,
-    or from objects, `Instance(params, servers, users)`; objects given next
-    to arrays replace them, as in `dataclasses.replace(inst, servers=...)`.
-    `servers` and `users` are the objects again, built on first access.
-    Equal params and arrays make equal instances with equal hashes, however
-    they were built.
+    float64 coordinates and `capacity` [m] int64, each given as an array or
+    a nested sequence, copied and checked once when built (m, n >= 1,
+    finite coordinates, capacities in [0, 2**63 - 1]), also by
+    `dataclasses.replace`. `servers` and `users` are read-only views of the
+    arrays as Server and User records, built on first access. Equal params
+    and arrays make equal instances with equal hashes.
 
     Total capacity >= n is a precondition of the covering solvers, not of
     the type itself, so that deficient instances can still be built and
@@ -97,16 +91,10 @@ class Instance:
     user_xy: np.ndarray
     capacity: np.ndarray
 
-    def __init__(self, params: PowerParams, servers=None, users=None, *, server_xy=None, user_xy=None, capacity=None):
-        if servers is not None:
-            servers = _in_order(servers, "server", "m")
-            server_xy, capacity = [(s.pos.x, s.pos.y) for s in servers], [s.capacity for s in servers]
-        if users is not None:
-            user_xy = [(u.pos.x, u.pos.y) for u in _in_order(users, "user", "n")]
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "server_xy", _coordinates(server_xy, "server"))
-        object.__setattr__(self, "user_xy", _coordinates(user_xy, "user"))
-        object.__setattr__(self, "capacity", _capacities(capacity, self.m))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "server_xy", _coordinates(self.server_xy, "server"))
+        object.__setattr__(self, "user_xy", _coordinates(self.user_xy, "user"))
+        object.__setattr__(self, "capacity", _capacities(self.capacity, self.m))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -121,7 +109,7 @@ class Instance:
     def __reduce__(self):
         # Pickles and copies are built again through __init__, so that their
         # arrays are read-only too (an unpickled array is writeable).
-        return _from_arrays, (self.params, self.server_xy, self.user_xy, self.capacity)
+        return Instance, (self.params, self.server_xy, self.user_xy, self.capacity)
 
     @property
     def m(self) -> int:
@@ -151,19 +139,6 @@ class Instance:
         # Not a field: equality, hashing and dataclasses.replace() ignore it,
         # and a replaced instance builds its own table.
         return _build_order_table(self)
-
-
-def _from_arrays(params: PowerParams, server_xy, user_xy, capacity) -> Instance:
-    return Instance(params, server_xy=server_xy, user_xy=user_xy, capacity=capacity)
-
-
-def _in_order(records, kind: str, count: str) -> tuple:
-    """`records` as a tuple, or a ValueError unless their ids are 0, 1, ... in order."""
-    records = tuple(records)
-    for i, record in enumerate(records):
-        if record.id != i:
-            raise ValueError(f"{kind} ids must be 0..{count}-1 in order, got {record.id} at {i}")
-    return records
 
 
 def _coordinates(xy, kind: str) -> np.ndarray:
@@ -366,18 +341,26 @@ def instance_to_json_dict(instance: Instance) -> dict:
     }
 
 
-def is_json_kind(value, kind: type) -> bool:
-    """Whether the JSON value `value` may be read as `kind` without coercion.
+def json_value(value, kind: type, where: str, expected: str):
+    """The JSON value `value` as `kind`, with no coercion, or a ValueError
+    naming the field `where`: it must be `expected`, or it is past the
+    float range (an integer that no float holds, read as a float).
 
     int takes JSON integers and integral floats, float any number, bool only
     true/false and str only strings. bool is never a number, although Python
     makes it an int subclass: `true` must not read as 1.
     """
     if kind is bool or kind is str:
-        return isinstance(value, kind)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return kind is float or isinstance(value, int) or value.is_integer()
+        allowed = isinstance(value, kind)
+    else:
+        allowed = isinstance(value, (int, float)) and not isinstance(value, bool)
+        allowed = allowed and (kind is float or isinstance(value, int) or value.is_integer())
+    if not allowed:
+        raise ValueError(f"{where} must be {expected}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{where} is past the float range, got an integer of {len(str(abs(value)))} digits") from None
 
 
 def _json_type(value) -> str:
@@ -388,11 +371,7 @@ def _json_type(value) -> str:
 def _json_field(record: dict, field_name: str, kind: type, where: str):
     if not isinstance(record, dict):
         raise ValueError(f"{where.rstrip('.')} must be an object, got {_json_type(record)}")
-    value = record[field_name]
-    if not is_json_kind(value, kind):
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{where}{field_name} must be {noun}, got {value!r}")
-    return kind(value)
+    return json_value(record[field_name], kind, f"{where}{field_name}", "an integer" if kind is int else "a number")
 
 
 def instance_from_json_dict(data: dict) -> Instance:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmpc import GenConfig, Instance, Point, PowerParams, Server, User, gen_instance, pd_solve
+from cmpc import GenConfig, Instance, PowerParams, gen_instance, pd_solve
 from cmpc import primal_dual
 from cmpc.primal_dual import pd_solve_batch
 
@@ -28,18 +28,18 @@ def on_top(instance):
     """`instance` with user j moved onto server j, for j < m and j < n / 2:
     a disk of power 0, selected at clock 0."""
     moved = min(instance.m, instance.n // 2)
-    users = tuple(User(j, instance.servers[j].pos) if j < moved else u for j, u in enumerate(instance.users))
-    return dataclasses.replace(instance, users=users)
+    user_xy = instance.user_xy.copy()
+    user_xy[:moved] = instance.server_xy[:moved]
+    return dataclasses.replace(instance, user_xy=user_xy)
 
 
 def on_grid(m, n, alpha, positions, capacities):
     """Users at the integer points (j % 5, j // 5), servers at `positions` of
     that grid: many disks tie in power, so many go tight at once."""
-    users = tuple(User(j, Point(float(j % 5), float(j // 5))) for j in range(n))
+    user_xy = [(j % 5, j // 5) for j in range(n)]
     capacities = list(capacities)
     capacities[-1] += max(0, n - sum(capacities))
-    servers = tuple(Server(i, Point(float(x), float(y)), k) for i, ((x, y), k) in enumerate(zip(positions, capacities)))
-    return Instance(PowerParams(1.0, alpha), servers, users)
+    return Instance(PowerParams(1.0, alpha), positions, user_xy, capacities)
 
 
 @st.composite

@@ -325,7 +325,7 @@ def fail_one_trial(monkeypatch, seed, fault):
         instance = real_gen(cfg)
         if cfg.seed == seed:
             if fault == "pd":
-                return replace(instance, servers=tuple(replace(s, capacity=0) for s in instance.servers))
+                return replace(instance, capacity=[0] * instance.m)
             invalid.add(instance)
         return instance
 
@@ -674,6 +674,8 @@ GOOD_CONFIG = {"experiment_id": "x", "sweep": {"variable": "n", "values": [5]}, 
         ({"sweep": {"variable": "n", "values": [20.5]}}, "sweep.values[0] must be int, got 20.5"),
         ({"sweep": {"variable": "alpha", "values": [2.0, "2"]}}, "sweep.values[1] must be float, got '2'"),
         ({"sweep": {"variable": "m_K", "values": [[2.5, 10.0]]}}, "sweep.values[0][0] must be int, got 2.5"),
+        ({"fixed": {"m": 2, "c": 10**400}}, "fixed.c is past the float range, got an integer of 401 digits"),
+        ({"sweep": {"variable": "alpha", "values": [2.0, 10**400]}}, "sweep.values[1] is past the float range"),
         ({"sweep": {"variable": "m_lambda", "values": [[3, 0.5]]}}, "sweep variable must be one of ('n', 'm_K', 'alpha')"),
         ({"seed_base": -1}, "seed_base must be >= 0, got -1"),
         ({"oracle_budget": -5}, "oracle_budget must be >= 0 (0 turns the oracle off), got -5"),
@@ -694,8 +696,8 @@ GOOD_CONFIG = {"experiment_id": "x", "sweep": {"variable": "n", "values": [5]}, 
     ids=[
         "top-level-key", "sweep-key", "fixed-key", "sweep-list", "fixed-list", "values-int", "fixed-null", "trials-list",
         "trials-fraction", "trials-string", "timing-string", "timing-int", "fixed-bool", "kbar-string", "alpha-bool",
-        "out-number", "n-point-fraction", "alpha-point-string", "m_K-point-fraction", "m_lambda-unknown",
-        "seed_base-negative", "oracle_budget-negative", "n-point-zero", "m_K-point-no-server", "m_K-point-kbar",
+        "out-number", "n-point-fraction", "alpha-point-string", "m_K-point-fraction", "c-past-float", "alpha-point-past-float",
+        "m_lambda-unknown", "seed_base-negative", "oracle_budget-negative", "n-point-zero", "m_K-point-no-server", "m_K-point-kbar",
         "alpha-point-half", "fixed-alpha-half", "fixed-c-zero", "fixed-c-negative", "id-comma", "id-quote",
         "id-newline", "id-list",
     ],
@@ -804,6 +806,8 @@ OUT_OF_RANGE = {
         "users": [{"x": 1.2e154, "y": 0}, {"x": -1.2e154, "y": 1}],
     },
     "k": {"c": 1, "alpha": 2, "servers": [{"x": 0, "y": 0, "k": 1e19}], "users": [{"x": 1, "y": 0}]},
+    # A JSON integer that no float holds.
+    "int": {"c": 1, "alpha": 2, "servers": [{"x": 0, "y": 0, "k": 2}], "users": [{"x": 10**400, "y": 0}]},
 }
 
 
@@ -818,6 +822,29 @@ def test_cli_numbers_out_of_range_exit_1(tmp_path, capsys, command, name):
     assert captured.err.startswith(f"{path}: ") and captured.err.count("\n") == 1
     expected = "capacity must be <= 2**63 - 1" if name == "k" else "past the float range"
     assert expected in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--algo", "pd", "--in"], ["verify", "--in"], ["bench", "--config"], ["gen", "--m", "2", "--n", "3", "--kbar", "3", "--out"]],
+    ids=["solve", "verify", "bench", "gen"],
+)
+def test_cli_path_of_the_wrong_kind_exit_1(tmp_path, capsys, command):
+    # A directory where a file is read; a file where the output directory goes.
+    target = tmp_path / "target"
+    if command[0] == "gen":
+        target.write_text("")
+    else:
+        target.mkdir()
+    assert cli([*command, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    if command[0] == "gen":
+        assert captured.err == f"gen: cannot make output directory {target}: file exists\n"
+        assert target.read_text() == ""
+    else:
+        assert captured.err == f"{target}: is a directory\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_cli_verify_reports_every_violation_exit_2(tmp_path, capsys, monkeypatch):

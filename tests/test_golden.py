@@ -11,10 +11,7 @@ from cmpc import (
     ExperimentConfig,
     GenConfig,
     Instance,
-    Point,
     PowerParams,
-    Server,
-    User,
     gen_instance,
     ncs_solve,
     opt_solve,
@@ -131,12 +128,9 @@ def ascent_instances():
         kbar = float(n) / m if i % 2 else 2.0 * n
         yield gen_instance(GenConfig(m=m, n=n, kbar=kbar, seed=4000 + i, alpha=(1.0, 2.0, 3.3)[i % 3]))
     # Users on an integer grid: many disks go tight at the same clock.
-    users = tuple(User(j, Point(float(j % 5), float(j // 5))) for j in range(20))
+    user_xy = [(float(j % 5), float(j // 5)) for j in range(20)]
     for capacities in ((20, 20, 20), (8, 6, 6)):
-        servers = tuple(
-            Server(i, Point(x, y), k) for i, ((x, y), k) in enumerate(zip(((0.0, 0.0), (4.0, 0.0), (2.0, 3.0)), capacities))
-        )
-        yield Instance(PowerParams(1.0, 2.0), servers, users)
+        yield Instance(PowerParams(1.0, 2.0), [(0.0, 0.0), (4.0, 0.0), (2.0, 3.0)], user_xy, capacities)
 
 
 # SHA-256 of the ascent's event traces and closed-form prices on

@@ -1,6 +1,7 @@
-"""The arrays-first Instance: built from arrays, from Server/User objects or
-from JSON, it is one value with one order table, and every constructor
-rejects what the solvers cannot hold."""
+"""The arrays-first Instance: built from numpy arrays, from nested sequences
+or from JSON, it is one value with one order table, every constructor
+rejects what the solvers cannot hold, and Server/User records are only
+read-only views of its arrays."""
 
 import copy
 import dataclasses
@@ -41,10 +42,8 @@ def from_arrays(params, server_xy, user_xy, capacity):
     )
 
 
-def from_objects(params, server_xy, user_xy, capacity):
-    servers = tuple(Server(i, Point(x, y), k) for i, ((x, y), k) in enumerate(zip(server_xy, capacity)))
-    users = tuple(User(j, Point(x, y)) for j, (x, y) in enumerate(user_xy))
-    return Instance(params, servers, users)
+def from_sequences(params, server_xy, user_xy, capacity):
+    return Instance(params, server_xy, user_xy, capacity)
 
 
 def from_json(params, server_xy, user_xy, capacity):
@@ -52,7 +51,7 @@ def from_json(params, server_xy, user_xy, capacity):
     return instance_from_json_dict(json.loads(text))
 
 
-BUILDERS = {"arrays": from_arrays, "objects": from_objects, "json": from_json}
+BUILDERS = {"arrays": from_arrays, "sequences": from_sequences, "json": from_json}
 
 
 def pd_outcome(instance):
@@ -82,27 +81,27 @@ def instance_data(draw):
 @settings(max_examples=150, deadline=None)
 @given(data=instance_data())
 def test_three_constructors_give_one_instance(data):
-    arrays, objects, parsed = (build(*data) for build in BUILDERS.values())
-    assert arrays == objects == parsed
-    assert hash(arrays) == hash(objects) == hash(parsed)
-    tables = [order_table(inst) for inst in (arrays, objects, parsed)]
+    arrays, sequences, parsed = (build(*data) for build in BUILDERS.values())
+    assert arrays == sequences == parsed
+    assert hash(arrays) == hash(sequences) == hash(parsed)
+    tables = [order_table(inst) for inst in (arrays, sequences, parsed)]
     for f in dataclasses.fields(tables[0]):
         first = getattr(tables[0], f.name)
         for table in tables[1:]:
             other = getattr(table, f.name)
             assert other.dtype == first.dtype and other.shape == first.shape
             assert other.tobytes() == first.tobytes()
-    outcomes = [pd_outcome(inst) for inst in (arrays, objects, parsed)]
+    outcomes = [pd_outcome(inst) for inst in (arrays, sequences, parsed)]
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_constructors_cover_the_edge_values():
     data = (PowerParams(1.0, 2.0), [(-0.0, 5e-324), (1e150, 0.0)], [(0.0, -1e150), (1.0, 1.0)], [0, MAX_CAPACITY])
-    arrays, objects, parsed = (build(*data) for build in BUILDERS.values())
-    assert arrays == objects == parsed
+    arrays, sequences, parsed = (build(*data) for build in BUILDERS.values())
+    assert arrays == sequences == parsed
     assert math.copysign(1.0, parsed.server_xy[0, 0]) == -1.0  # the sign survives JSON
     assert parsed.capacity.tolist() == [0, MAX_CAPACITY]
-    assert pd_outcome(arrays) == pd_outcome(objects) == pd_outcome(parsed)
+    assert pd_outcome(arrays) == pd_outcome(sequences) == pd_outcome(parsed)
     assert pd_solve(arrays)[0].assignment == (1, 1)
 
 
@@ -136,21 +135,33 @@ def test_pickles_and_copies_stay_read_only():
 
 
 def test_objects_are_built_from_the_arrays_once():
-    inst = from_objects(PowerParams(1.0, 2.0), [(0, 1)], [(3, 4), (5.5, 6)], [2])
+    inst = from_sequences(PowerParams(1.0, 2.0), [(0, 1)], [(3, 4), (5.5, 6)], [2])
     assert inst.servers == (Server(0, Point(0.0, 1.0), 2),)
     assert inst.users == (User(0, Point(3.0, 4.0)), User(1, Point(5.5, 6.0)))
     assert inst.servers is inst.servers and inst.users is inst.users
     assert type(inst.users[0].pos.x) is float and type(inst.servers[0].capacity) is int
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.servers[0].capacity = 0
 
 
-def test_replace_takes_objects_or_params():
+def test_records_build_no_instance():
+    inst = gen_instance(GenConfig(m=2, n=4, kbar=3.0, seed=1))
+    with pytest.raises(TypeError):
+        Instance(inst.params, inst.servers, inst.users)
+    with pytest.raises(TypeError):
+        Instance(inst.params, inst.servers, inst.users, inst.capacity)
+
+
+def test_replace_takes_arrays_or_params():
     inst = gen_instance(GenConfig(m=3, n=6, kbar=3.0, seed=9))
     table = order_table(inst)
-    moved = dataclasses.replace(inst, users=tuple(User(u.id, inst.users[-1 - u.id].pos) for u in inst.users))
-    assert moved.user_xy.tolist() == inst.user_xy[::-1].tolist()
+    moved = dataclasses.replace(inst, user_xy=inst.user_xy[::-1])
+    assert moved.user_xy.tolist() == inst.user_xy[::-1].tolist() and not moved.user_xy.flags.writeable
     assert np.array_equal(moved.server_xy, inst.server_xy) and np.array_equal(moved.capacity, inst.capacity)
-    emptied = dataclasses.replace(inst, servers=tuple(dataclasses.replace(s, capacity=0) for s in inst.servers))
+    assert order_table(moved).order.tolist() != table.order.tolist()
+    emptied = dataclasses.replace(inst, capacity=[0, 0, 0])
     assert emptied.capacity.tolist() == [0, 0, 0] and np.array_equal(emptied.user_xy, inst.user_xy)
+    assert message_of(lambda: dataclasses.replace(inst, capacity=[0, -1, 0])) == "server 1: capacity must be >= 0, got -1"
     cubic = dataclasses.replace(inst, params=PowerParams(1.0, 3.0))
     assert order_table(cubic) is not table and cubic == dataclasses.replace(inst, params=PowerParams(1.0, 3.0))
 
@@ -213,9 +224,6 @@ def test_every_constructor_rejects_bad_values(case):
     text = json.dumps({"c": 1.0, "alpha": 2.0, "servers": [{"x": x, "y": y, "k": k} for (x, y), k in zip(server_xy, capacity)],
                        "users": [{"x": x, "y": y} for x, y in user_xy]})
     assert message_of(lambda: instance_from_json_dict(json.loads(text))) == f"instance JSON: bad value ({expected})"
-    # Objects: Point and Server check themselves.
-    _, _, detail = expected.partition(": ")
-    assert detail.split(",")[0] in message_of(lambda: from_objects(params, server_xy, user_xy, capacity))
 
 
 @pytest.mark.parametrize(
@@ -245,10 +253,3 @@ def test_array_constructor_rejects_capacities_it_would_coerce(capacity, message)
 )
 def test_array_constructor_rejects_shapes(server_xy, user_xy, message):
     assert message_of(lambda: Instance(PowerParams(1.0, 2.0), server_xy=server_xy, user_xy=user_xy, capacity=[1] * len(server_xy))) == message
-
-
-def test_object_constructor_checks_ids():
-    users = (User(1, Point(0.0, 0.0)),)
-    assert message_of(lambda: Instance(PowerParams(1.0, 2.0), (Server(0, Point(0.0, 0.0), 1),), users)) == (
-        "user ids must be 0..n-1 in order, got 1 at 0"
-    )

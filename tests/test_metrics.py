@@ -3,10 +3,7 @@ import pytest
 from cmpc import (
     GenConfig,
     Instance,
-    Point,
     PowerParams,
-    Server,
-    User,
     gen_instance,
     pd_solve,
     validate,
@@ -17,9 +14,8 @@ from cmpc.solution import make_solution
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
-    servers = tuple(Server(i, Point(x, y), k) for i, (x, y, k) in enumerate(server_specs))
-    users = tuple(User(j, Point(x, y)) for j, (x, y) in enumerate(user_points))
-    return Instance(PowerParams(c, alpha), servers, users)
+    server_xy = [(x, y) for x, y, _ in server_specs]
+    return Instance(PowerParams(c, alpha), server_xy, user_points, [k for _, _, k in server_specs])
 
 
 def test_validate_accepts_solver_output():

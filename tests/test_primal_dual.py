@@ -14,10 +14,7 @@ from cmpc import (
     GenConfig,
     Instance,
     InsufficientCapacityError,
-    Point,
     PowerParams,
-    Server,
-    User,
     check_charging,
     dual_objective,
     gen_instance,
@@ -51,9 +48,8 @@ from test_golden import ascent_instances
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
-    servers = tuple(Server(i, Point(x, y), k) for i, (x, y, k) in enumerate(server_specs))
-    users = tuple(User(j, Point(x, y)) for j, (x, y) in enumerate(user_points))
-    return Instance(PowerParams(c, alpha), servers, users)
+    server_xy = [(x, y) for x, y, _ in server_specs]
+    return Instance(PowerParams(c, alpha), server_xy, user_points, [k for _, _, k in server_specs])
 
 
 def two_user_line():
@@ -423,13 +419,13 @@ def grid_instances():
     def draw(data):
         m = data(st.integers(2, 5))
         n = data(st.integers(2, 24))
-        points = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda p: Point(float(p[0]), float(p[1])))
-        users = [User(j, data(points)) for j in range(n)]
+        points = st.tuples(st.integers(0, 3).map(float), st.integers(0, 3).map(float))
+        user_xy = [data(points) for _ in range(n)]
         capacities = data(st.lists(st.integers(0, max(1, n // 2)), min_size=m, max_size=m))
         capacities[-1] += max(0, n - sum(capacities))
-        servers = [Server(i, data(points), k) for i, k in enumerate(capacities)]
+        server_xy = [data(points) for _ in capacities]
         alpha = data(st.sampled_from((1.0, 2.0, 3.3)))
-        return Instance(PowerParams(1.0, alpha), tuple(servers), tuple(users))
+        return Instance(PowerParams(1.0, alpha), server_xy, user_xy, capacities)
 
     return draw()
 
@@ -942,14 +938,7 @@ def test_power_unit_scales_the_ascent_and_checkers_exactly(seed, k):
 
 def coordinate_scaled(inst, scale):
     """`inst` with every coordinate times `scale`."""
-    def move(pos):
-        return Point(pos.x * scale, pos.y * scale)
-
-    return dataclasses.replace(
-        inst,
-        servers=tuple(dataclasses.replace(s, pos=move(s.pos)) for s in inst.servers),
-        users=tuple(dataclasses.replace(u, pos=move(u.pos)) for u in inst.users),
-    )
+    return dataclasses.replace(inst, server_xy=inst.server_xy * scale, user_xy=inst.user_xy * scale)
 
 
 def test_coordinate_unit_keeps_the_cover():
@@ -978,14 +967,8 @@ def test_coordinate_unit_keeps_the_cover():
 
 def coordinate_translated(inst, dx, dy):
     """`inst` with every coordinate moved by (dx, dy)."""
-    def move(pos):
-        return Point(pos.x + dx, pos.y + dy)
-
-    return dataclasses.replace(
-        inst,
-        servers=tuple(dataclasses.replace(s, pos=move(s.pos)) for s in inst.servers),
-        users=tuple(dataclasses.replace(u, pos=move(u.pos)) for u in inst.users),
-    )
+    offset = np.array([dx, dy])
+    return dataclasses.replace(inst, server_xy=inst.server_xy + offset, user_xy=inst.user_xy + offset)
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,10 +8,7 @@ from cmpc import (
     GenConfig,
     Instance,
     InsufficientCapacityError,
-    Point,
     PowerParams,
-    Server,
-    User,
     gen_instance,
     ncs_solve,
     opt_solve,
@@ -31,9 +28,8 @@ from _oracles import (
 
 
 def make_instance(server_specs, user_points, c=1.0, alpha=2.0):
-    servers = tuple(Server(i, Point(x, y), k) for i, (x, y, k) in enumerate(server_specs))
-    users = tuple(User(j, Point(x, y)) for j, (x, y) in enumerate(user_points))
-    return Instance(PowerParams(c, alpha), servers, users)
+    server_xy = [(x, y) for x, y, _ in server_specs]
+    return Instance(PowerParams(c, alpha), server_xy, user_points, [k for _, _, k in server_specs])
 
 
 def three_user_instance():
