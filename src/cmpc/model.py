@@ -143,8 +143,12 @@ class Instance:
 
 def _coordinates(xy, kind: str) -> np.ndarray:
     """`xy` as a read-only [count, 2] float64 array, or a ValueError naming
-    the first `kind` (server or user) whose coordinates are not finite."""
-    xy = np.array(xy, dtype=np.float64)
+    the first `kind` (server or user) whose coordinates are not finite. An
+    int past the float range reads as the infinity it rounds to."""
+    try:
+        xy = np.array(xy, dtype=np.float64)
+    except OverflowError:
+        xy = np.vectorize(_float_or_inf, otypes=[np.float64])(np.array(xy, dtype=object))
     if not xy.size:
         raise ValueError(f"instance needs at least one {kind}")
     if xy.ndim != 2 or xy.shape[1] != 2:
@@ -154,6 +158,13 @@ def _coordinates(xy, kind: str) -> np.ndarray:
         raise ValueError(f"{kind} {i}: coordinates must be finite, got ({xy[i, 0]}, {xy[i, 1]})")
     xy.flags.writeable = False
     return xy
+
+
+def _float_or_inf(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _capacities(capacity, m: int) -> np.ndarray:

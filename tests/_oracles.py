@@ -5,14 +5,15 @@ must equal bit for bit, and, as references for differential tests, a
 per-disk, per-member loop over the covering dual's constraints with gamma
 prices in the ascent's closed form, which `verify_dual_feasibility` checks
 by running maxima and prefix sums, the per-segment loop that
-`charge_breakdown` replaced, the rescan of the trace per event that
-`check_charging`'s one table of capacity steps replaced, the `next_event`
-that built every m*n array afresh on each event, which the in-place one
-replaced, the `finalize` that took one prefix sum per run of equal gamma
-start, which the one summing up to m runs at a time replaced, and the
-exact search before its reach bound, capacity prune and private-user leaf
-test, and the multi-key lexsorts that `key_order` replaced, in the order
-table and in the greedy `ncs_solve`.
+`charge_breakdown` replaced, a per-event `check_charging` built on it and
+on the rescan of the trace per event that `check_charging`'s one table of
+capacity steps replaced, the `next_event` that built every m*n array
+afresh on each event, which the in-place one replaced, the `finalize`
+that took one prefix sum per run of equal gamma start, which the one
+summing up to m runs at a time replaced, and the exact search before its
+reach bound, capacity prune and private-user leaf test, and the multi-key
+lexsorts that `key_order` replaced, in the order table and in the greedy
+`ncs_solve`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from cmpc import Instance, PowerParams, Server, User
 from cmpc.model import _TIEBREAK_STRIDE, OrderTable, order_table
-from cmpc.certify import CHECK_TOL, DualViolation
+from cmpc.certify import CHECK_TOL, TIGHTNESS_TOL, ChargingViolation, DualViolation
 from cmpc.primal_dual import AscentStalledError
 from cmpc.reference import OptResult, feasible_assignment
 from cmpc.solution import make_solution
@@ -231,6 +232,35 @@ def reference_charge_breakdown(instance: Instance, trace, duals, event_index: in
             for h in paying:
                 charges[h] += b - a
     return charges
+
+
+def reference_charging_violations(instance: Instance, trace, duals) -> list[ChargingViolation]:
+    """check_charging by one reference_charge_breakdown per event, its flat
+    charge summed over flat_phase_reference's segments (whose one segment
+    [0, g) at the capacity before clock 0 is the flat charge of a start g <=
+    0), to within the same tolerances."""
+    tol = CHECK_TOL * float(order_table(instance).power.max())
+    theta = np.asarray(duals.theta, dtype=np.float64)
+    covered_at = np.asarray(duals.covered_at, dtype=np.float64)
+    violations: list[ChargingViolation] = []
+    for i, ev in enumerate(trace):
+        g = float(duals.gamma_start[ev.disk_index])
+        charges = reference_charge_breakdown(instance, trace, duals, i)
+        members = list(charges)
+        a, b, kp = flat_phase_reference(instance, trace, ev.server, g)
+        charge = float(np.sum((b - a) * kp)) + float(np.sum(np.maximum(0.0, covered_at[members] - g)))
+        total = float(np.sum(list(charges.values())))
+        overpaid = float(np.max(np.array(list(charges.values())) - theta[members], initial=0.0))
+        short = tol + TIGHTNESS_TOL * ev.power
+        if g < -tol:
+            violations.append(ChargingViolation(i, "negative gamma start", -g))
+        if not abs(ev.power - charge) <= short:
+            violations.append(ChargingViolation(i, "power vs beta-charge + gamma", abs(ev.power - charge)))
+        if not abs(ev.power - total) <= short:
+            violations.append(ChargingViolation(i, "power vs per-user charges", abs(ev.power - total)))
+        if not overpaid <= tol:
+            violations.append(ChargingViolation(i, "charge exceeds a user's theta", overpaid))
+    return violations
 
 
 def flat_phase_reference(instance: Instance, trace, server: int, g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -253,3 +253,17 @@ def test_array_constructor_rejects_capacities_it_would_coerce(capacity, message)
 )
 def test_array_constructor_rejects_shapes(server_xy, user_xy, message):
     assert message_of(lambda: Instance(PowerParams(1.0, 2.0), server_xy=server_xy, user_xy=user_xy, capacity=[1] * len(server_xy))) == message
+
+
+@pytest.mark.parametrize(
+    "server_xy, user_xy, message",
+    [
+        ([(10**400, 0)], [(0, 0)], "server 0: coordinates must be finite, got (inf, 0.0)"),
+        ([(0, 0)], [(0, 0), (1, -(10**400))], "user 1: coordinates must be finite, got (1.0, -inf)"),
+    ],
+    ids=["server", "user"],
+)
+def test_array_constructor_names_an_int_past_the_float_range(server_xy, user_xy, message):
+    # numpy raises OverflowError converting such an int; the point is named
+    # as for any other coordinate that is not finite.
+    assert message_of(lambda: Instance(PowerParams(1.0, 2.0), server_xy, user_xy, [1] * len(server_xy))) == message

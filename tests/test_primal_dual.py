@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 import tracemalloc
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmpc import (
@@ -26,7 +27,7 @@ from cmpc import (
 from cmpc import primal_dual
 from cmpc.cli import cli
 from cmpc.model import dump_instance, order_table
-from cmpc.certify import CHECK_TOL, TIGHTNESS_TOL, _capacity_steps, charge_breakdown
+from cmpc.certify import CHECK_TOL, TIGHTNESS_TOL, _capacity_steps, _event_charges, charge_breakdown
 from cmpc.primal_dual import (
     EVENT_BUFFERS,
     AscentStalledError,
@@ -42,6 +43,7 @@ from _oracles import (
     flat_phase_reference,
     next_event_reference,
     reference_charge_breakdown,
+    reference_charging_violations,
     reference_dual_violations,
 )
 from test_golden import ascent_instances
@@ -904,6 +906,78 @@ def test_capacity_steps_match_per_event_rescan(inst):
                 assert (below, a.tolist(), b.tolist(), kp.tolist()) == (0, [0.0], [g], [capacity[s, 0]])
 
 
+def test_verify_matches_per_disk_reference_with_starts_out_of_rank_order():
+    # Each row's gamma starts shuffled, so that a start's disks are no longer
+    # a run of ranks and a lower rank may hold a later start: the checker
+    # must group them by (server, start) whatever their order.
+    shuffled = 0
+    for seed in range(40):
+        inst = checker_instance(seed)
+        noisy = perturbed_duals(inst, seed)
+        rows = np.random.default_rng(seed).permuted(noisy.gamma_start.reshape(inst.m, inst.n), axis=1)
+        shuffled += bool((rows[:, 1:] < rows[:, :-1]).any())
+        duals = dataclasses.replace(noisy, gamma_start=rows.ravel())
+        got = verify_dual_feasibility(inst, duals)
+        expected = reference_dual_violations(inst, duals)
+        assert [(v.constraint, v.user, v.disk, v.server) for v in got] == [
+            (v.constraint, v.user, v.disk, v.server) for v in expected
+        ]
+        power = order_table(inst).power.ravel()
+        for v, ref in zip(got, expected):
+            assert abs(v.amount - ref.amount) <= 1e-9 * max(1.0, float(power[v.disk] if v.disk is not None else power.max()))
+    assert shuffled >= 35
+
+
+CHARGING_INSTANCES = list(capacity_step_instances())
+
+
+@functools.lru_cache(maxsize=None)
+def charging_solve(which):
+    return pd_solve(CHARGING_INSTANCES[which])
+
+
+def charging_prices(inst, duals, trace, rng):
+    """pd_solve's prices for check_charging with noise on a tenth of theta and
+    of covered_at, NaN on a thirtieth of covered_at, and each selected disk's
+    gamma start drawn from: its own, NaN, negative, zero, between 0 and the
+    first nonzero clock, an event clock, or with noise."""
+    sigma = 0.05 * float(order_table(inst).power.max())
+
+    def noisy(values):
+        return values + (rng.random(values.shape) < 0.1) * rng.normal(0.0, sigma, values.shape)
+
+    covered_at = noisy(duals.covered_at)
+    covered_at[rng.random(inst.n) < 1 / 30] = np.nan
+    starts = duals.gamma_start.copy()
+    clocks = sorted({ev.clock for ev in trace})
+    first = min([c for c in clocks if c > 0], default=1.0)
+    for ev in trace:
+        g = starts[ev.disk_index]
+        choices = (g, np.nan, -rng.random() * ev.power, 0.0, rng.random() * first, clocks[rng.integers(len(clocks))], g + rng.normal(0.0, sigma))
+        starts[ev.disk_index] = choices[rng.integers(len(choices))]
+    return SimpleNamespace(theta=noisy(duals.theta), gamma_start=starts, covered_at=covered_at)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(CHARGING_INSTANCES) - 1), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 0]))
+@example(0, 0, 0).via("an empty trace")
+@example(2, 0, 1).via("one event at clock 0")
+def test_check_charging_matches_per_event_reference(which, seed, cut):
+    # The whole-trace checker, its screen and its exact fallback against one
+    # reference_charge_breakdown per event, on the whole trace, its first
+    # event or none: the same reports in the same order, amounts to within
+    # 1e-12 of the largest power (NaN where the reference has NaN).
+    inst = CHARGING_INSTANCES[which]
+    _, duals, trace = charging_solve(which)
+    trace = trace[:cut]
+    prices = charging_prices(inst, duals, trace, np.random.default_rng(seed))
+    got = check_charging(inst, trace, prices)
+    expected = reference_charging_violations(inst, trace, prices)
+    assert [(v.event_index, v.kind) for v in got] == [(v.event_index, v.kind) for v in expected]
+    largest = float(order_table(inst).power.max())
+    assert all(np.isclose(v.amount, ref.amount, rtol=0.0, atol=1e-12 * largest, equal_nan=True) for v, ref in zip(got, expected))
+
+
 # --- unit independence ------------------------------------------------------
 
 
@@ -1159,6 +1233,52 @@ def test_check_charging_reads_the_trace_twice(bench_scale, monkeypatch):
     counted = CountedTrace(trace)
     assert check_charging(inst, counted, duals) == []
     assert counted.passes == 2
+
+
+def exact_passes(monkeypatch):
+    """The events that check_charging sends through the exact pass, in call order."""
+    events = []
+
+    def counted(table, steps, duals, ev):
+        events.append(ev)
+        return _event_charges(table, steps, duals, ev)
+
+    monkeypatch.setattr("cmpc.certify._event_charges", counted)
+    return events
+
+
+@pytest.mark.parametrize("m, n, kbar", [(10, 400, 40.0), (15, 350, 350 / 15), (20, 300, 15.0), (50, 800, 20.0)])
+def test_check_charging_screens_every_event_of_a_pd_solve(m, n, kbar, monkeypatch):
+    # On pd_solve's own duals no event needs the exact [segments, members]
+    # pass: the certify-tight sizes and large-ample's (m=50, n=800, kbar 20),
+    # at the seeds of those benchmarks' first round.
+    exact = exact_passes(monkeypatch)
+    for seed in (1000, 1001):
+        inst = gen_instance(GenConfig(m=m, n=n, kbar=kbar, seed=seed))
+        _, duals, trace = pd_solve(inst)
+        assert check_charging(inst, trace, duals) == []
+    assert exact == []
+
+
+def test_check_charging_reports_overcharges_through_the_exact_pass(bench_scale, monkeypatch):
+    # A negative gamma start, and a theta lowered below a user's charge, fail
+    # the screen: the events that report them took the exact pass.
+    exact = exact_passes(monkeypatch)
+    inst = gen_instance(GenConfig(m=10, n=150, kbar=15.0, seed=3000))
+    _, duals, trace = pd_solve(inst)
+    starts = duals.gamma_start.copy()
+    starts[trace[8].disk_index] = -trace[8].power
+    violations = check_charging(inst, trace, SimpleNamespace(theta=duals.theta, gamma_start=starts, covered_at=duals.covered_at))
+    assert {v.event_index for v in violations} == {8} and exact == [trace[8]]
+
+    inst, _, duals, trace = bench_scale
+    exact.clear()
+    theta = duals.theta.copy()
+    h = int(np.argmax(theta))
+    theta[h] /= 2
+    violations = check_charging(inst, trace, SimpleNamespace(theta=theta, covered_at=duals.covered_at, gamma_start=duals.gamma_start))
+    assert violations and {v.kind for v in violations} == {"charge exceeds a user's theta"}
+    assert {trace[v.event_index] for v in violations} <= set(exact)
 
 
 def test_check_charging_pins_lowered_theta_to_its_user(bench_scale):
