@@ -12,6 +12,7 @@ from cmpc import (
     GenConfig,
     Instance,
     PowerParams,
+    dual_objective,
     gen_instance,
     ncs_solve,
     opt_solve,
@@ -183,3 +184,36 @@ def test_cover_json_is_pinned():
         if result.status == "optimal":
             add(result.solution)
     assert digest.hexdigest() == COVER_DIGEST
+
+
+def benchmark_instances():
+    # The oracle workload's 300 draws at seed 1 (seed base 1000): ample
+    # (m=4-6, n=6-8, capacity 2.5n) alternating with tight (m=4, n=8,
+    # capacity 1.2n); the certify-tight workload's three draws at seed 1
+    # (capacity about n); and one large-ample draw at m=50, n=800, which
+    # takes the event loop's block path.
+    for i in range(150):
+        for j, (m, n), share in ((2 * i, ((4, 8), (5, 7), (6, 6))[i % 3], 2.5), (2 * i + 1, (4, 8), 1.2)):
+            yield gen_instance(GenConfig(m=m, n=n, kbar=share * n / m, seed=1000 + j))
+    for i, (m, n) in enumerate(((10, 400), (15, 350), (20, 300))):
+        yield gen_instance(GenConfig(m=m, n=n, kbar=n / m, seed=1000 + i))
+    yield gen_instance(GenConfig(m=50, n=800, kbar=20.0, seed=1000))
+
+
+# SHA-256 of pd_solve's event traces, of the raw bytes of its prices with mu
+# among them, and of the dual objective, on benchmark_instances().
+BENCHMARK_DIGEST = "c1152220eae021a9b56123e0939a07400f911d3d488164cb1b92ef10d5ef4737"
+
+
+def test_benchmark_instance_traces_and_prices_are_pinned():
+    digest = hashlib.sha256()
+    for instance in benchmark_instances():
+        _, duals, trace = pd_solve(instance)
+        for ev in trace:
+            fields = (ev.clock, ev.server, ev.boundary_user, ev.rank, ev.disk_index,
+                      ev.newly_covered, ev.power, ev.remaining_after)
+            digest.update(repr(fields).encode("utf-8"))
+        for prices in (duals.theta, duals.beta, duals.gamma_start, duals.covered_at, duals.mu):
+            digest.update(np.ascontiguousarray(prices, dtype=np.float64).tobytes())
+        digest.update(repr(dual_objective(duals)).encode("utf-8"))
+    assert digest.hexdigest() == BENCHMARK_DIGEST
