@@ -177,7 +177,8 @@ class DualState:
         self.tight_tol = TIGHTNESS_TOL * self.powers
         self.lhs = np.zeros(self.powers.size, dtype=np.float64)
         self.capacity = np.concatenate([instance.capacity for instance in instances])
-        self.remaining_capacity = self.capacity.copy()
+        # float64, as the rates are: counts are exact in it.
+        self.remaining_capacity = self.capacity.astype(np.float64)
         self.last_selected = [-1] * (count * m)
         self.assignment = np.full(count * n, -1, dtype=np.int64)
         self.clock = np.zeros(count)
@@ -192,8 +193,8 @@ class DualState:
         self._widths = np.minimum(n - 1, self.capacity) + 1
         self._lows = np.zeros(count * m, dtype=np.int64)
         # Rates (census), residuals and steps.
-        self._floats = np.empty((3, count * m * n), dtype=np.float64)
-        self._bools = np.empty((2, count * m * n), dtype=bool)
+        self._floats = tuple(np.empty((3, count * m * n), dtype=np.float64))
+        self._bools = tuple(np.empty((2, count * m * n), dtype=bool))
         self._index = self._block = None
         # The gate of the block (see above): a lone instance whose suffixes
         # spare SUFFIX_CROSSOVER disks at the start and whose rows of powers
@@ -290,7 +291,7 @@ class DualState:
         self._index = self._block = None
         self.mu = slack_prices(self)
         charges = self.lhs.reshape(m, n)
-        for s in np.flatnonzero(self._widths < n).tolist():
+        for s in (self._widths < n).nonzero()[0].tolist():
             width = self._widths[s]
             charges[s, width:] = charges[s, width - 1]
         for name in EVENT_BUFFERS:
@@ -337,10 +338,11 @@ def next_event(duals: DualState) -> tuple[np.ndarray, list[int]]:
     their suffix tested disk by disk, exactly as above.
     """
     m, n = duals.table.order.shape
-    room = duals.remaining_capacity.astype(np.float64)
+    room = duals.remaining_capacity
     block, clocks = duals._block, duals.clock
     if block is None:
         rates, residual, step = duals._floats
+        positive, tight = duals._bools
         census = rates.reshape(m, n)
         np.add.accumulate(duals.uncovered, axis=1, out=census)
         # Within one event "fits the remaining capacity" only turns true, so
@@ -348,36 +350,36 @@ def next_event(duals: DualState) -> tuple[np.ndarray, list[int]]:
         # after every selection. An exhausted server's disks get a gamma phase
         # from now on, so lingering uncovered members keep paying; finalize()
         # routes any excess over the disk power into mu.
-        in_beta = np.isnan(duals.gamma_start, out=duals._bools[1])
-        if in_beta.any():
-            leaves_beta = duals._bools[0]
-            # (census <= room) | (room == 0), with an exhausted server's room as inf.
-            np.less_equal(census, np.where(room == 0, np.inf, room)[:, None], out=leaves_beta.reshape(m, n))
-            leaves_beta &= in_beta
-            np.copyto(duals.gamma_start.reshape(clocks.size, -1), clocks[:, None], where=leaves_beta.reshape(clocks.size, -1))
+        # The disks that fit, (census <= room) | (room == 0) with an exhausted
+        # server's room as inf, take the clock if in beta (NaN); fmin keeps
+        # the gamma start, an earlier clock, of the others.
+        fits, room = positive, room[:, None]
+        np.less_equal(census, np.where(room, room, np.inf), out=fits.reshape(m, n))
+        starts = duals.gamma_start.reshape(clocks.size, -1)
+        np.fmin(starts, clocks[:, None], out=starts, where=fits.reshape(clocks.size, -1))
         # The census becomes the rates in place.
-        np.minimum(census, room[:, None], out=census)
+        np.minimum(census, room, out=census)
         np.subtract(duals.powers, duals.lhs, out=residual)
     else:
         rates = _block_rates(duals, room)
         block, index = duals._block, duals._index[: rates.size]
-        residual, step = duals._floats[1:, : rates.size]
+        residual, step, positive, tight = (buffer[: rates.size] for buffer in (*duals._floats[1:], *duals._bools))
         duals.powers.take(index, out=residual, mode="clip")
         residual -= duals.lhs.take(index, out=step, mode="clip")
 
-    positive, tight = duals._bools[:, : rates.size]
     np.greater(rates, 0.0, out=positive)
     # where= leaves the other entries of step stale, so the min skips them
     # too; an instance's is inf when none of its rates is positive.
     np.divide(residual, rates, out=step, where=positive)
     steps = step.reshape(clocks.size, -1)
     delta = np.minimum.reduce(steps, axis=1, where=positive.reshape(clocks.size, -1), initial=np.inf)
-    if np.inf in delta.tolist():
+    found = delta.tolist()
+    if np.inf in found or min(found) < 0.0:
         idle = delta == np.inf
         if (idle & np.isnan(duals.covered_at).reshape(clocks.size, -1).any(axis=1)).any():
             raise AscentStalledError("an instance has users uncovered but no disk that can ascend")
         delta[idle] = 0.0
-    delta = np.maximum(delta, 0.0)
+        np.maximum(delta, 0.0, out=delta)
     np.multiply(rates.reshape(clocks.size, -1), delta[:, None], out=steps)
     residual -= step
     # The block's tolerances go where its rates were.
@@ -403,7 +405,7 @@ def next_event(duals: DualState) -> tuple[np.ndarray, list[int]]:
                 found.append(beyond.start + np.flatnonzero(gap <= duals.tight_tol[beyond]))
             tights = np.sort(np.concatenate(found))
         np.add.at(duals.lhs, index, step)
-    duals.clock += delta
+    clocks += delta
     return delta, tights.tolist()
 
 
@@ -425,7 +427,7 @@ def _block_rates(duals: DualState, room: np.ndarray) -> np.ndarray:
     capacity, _widen lays the block out again and the census is taken anew.
     """
     block = duals._block
-    census = duals.uncovered.take(duals._index[: block.size], out=duals._floats[0, : block.size], mode="clip")
+    census = duals.uncovered.take(duals._index[: block.size], out=duals._floats[0][: block.size], mode="clip")
     # Each row's census at its last rank: the uncovered users of its ranks.
     counts = np.add.reduceat(census, block.starts)
     rooms = room.take(block.rows)
@@ -437,7 +439,7 @@ def _block_rates(duals: DualState, room: np.ndarray) -> np.ndarray:
         duals.gamma_start[block.tails[leaves_beta]] = duals.clock
         duals._widen(block.rows[leaves_beta], counts[leaves_beta], rooms[leaves_beta])
         block = duals._block
-        census = duals.uncovered.take(duals._index[: block.size], out=duals._floats[0, : block.size], mode="clip")
+        census = duals.uncovered.take(duals._index[: block.size], out=duals._floats[0][: block.size], mode="clip")
         counts = np.add.reduceat(census, block.starts)
         rooms = room.take(block.rows)
     # The running count enters each row holding the row before's census.
@@ -461,16 +463,16 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
     n = duals.table.order.shape[1]
     s, rank = divmod(idx, n)
     # A disk beyond its row's width holds the row's charge at width - 1.
-    if duals.powers[idx] - duals.lhs[s * n + min(rank, duals._widths[s] - 1)] > duals.tight_tol[idx]:
+    if duals.powers[idx] - duals.lhs[s * n + min(rank, int(duals._widths[s]) - 1)] > duals.tight_tol[idx]:
         raise ValueError("apply_selection: disk is not tight")
-    members = duals.table.order[s, : rank + 1]
-    newly = members[np.isnan(duals.covered_at[members])]
+    # The disk's uncovered members, in rank order.
+    newly = duals.table.order[s].take(duals.uncovered[s, : rank + 1].nonzero()[0])
     if not len(newly):
         return []
     if len(newly) > duals.remaining_capacity[s]:
         raise CapacityInvariantError(
             f"tight disk (server {s}, rank {rank}) holds {len(newly)} uncovered "
-            f"users but only {duals.remaining_capacity[s]} capacity remains",
+            f"users but only {duals.remaining_capacity[s]:g} capacity remains",
             s,
             rank,
             newly.tolist(),
@@ -526,9 +528,12 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
         clocks = duals.clock.tolist()
         before = list(uncovered)
         for idx in tights:
-            if not duals.is_active(idx):
-                continue
             s, rank = divmod(idx, n)
+            # A tight disk ascended, so it holds an uncovered user and lies
+            # above its server's last selection: it is active while its
+            # server has room, which an earlier selection may have used up.
+            if not duals.remaining_capacity[s]:
+                continue
             b = s // m
             try:
                 newly = apply_selection(duals, idx)
@@ -554,7 +559,7 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
 
     # Every disk has left its beta phase once nobody is uncovered.
     starts = duals.gamma_start.reshape(len(instances), -1)
-    np.copyto(starts, duals.clock[:, None], where=np.isnan(starts))
+    np.fmin(starts, duals.clock[:, None], out=starts)
     solutions = []
     for b, instance in enumerate(instances):
         ranks = [i - (b * m + s) * n if i >= 0 else -1 for s, i in enumerate(duals.last_selected[b * m : (b + 1) * m])]

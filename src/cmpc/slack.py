@@ -29,49 +29,54 @@ from __future__ import annotations
 import numpy as np
 
 
+# A block of runs sums at least m of them, or as many as this many ranked
+# prices hold at n ranks each, so that a small solve takes one block.
+SLACK_BLOCK = 2048
+
+
 def slack_prices(duals) -> np.ndarray:
     """The least mu making every disk constraint of `duals` feasible, once
     every disk has left its beta phase. Takes the state's work buffers
     (`uncovered`, `_floats`, `_bools`) as scratch."""
     m, n = duals.table.order.shape
-    # mode="clip" (every index is in range) takes straight into out,
-    # which the default mode would buffer.
-    theta = duals.theta.take(duals.table.order, out=duals._floats[0].reshape(m, n), mode="clip")
-    starts = duals.gamma_start.reshape(m, n)
+    # Every user is covered by now, so theta is covered_at. mode="clip"
+    # (every index is in range) takes straight into out, which the default
+    # mode would buffer.
+    theta = duals.covered_at.take(duals.table.order, out=duals._floats[0].reshape(m, n), mode="clip")
+    starts = duals.gamma_start
     # beta is gamma_start now that no disk is in its beta phase.
-    lhs = np.multiply(duals.capacity[:, None], starts, out=duals.uncovered).ravel()
+    lhs = np.multiply(duals.capacity[:, None], starts.reshape(m, n), out=duals.uncovered).ravel()
     # A run opens at rank 0 and wherever the start differs from the rank before.
-    opens = duals._bools[1].reshape(m, n)
-    opens[:, 0] = True
-    np.not_equal(starts[:, 1:], starts[:, :-1], out=opens[:, 1:])
-    servers, ranks = opens.nonzero()
-    heads = servers * n + ranks
+    opens = duals._bools[1]
+    np.not_equal(starts[1:], starts[:-1], out=opens[1:])
+    opens[::n] = True
+    heads = opens.nonzero()[0]
     lengths = np.empty_like(heads)
     np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
     lengths[-1] = m * n - heads[-1]
-    by_end = (ranks + lengths).argsort(kind="stable")
-    # Run r holds the ranks [ranks[r], ends[r]) of servers[r]; the runs
-    # are now in order of their ends, and run r takes row r % m of its
-    # block, which stops at the block's last end.
-    servers, ranks, lengths = servers[by_end], ranks[by_end], lengths[by_end]
-    ends = ranks + lengths
-    count = servers.size
-    highs = ends[np.minimum(np.arange(m - 1, count + m - 1, m), count - 1)]
-    row = np.arange(count) % m * highs.repeat(m)[:count]
-    # Rank t of run r takes prefix[row r, t], at src[r] + its place among
-    # the block's disks, into lhs at that plus shift[r], s * n + t.
-    first = lengths.cumsum() - lengths
-    src = row + ranks - first + first[::m].repeat(m)[:count]
-    shift = servers * n - row
-    gamma_starts = starts[servers, ranks, None]
-    for c, high in zip(range(0, count, m), highs.tolist()):
-        runs = slice(c, c + m)
-        rows = theta[:, :high].take(servers[runs], axis=0, out=duals._floats[2, : min(m, count - c) * high].reshape(-1, high), mode="clip")
+    # Run r holds the flat disks [heads[r], heads[r] + lengths[r]), of server
+    # servers[r] up to rank ends[r]. Sorted by their ends, the runs fall into
+    # blocks of `per`, and a block's rows stop at its last run's end.
+    servers, ends = np.divmod(heads, n)
+    ends += lengths
+    by_end = ends.argsort(kind="stable")
+    heads, lengths, servers, ends = heads[by_end], lengths[by_end], servers[by_end], ends[by_end].tolist()
+    count, per = heads.size, max(m, SLACK_BLOCK // n)
+    work = duals._floats[1:] if per == m else np.empty((2, per * n))
+    gamma_starts = starts[heads, None]
+    # The disks of the runs in order, as flat indices: lead[r] plus their place.
+    lead, done = heads - (lengths.cumsum() - lengths), 0
+    for c in range(0, count, per):
+        runs, high = slice(c, c + per), ends[min(c + per, count) - 1]
+        rows = theta[:, :high].take(servers[runs], axis=0, out=work[0][: min(per, count - c) * high].reshape(-1, high), mode="clip")
         np.subtract(rows, gamma_starts[runs], out=rows)
-        prefix = np.add.accumulate(np.maximum(rows, 0.0, out=rows), axis=1, out=duals._floats[1, : rows.size].reshape(-1, high))
-        index = src[runs].repeat(lengths[runs])
-        index += np.arange(index.size)
-        sums = prefix.take(index, out=duals._floats[2, : index.size], mode="clip")
-        index += shift[runs].repeat(lengths[runs])
+        prefix = np.add.accumulate(np.maximum(rows, 0.0, out=rows), axis=1, out=work[1][: rows.size].reshape(-1, high))
+        # Rank t of the block's row i, server s, is prefix[i, t] and lhs[s * n + t].
+        shift = servers[runs] * n - np.arange(0, rows.size, high)
+        index = (lead[runs] - shift).repeat(lengths[runs])
+        index += np.arange(done, done + index.size)
+        done += index.size
+        sums = prefix.take(index, out=work[0][: index.size], mode="clip")
+        index += shift.repeat(lengths[runs])
         lhs[index] += sums
-    return np.maximum(0.0, np.subtract(lhs, duals.powers, out=lhs).reshape(m, n).max(axis=1))
+    return np.maximum.reduce(np.subtract(lhs, duals.powers, out=lhs).reshape(m, n), axis=1, initial=0.0)

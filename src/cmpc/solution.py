@@ -49,8 +49,8 @@ def make_solution(instance: Instance, ranks: Sequence[int], assignment: Sequence
     if len(assignment) != instance.n:
         raise ValueError("assignment must cover every user")
     table = order_table(instance)
-    radius = tuple(None if t < 0 else float(table.dist[s, t]) for s, t in enumerate(ranks))
-    power = tuple(None if t < 0 else float(table.power[s, t]) for s, t in enumerate(ranks))
+    radius = tuple(None if t < 0 else table.dist.item(s, t) for s, t in enumerate(ranks))
+    power = tuple(None if t < 0 else table.power.item(s, t) for s, t in enumerate(ranks))
     total = sum(p for p in power if p is not None)
     return Solution(radius=radius, power=power, assignment=tuple(assignment), total_power=total)
 
