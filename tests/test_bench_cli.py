@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -285,10 +286,24 @@ def test_share_stops_once_a_lower_task_has_failed(tmp_path, monkeypatch):
     # With timing on a task is one trial. Task 0 (the caller's) fails at
     # once; the child's share (tasks 1, 3, 5) stops before its next task, as
     # none of its rows could be used.
-    calls = tmp_path / "calls"
-    real = bench.gen_instance
+    calls, marker = tmp_path / "calls", tmp_path / "failed"
+    caller, real, real_run_share = os.getpid(), bench.gen_instance, bench._run_share
+
+    def run_share(run, share, slots, slot):
+        # The caller leaves the marker once its share has failed, and so
+        # once its slot holds the failing task.
+        outcome = real_run_share(run, share, slots, slot)
+        if slot == 0 and outcome[1] is not None:
+            marker.touch()
+        return outcome
 
     def gen(cfg):
+        # The child's draws wait for the marker: the caller's failure is
+        # recorded before the child can reach its next task, however the two
+        # processes are scheduled.
+        deadline = time.monotonic() + 30.0
+        while os.getpid() != caller and not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
         with open(calls, "a") as log:
             log.write(f"{os.getpid()} {cfg.seed}\n")
         if cfg.seed == 100:
@@ -299,9 +314,11 @@ def test_share_stops_once_a_lower_task_has_failed(tmp_path, monkeypatch):
         return [int(line.split()[1]) for line in calls.read_text().splitlines() if line.split()[0] != str(os.getpid())]
 
     monkeypatch.setattr(bench, "gen_instance", gen)
+    monkeypatch.setattr(bench, "_run_share", run_share)
     config = tiny_config(oracle_budget=0, timing=True)
     serial = failure_of(monkeypatch, config, 1)
     calls.unlink()
+    marker.unlink()
     parallel = failure_of(monkeypatch, config, 2)
     assert type(parallel) is type(serial) is RuntimeError and str(parallel) == str(serial)
     assert len(child_seeds()) <= 1
@@ -309,6 +326,7 @@ def test_share_stops_once_a_lower_task_has_failed(tmp_path, monkeypatch):
     # 100-102) fails; the child's share (points 1 and 3) draws at most point
     # 1's instances, never point 3's.
     calls.unlink()
+    marker.unlink()
     parallel = failure_of(monkeypatch, replace(config, sweep_values=(5, 8, 5, 8), timing=False), 2)
     assert type(parallel) is RuntimeError and str(parallel) == str(serial)
     assert set(child_seeds()) <= {103, 104, 105}
