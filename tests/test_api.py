@@ -1,10 +1,14 @@
-"""The package namespace: the exported names, and every one the benchmark calls."""
+"""The package namespace: the exported names, every one the benchmark calls,
+and what its modules import and how large they are."""
 
 import ast
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
+
+import pytest
 
 import cmpc
 
@@ -96,3 +100,19 @@ def test_checkers_and_reference_solvers_do_not_import_the_ascent():
     # solver under test, so they are built from the model alone.
     assert cmpc_imports("certify") == {"cmpc.model"}
     assert cmpc_imports("reference") == {"cmpc.model", "cmpc.solution"}
+
+
+def parser_tokens(path):
+    """The tokens of `path` that CPython's parser keeps: all but comments and blank lines."""
+    with path.open("rb") as source:
+        return [token for token in tokenize.tokenize(source.readline) if token.type not in (tokenize.COMMENT, tokenize.NL)]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "cmpc").glob("*.py")), ids=lambda path: path.name)
+def test_every_module_fits_the_parser_token_buffer(path):
+    # CPython's parser keeps a file's tokens in one array that doubles when
+    # full, at 4,096. Compiling src/cmpc/primal_dual.py sets the high-water
+    # mark of `import cmpc`, so a module past 4,096 tokens raises every
+    # workload's peak_rss_mb by about 0.3 MB at once (the FOUND in CHANGES.md
+    # on primal_dual.py's 4,008 parser tokens).
+    assert len(parser_tokens(path)) < 4096
