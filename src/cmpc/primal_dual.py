@@ -192,7 +192,8 @@ class DualState:
         self._rows = [np.arange(b * m, (b + 1) * m)[:, None] for b in range(count)]
         self._widths = np.minimum(n - 1, self.capacity) + 1
         self._lows = np.zeros(count * m, dtype=np.int64)
-        # Rates (census), residuals and steps.
+        # Rows of rates (census), residuals and steps, and of the disks that
+        # fit their room or ascend and the tight ones, unpacked once an event.
         self._floats = tuple(np.empty((3, count * m * n), dtype=np.float64))
         self._bools = tuple(np.empty((2, count * m * n), dtype=bool))
         self._index = self._block = None
@@ -529,9 +530,10 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
         before = list(uncovered)
         for idx in tights:
             s, rank = divmod(idx, n)
-            # A tight disk ascended, so it holds an uncovered user and lies
-            # above its server's last selection: it is active while its
-            # server has room, which an earlier selection may have used up.
+            # next_event finds no tight disk at or below its server's last
+            # selection, whose members are all covered: so one is active
+            # while its server has room, which an earlier selection may have
+            # used up (apply_selection checks both).
             if not duals.remaining_capacity[s]:
                 continue
             b = s // m

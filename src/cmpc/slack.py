@@ -13,15 +13,23 @@ of them since census is a cumsum over rank; and the solve stamps the rest
 with the last clock. So a server has at most E + 1 runs for E events:
 O(m * n * (E + 1)) time.
 
-The runs of all servers are summed up to m at a time, in order of their end
-rank hi: one matrix with a row max(0, theta[order[s, :H]] - g) per run of
-server s and start g, H the block's largest hi, one cumsum along the ranks,
-and a gather that gives each disk the sum in its own run's row. A row is the
-same sequential sum as a cumsum over order[s, :hi] alone, so the budgets are
-those of one run at a time, bit for bit; as blocks hold runs of similar
-ends, the sums stop near where their runs do. Ranked theta, the budgets, the
-matrix and its sums use the ascent's m*n work buffers, free by now; the
-gather index of m runs spans at most m*n disks.
+The runs of all servers are summed a block at a time, in order of their
+end rank hi: one matrix with a row max(0, theta[order[s, :H]] - g) per run
+of server s and start g, H the block's largest hi, one cumsum along the
+ranks, and a gather that gives each disk the sum in its own run's row. A
+row is the same sequential sum as a cumsum over order[s, :hi] alone, so the
+budgets are those of one run at a time, bit for bit, however the runs fall
+into blocks; as blocks hold runs of similar ends, the sums stop near where
+their runs do.
+
+A block holds per = max(m, SLACK_BLOCK // n) runs, so at most max(m * n,
+SLACK_BLOCK) prices. With per = m, as whenever m * n >= SLACK_BLOCK, its
+matrix and sums fit the ascent's m*n work buffers, free by now like the
+ranked theta and the budgets; with more, they take two fresh buffers of
+per * n <= SLACK_BLOCK prices. A solve has at most m * n runs, so while m *
+n * n <= SLACK_BLOCK one block holds them all: a tiny solve makes the
+block's dozen numpy calls once. The runs partition the disks, so a block's
+gather index spans at most m*n of them.
 """
 
 from __future__ import annotations
@@ -29,8 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 
-# A block of runs sums at least m of them, or as many as this many ranked
-# prices hold at n ranks each, so that a small solve takes one block.
+# The prices a block of runs holds when m * n is smaller (see above): 16 KB.
 SLACK_BLOCK = 2048
 
 
