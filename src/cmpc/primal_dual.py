@@ -464,7 +464,7 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
     n = duals.table.order.shape[1]
     s, rank = divmod(idx, n)
     # A disk beyond its row's width holds the row's charge at width - 1.
-    if duals.powers[idx] - duals.lhs[s * n + min(rank, int(duals._widths[s]) - 1)] > duals.tight_tol[idx]:
+    if duals.powers.item(idx) - duals.lhs.item(s * n + min(rank, duals._widths.item(s) - 1)) > duals.tight_tol.item(idx):
         raise ValueError("apply_selection: disk is not tight")
     # The disk's uncovered members, in rank order.
     newly = duals.table.order[s].take(duals.uncovered[s, : rank + 1].nonzero()[0])
@@ -483,7 +483,7 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
     b = s // len(duals._rows[0])
     duals.assignment[newly] = s
     duals.covered_at[newly] = duals.clock[b]
-    duals.uncovered[duals._rows[b], duals.table.rank[:, newly]] = 0.0
+    duals.uncovered[duals._rows[b], duals.table.rank.take(newly, axis=1)] = 0.0
     duals.remaining_capacity[s] -= len(newly)
     duals.last_selected[s] = idx
     return sorted(newly.tolist())
@@ -548,11 +548,11 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
                     SelectionEvent(
                         clock=clocks[b],
                         server=s - b * m,
-                        boundary_user=int(duals.table.order[s, rank]) - b * n,
+                        boundary_user=duals.table.order.item(s, rank) - b * n,
                         rank=rank,
                         disk_index=idx - b * m * n,
                         newly_covered=tuple(u - b * n for u in newly) if b else tuple(newly),
-                        power=float(duals.powers[idx]),
+                        power=duals.powers.item(idx),
                         remaining_after=int(duals.remaining_capacity[s]),
                     )
                 )

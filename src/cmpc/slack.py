@@ -70,7 +70,7 @@ def slack_prices(duals) -> np.ndarray:
     heads, lengths, servers, ends = heads[by_end], lengths[by_end], servers[by_end], ends[by_end].tolist()
     count, per = heads.size, max(m, SLACK_BLOCK // n)
     work = duals._floats[1:] if per == m else np.empty((2, per * n))
-    gamma_starts = starts[heads, None]
+    gamma_starts = starts.take(heads)[:, None]
     # The disks of the runs in order, as flat indices: lead[r] plus their place.
     lead, done = heads - (lengths.cumsum() - lengths), 0
     for c in range(0, count, per):
