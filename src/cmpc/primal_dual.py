@@ -188,8 +188,8 @@ class DualState:
         self.mu = np.zeros(count * m, dtype=np.float64)
         # float64, not bool: a cumsum over bools would allocate a float copy.
         self.uncovered = np.ones((count * m, n), dtype=np.float64)
-        # Each instance's rows.
-        self._rows = [np.arange(b * m, (b + 1) * m)[:, None] for b in range(count)]
+        # Each instance's rows, as a column.
+        self._rows = np.arange(count * m).reshape(count, m, 1)
         self._widths = np.minimum(n - 1, self.capacity) + 1
         self._lows = np.zeros(count * m, dtype=np.int64)
         # Rows of rates (census), residuals and steps, and of the disks that
@@ -295,8 +295,9 @@ class DualState:
         for s in (self._widths < n).nonzero()[0].tolist():
             width = self._widths[s]
             charges[s, width:] = charges[s, width - 1]
+        state = vars(self)
         for name in EVENT_BUFFERS:
-            vars(self).pop(name, None)
+            state.pop(name, None)
 
 
 def init_solver(instance: Instance, *batch: Instance) -> DualState:
@@ -480,7 +481,7 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
             int(duals.remaining_capacity[s]),
         )
 
-    b = s // len(duals._rows[0])
+    b = s // duals._rows.shape[1]
     duals.assignment[newly] = s
     duals.covered_at[newly] = duals.clock[b]
     duals.uncovered[duals._rows[b], duals.table.rank.take(newly, axis=1)] = 0.0
