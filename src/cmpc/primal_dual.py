@@ -353,12 +353,13 @@ def next_event(duals: DualState) -> tuple[np.ndarray, list[int]]:
         # from now on, so lingering uncovered members keep paying; finalize()
         # routes any excess over the disk power into mu.
         # The disks that fit, (census <= room) | (room == 0) with an exhausted
-        # server's room as inf, take the clock if in beta (NaN); fmin keeps
-        # the gamma start, an earlier clock, of the others.
-        fits, room = positive, room[:, None]
-        np.less_equal(census, np.where(room, room, np.inf), out=fits.reshape(m, n))
+        # server's room as inf, held where the positive rates go below, take
+        # the clock if in beta (NaN); fmin keeps the gamma start, an earlier
+        # clock, of the others.
+        room = room[:, None]
+        np.less_equal(census, np.where(room, room, np.inf), out=positive.reshape(m, n))
         starts = duals.gamma_start.reshape(clocks.size, -1)
-        np.fmin(starts, clocks[:, None], out=starts, where=fits.reshape(clocks.size, -1))
+        np.fmin(starts, clocks[:, None], out=starts, where=positive.reshape(clocks.size, -1))
         # The census becomes the rates in place.
         np.minimum(census, room, out=census)
         np.subtract(duals.powers, duals.lhs, out=residual)
@@ -375,8 +376,8 @@ def next_event(duals: DualState) -> tuple[np.ndarray, list[int]]:
     np.divide(residual, rates, out=step, where=positive)
     steps = step.reshape(clocks.size, -1)
     delta = np.minimum.reduce(steps, axis=1, where=positive.reshape(clocks.size, -1), initial=np.inf)
-    found = delta.tolist()
-    if np.inf in found or min(found) < 0.0:
+    deltas = delta.tolist()
+    if np.inf in deltas or min(deltas) < 0.0:
         idle = delta == np.inf
         if (idle & np.isnan(duals.covered_at).reshape(clocks.size, -1).any(axis=1)).any():
             raise AscentStalledError("an instance has users uncovered but no disk that can ascend")
