@@ -35,6 +35,7 @@ from cmpc.primal_dual import (
     init_solver,
     next_event,
 )
+from cmpc.slack import SLACK_BLOCK
 from cmpc.solution import trace_to_json_list
 
 from _oracles import (
@@ -619,6 +620,8 @@ def finalize_cases():
     for seed in range(6):
         m, n = 2 + seed % 4, 20 + 7 * seed
         yield pytest.param(gen_instance(GenConfig(m=m, n=n, kbar=n / m, seed=500 + seed)), True, id=str(seed))
+    # A server with more runs than a block of finalize holds (see below).
+    yield pytest.param(gen_instance(GenConfig(m=3, n=217, kbar=217 / 3, seed=501)), True, id="split")
     # Users on an integer grid: many disks share a gamma start. Capacity is
     # ample in the first, so no server needs slack there.
     grid_ample, grid_tight = list(ascent_instances())[-2:]
@@ -650,18 +653,20 @@ def most_runs(inst, duals) -> int:
 @pytest.mark.parametrize("scale", [1, 64, 1 << 16])
 @pytest.mark.parametrize("inst, exercises_mu", finalize_cases())
 def test_finalize_mu_is_the_per_run_sums_bit_for_bit(inst, exercises_mu, scale):
-    # finalize sums up to m runs at a time; each run's prefix sum must be the
-    # same sequential sum as the per-run loop's, so mu is equal bit for bit.
+    # finalize sums a block of runs at a time; each run's prefix sum must be
+    # the same sequential sum as the per-run loop's, so mu is equal bit for bit.
     _, duals, _ = pd_solve(scaled(inst, scale))
     assert same_bits(duals.mu, finalize_mu_by_runs(duals))
 
 
 def test_finalize_cases_split_a_server_across_blocks():
-    # A server with more than m runs has its runs in more than one block of
-    # m; the m=2 tight draw that finalize_cases() starts with has one.
-    inst = gen_instance(GenConfig(m=2, n=20, kbar=10.0, seed=500))
+    # A server with more runs than a block holds, max(m, SLACK_BLOCK // n),
+    # has its runs in more than one block; the "split" draw of
+    # finalize_cases() has one (17 runs, 9 to a block). A small solve, such
+    # as the other draws there, sums all its runs in one block.
+    inst = gen_instance(GenConfig(m=3, n=217, kbar=217 / 3, seed=501))
     _, duals, _ = pd_solve(inst)
-    assert most_runs(inst, duals) > inst.m
+    assert most_runs(inst, duals) > max(inst.m, SLACK_BLOCK // inst.n)
 
 
 @pytest.mark.parametrize("inst", lockstep_instances(), ids=lambda inst: f"m{inst.m}-n{inst.n}")
