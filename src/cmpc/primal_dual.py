@@ -192,8 +192,9 @@ class DualState:
         self._rows = np.arange(count * m).reshape(count, m, 1)
         self._widths = np.minimum(n - 1, self.capacity) + 1
         self._lows = np.zeros(count * m, dtype=np.int64)
-        # Rows of rates (census), residuals and steps, and of the disks that
-        # fit their room or ascend and the tight ones, unpacked once an event.
+        # Work rows, unpacked by each event: rates (census), residuals and
+        # steps; the mask of disks that fit their room, then of positive
+        # rates, and that of tight disks.
         self._floats = tuple(np.empty((3, count * m * n), dtype=np.float64))
         self._bools = tuple(np.empty((2, count * m * n), dtype=bool))
         self._index = self._block = None
