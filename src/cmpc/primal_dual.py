@@ -177,8 +177,7 @@ class DualState:
         self.tight_tol = TIGHTNESS_TOL * self.powers
         self.lhs = np.zeros(self.powers.size, dtype=np.float64)
         self.capacity = np.concatenate([instance.capacity for instance in instances])
-        # float64, as the rates are: counts are exact in it.
-        self.remaining_capacity = self.capacity.astype(np.float64)
+        self.remaining_capacity = self.capacity.copy()
         self.last_selected = [-1] * (count * m)
         self.assignment = np.full(count * n, -1, dtype=np.int64)
         self.clock = np.zeros(count)
@@ -341,7 +340,9 @@ def next_event(duals: DualState) -> tuple[np.ndarray, list[int]]:
     their suffix tested disk by disk, exactly as above.
     """
     m, n = duals.table.order.shape
-    room = duals.remaining_capacity
+    # In float64, as the rates are. A capacity of 2**53 or more may round,
+    # but stays above every census, which is at most n.
+    room = duals.remaining_capacity.astype(np.float64)
     block, clocks = duals._block, duals.clock
     if block is None:
         rates, residual, step = duals._floats
@@ -476,7 +477,7 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
     if len(newly) > duals.remaining_capacity[s]:
         raise CapacityInvariantError(
             f"tight disk (server {s}, rank {rank}) holds {len(newly)} uncovered "
-            f"users but only {duals.remaining_capacity[s]:g} capacity remains",
+            f"users but only {duals.remaining_capacity[s]} capacity remains",
             s,
             rank,
             newly.tolist(),

@@ -23,13 +23,13 @@ into blocks; as blocks hold runs of similar ends, the sums stop near where
 their runs do.
 
 A block holds per = max(m, SLACK_BLOCK // n) runs, so at most max(m * n,
-SLACK_BLOCK) prices. With per = m, as whenever m * n >= SLACK_BLOCK, its
-matrix and sums fit the ascent's m*n work buffers, free by now like the
-ranked theta and the budgets; with more, they take two fresh buffers of
-per * n <= SLACK_BLOCK prices. A solve has at most m * n runs, so while m *
-n * n <= SLACK_BLOCK one block holds them all: a tiny solve makes the
-block's dozen numpy calls once. The runs partition the disks, so a block's
-gather index spans at most m*n of them.
+SLACK_BLOCK) prices. Where its min(per, runs) rows fit m rows, as whenever
+m * n >= SLACK_BLOCK, its matrix and sums take the ascent's m*n work
+buffers, free by now like the ranked theta and the budgets; else two fresh
+buffers of min(per, runs) * n <= SLACK_BLOCK prices. A solve has at most
+m * n runs, so while m * n * n <= SLACK_BLOCK one block holds them all: a
+tiny solve makes the block's dozen numpy calls once. The runs partition the
+disks, so a block's gather index spans at most m*n of them.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ def slack_prices(duals) -> np.ndarray:
     by_end = ends.argsort(kind="stable")
     heads, lengths, servers, ends = heads[by_end], lengths[by_end], servers[by_end], ends[by_end].tolist()
     count, per = heads.size, max(m, SLACK_BLOCK // n)
-    work = duals._floats[1:] if per == m else np.empty((2, per * n))
+    # A block's matrix and its sums take at most min(per, count) rows of n.
+    size = min(per, count) * n
+    work = duals._floats[1:] if size <= m * n else np.empty((2, size))
     gamma_starts = starts.take(heads)[:, None]
     # The disks of the runs in order, as flat indices: lead[r] plus their place.
     lead, done = heads - (lengths.cumsum() - lengths), 0

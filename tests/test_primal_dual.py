@@ -160,6 +160,15 @@ def test_apply_selection_updates_state():
     assert duals.covered_at[0] == 1.0
 
 
+def test_remaining_capacity_is_exact_at_the_largest_capacity():
+    # An Instance takes capacities up to 2**63 - 1, past float64's exact
+    # integers: the state and the trace count the room left in int64.
+    inst = make_instance([(0.0, 0.0, 2**63 - 1)], [(1.0, 0.0), (2.0, 0.0)])
+    _, duals, trace = pd_solve(inst)
+    assert [event.remaining_after for event in trace] == [2**63 - 2, 2**63 - 3]
+    assert duals.remaining_capacity.dtype == np.int64 and duals.remaining_capacity.tolist() == [2**63 - 3]
+
+
 def test_apply_selection_vacuous_tie_sibling():
     # Two servers equidistant from both users: all four disks go tight at
     # once; the first big disk covers everything, its sibling is vacuous.
