@@ -38,6 +38,10 @@ import numpy as np
 
 
 # The prices a block of runs holds when m * n is smaller (see above): 16 KB.
+# From 256, the largest m * n * n of the oracle workload's draws (m=4,
+# n=8), each of those solves takes one block; above 4,399 the m=10, n=400
+# draws of certify-tight would leave blocks of m. BENCH_31.json times
+# finalize at sizes from m runs (0) to 8,192.
 SLACK_BLOCK = 2048
 
 
