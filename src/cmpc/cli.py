@@ -23,7 +23,7 @@ from .certify import check_charging, dual_objective, verify_dual_feasibility
 from .generate import GenConfig, gen_instance
 from .metrics import util_variance, validate
 from .model import InsufficientCapacityError, dump_instance, instance_from_json_dict, order_table
-from .primal_dual import CapacityInvariantError, pd_solve
+from .primal_dual import AscentStalledError, CapacityInvariantError, pd_solve
 from .reference import DEFAULT_NODE_BUDGET, ncs_solve, opt_solve
 from .solution import trace_to_json_list
 
@@ -129,20 +129,16 @@ def _cmd_solve(args) -> int:
     instance = _load_json(args.infile, _parse_instance)
     start = time.perf_counter()
     trace = None
-    try:
-        if args.algo == "pd":
-            solution, duals, trace = pd_solve(instance)
-        elif args.algo == "ncs":
-            solution = ncs_solve(instance)
-        else:
-            result = opt_solve(instance, args.oracle_budget)
-            if result.status != "optimal":
-                print(json.dumps({"algo": "opt", **result.to_json_dict()}, indent=2))
-                return 0 if result.status == "budget_exceeded" else FAILURE_EXIT
-            solution = result.solution
-    except InsufficientCapacityError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return FAILURE_EXIT
+    if args.algo == "pd":
+        solution, duals, trace = pd_solve(instance)
+    elif args.algo == "ncs":
+        solution = ncs_solve(instance)
+    else:
+        result = opt_solve(instance, args.oracle_budget)
+        if result.status != "optimal":
+            print(json.dumps({"algo": "opt", **result.to_json_dict()}, indent=2))
+            return 0 if result.status == "budget_exceeded" else FAILURE_EXIT
+        solution = result.solution
     runtime_ms = (time.perf_counter() - start) * 1e3
 
     report = validate(instance, solution)
@@ -178,26 +174,14 @@ def _cmd_bench(args) -> int:
     if os.path.isdir(config.out):
         print(f"bench: output path {config.out} is a directory", file=sys.stderr)
         return USAGE_EXIT
-    try:
-        rows = run_experiment(config)
-    except BenchValidationError as exc:
-        print(f"bench aborted: {exc}", file=sys.stderr)
-        return FAILURE_EXIT
-    write_csv(rows, config.out)
+    write_csv(run_experiment(config), config.out)
     print(config.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     instance = _load_json(args.infile, _parse_instance)
-    try:
-        solution, duals, trace = pd_solve(instance)
-    except InsufficientCapacityError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return FAILURE_EXIT
-    except CapacityInvariantError as exc:
-        print(f"solver invariant failure: {exc}", file=sys.stderr)
-        return FAILURE_EXIT
+    solution, duals, trace = pd_solve(instance)
 
     failures = 0
     report = validate(instance, solution)
@@ -236,10 +220,18 @@ def cli(argv) -> int:
         "bench": _cmd_bench,
         "verify": _cmd_verify,
     }
+    # Every solver failure ends here: one stderr line, exit 2.
     try:
         return handlers[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except InsufficientCapacityError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+    except (CapacityInvariantError, AscentStalledError) as exc:
+        print(f"solver invariant failure: {exc}", file=sys.stderr)
+    except BenchValidationError as exc:
+        print(f"bench aborted: {exc}", file=sys.stderr)
+    return FAILURE_EXIT
 
 
 def main() -> None:

@@ -35,17 +35,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# The checkers live in certify; their names stay reachable here too.
-from .certify import (  # noqa: F401
-    CHECK_TOL,
-    TIGHTNESS_TOL,
-    ChargingViolation,
-    DualViolation,
-    charge_breakdown,
-    check_charging,
-    dual_objective,
-    verify_dual_feasibility,
-)
+# The checkers live in certify; benchmark/tracing.py wraps them here.
+from .certify import TIGHTNESS_TOL, charge_breakdown, check_charging, verify_dual_feasibility  # noqa: F401
 from .model import Instance, order_table, require_capacity
 from .slack import slack_prices
 from .solution import EventTrace, SelectionEvent, Solution, make_solution
@@ -55,16 +46,8 @@ class CapacityInvariantError(RuntimeError):
     """A tight disk would cover more users than its server can still serve.
 
     Structurally unreachable under the selection order used here; raised as a
-    hard diagnostic (with the partial event trace) if numerics prove otherwise.
+    hard diagnostic if numerics prove otherwise.
     """
-
-    def __init__(self, message: str, server: int, rank: int, newly_covered: Sequence[int], remaining: int):
-        super().__init__(message)
-        self.server = server
-        self.rank = rank
-        self.newly_covered = list(newly_covered)
-        self.remaining = remaining
-        self.trace: list[SelectionEvent] = []
 
 
 class AscentStalledError(RuntimeError):
@@ -477,11 +460,7 @@ def apply_selection(duals: DualState, idx: int) -> list[int]:
     if len(newly) > duals.remaining_capacity[s]:
         raise CapacityInvariantError(
             f"tight disk (server {s}, rank {rank}) holds {len(newly)} uncovered "
-            f"users but only {duals.remaining_capacity[s]} capacity remains",
-            s,
-            rank,
-            newly.tolist(),
-            int(duals.remaining_capacity[s]),
+            f"users but only {duals.remaining_capacity[s]} capacity remains"
         )
 
     b = s // duals._rows.shape[1]
@@ -498,8 +477,8 @@ def pd_solve(instance: Instance) -> tuple[Solution, DualState, EventTrace]:
     pd_solve_batch on `instance` alone, then finalize.
 
     Raises InsufficientCapacityError when total capacity < n,
-    CapacityInvariantError (trace attached) if a selection would ever exceed
-    remaining capacity, and AscentStalledError if an event covers no user.
+    CapacityInvariantError if a selection would ever exceed remaining
+    capacity, and AscentStalledError if an event covers no user.
     """
     (solution,), duals, (trace,) = pd_solve_batch([instance])
     duals.finalize()
@@ -541,11 +520,7 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
             if not duals.remaining_capacity[s]:
                 continue
             b = s // m
-            try:
-                newly = apply_selection(duals, idx)
-            except CapacityInvariantError as err:
-                err.trace = list(traces[b])
-                raise
+            newly = apply_selection(duals, idx)
             if newly:
                 uncovered[b] -= len(newly)
                 traces[b].append(

@@ -2,6 +2,7 @@
 and what its modules import and how large they are."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -67,6 +68,35 @@ def test_benchmark_api_calls_are_exported():
     names = benchmark_api_names()
     assert "pd_solve" in names  # the walk found the calls
     assert sorted(names - set(cmpc.__all__)) == []
+
+
+def traced_names():
+    """The (module, attribute) pairs of the SPANS and COUNTED tables in the benchmark's tracer."""
+    tree = ast.parse((ROOT / "benchmark/tracing.py").read_text(encoding="utf-8"))
+    pairs = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SPANS", "COUNTED"):
+            pairs += [(module, attr) for module, attr, _ in ast.literal_eval(node.value)]
+    return pairs
+
+
+# Names the tracer still lists that left src/ long ago (ROADMAP item 5).
+STALE_TRACED = {"model.build_disks", "model.server_order", "model.order_key"}
+
+
+def test_every_traced_name_resolves_but_the_stale_ones():
+    # A traced name that no longer resolves reads 0 in every per-layer
+    # figure it feeds, so a deletion in src/ must not leave one behind.
+    pairs = traced_names()
+    assert ("primal_dual", "check_charging") in pairs  # the walk found the tables
+    unresolved = set()
+    for module, attr in pairs:
+        owner = importlib.import_module(f"cmpc.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            unresolved.add(f"{module}.{attr}")
+    assert unresolved <= STALE_TRACED
 
 
 def test_import_loads_no_process_pool():

@@ -15,7 +15,7 @@ from cmpc.bench import CSV_HEADER, BenchValidationError, rows_to_csv_text
 from cmpc.cli import cli
 from cmpc.metrics import ValidationReport
 from cmpc.model import dump_instance
-from cmpc.primal_dual import CapacityInvariantError
+from cmpc.primal_dual import AscentStalledError, CapacityInvariantError
 from cmpc.solution import trace_to_json_list
 
 
@@ -566,13 +566,29 @@ def test_cli_verify_infeasible_instance_exit_2(tmp_path, capsys):
 
 def test_cli_verify_invariant_failure_exit_2(tmp_path, capsys, monkeypatch):
     def broken(instance):
-        raise CapacityInvariantError("server 0 holds 2 users, capacity 1", 0, 1, [0, 1], 1)
+        raise CapacityInvariantError("server 0 holds 2 users, capacity 1")
 
     monkeypatch.setattr("cmpc.cli.pd_solve", broken)
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(THREE_USER_JSON))
     assert cli(["verify", "--in", str(path)]) == 2
     assert capsys.readouterr().err == "solver invariant failure: server 0 holds 2 users, capacity 1\n"
+
+
+@pytest.mark.parametrize("error", [CapacityInvariantError, AscentStalledError])
+@pytest.mark.parametrize("command", [["solve", "--algo", "pd"], ["verify"]], ids=["solve", "verify"])
+def test_cli_solver_invariant_failure_is_one_line_exit_2(tmp_path, capsys, monkeypatch, command, error):
+    # cli() alone maps an ascent's invariant failure to exit 2: one stderr
+    # line, nothing on stdout, no traceback.
+    def broken(instance):
+        raise error("the ascent broke")
+
+    monkeypatch.setattr("cmpc.cli.pd_solve", broken)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(THREE_USER_JSON))
+    assert cli([*command, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "solver invariant failure: the ascent broke\n")
 
 
 def test_cli_usage_error_exit_1(capsys):
