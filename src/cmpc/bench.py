@@ -5,9 +5,10 @@ server count crossed with total capacity (m_K), and the attenuation exponent
 (alpha); the server-area concentration (lambda) is a fixed parameter.
 Every (sweep point, trial) pair maps to one deterministic instance seed, so
 a run is reproducible byte for byte, in one process or in two.
-Wall-clock timing is opt-in because it would break that reproducibility;
-with it off, the pd covers of a point's trials come from one batched ascent
-(`pd_solve_batch`), the same bits as one solve at a time.
+Wall-clock timing is opt-in because it would break that reproducibility.
+Every pd cover comes from a batched ascent (`pd_solve_batch`), the same bits
+as one solve at a time: one batch per point with timing off, one per trial
+with it on.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 from .generate import GenConfig, gen_instance
 from .metrics import approximation_ratio, util_variance, validate
 from .model import Instance, dump_instance, json_value
-from .primal_dual import pd_solve, pd_solve_batch
+from .primal_dual import pd_solve_batch
 from .reference import ncs_solve, opt_solve
 from .solution import Solution
 
@@ -224,13 +225,10 @@ def _validated(instance: Instance, solution: Solution, seed: int, algo: str, out
 
 
 def _trial_rows(
-    config: ExperimentConfig, gen_template: GenConfig, seed: int, instance: Optional[Instance] = None, pd_solution: Optional[Solution] = None
+    config: ExperimentConfig, gen_template: GenConfig, seed: int, instance: Instance, pd_solution: Solution, pd_ms: Optional[float]
 ) -> list[ResultRow]:
-    """Generate, solve, validate and record one (sweep point, trial); a
-    point's batch passes its instance and pd cover in."""
-    if instance is None:
-        instance = gen_instance(replace(gen_template, seed=seed))
-
+    """Solve, validate and record one (sweep point, trial), given its
+    instance and its pd cover, timed or not."""
     opt_power = None
     opt_row = []
     if config.oracle_budget > 0:
@@ -239,9 +237,6 @@ def _trial_rows(
             opt_power = result.value
             opt_row = [("opt", result.solution, opt_ms)]
 
-    pd_ms = None
-    if pd_solution is None:
-        pd_solution, pd_ms = _timed(lambda ins: pd_solve(ins)[0], instance, timing=config.timing)
     ncs_solution, ncs_ms = _timed(ncs_solve, instance, timing=config.timing)
     solved = [("pd", pd_solution, pd_ms), ("ncs", ncs_solution, ncs_ms), *opt_row]
 
@@ -271,20 +266,21 @@ def _trial_rows(
 def _point_rows(config: ExperimentConfig, gen_template: GenConfig, seeds: list[int]) -> list[list[ResultRow]]:
     """The rows of a run of one sweep point's trials, one list per trial.
 
-    With timing off, the run's instances are drawn first and their pd covers
-    come from one batch (`pd_solve_batch`). With timing on, or if anything
-    in the batch raises, the trials run one at a time (`_trial_rows`), so
-    that each solve is timed alone, and the error raised and the instance
-    dumped are those a serial run meets first.
+    The run's instances are drawn first, and their pd covers come from one
+    batch (`pd_solve_batch`), timed when timing is on; a timed run is one
+    trial, so each solve is timed alone. If the draws or the batch of two
+    or more trials raise, the run is done again as batches of one, so that
+    the error raised and the instance dumped are those a serial run meets
+    first.
     """
-    if not config.timing:
-        try:
-            instances = [gen_instance(replace(gen_template, seed=seed)) for seed in seeds]
-            covers = pd_solve_batch(instances)[0]
-            return [_trial_rows(config, gen_template, *trial) for trial in zip(seeds, instances, covers)]
-        except Exception:
-            pass
-    return [_trial_rows(config, gen_template, seed) for seed in seeds]
+    try:
+        instances = [gen_instance(replace(gen_template, seed=seed)) for seed in seeds]
+        (covers, _, _), pd_ms = _timed(pd_solve_batch, instances, timing=config.timing)
+    except Exception:
+        if len(seeds) == 1:
+            raise
+        return [rows for seed in seeds for rows in _point_rows(config, gen_template, [seed])]
+    return [_trial_rows(config, gen_template, *trial, pd_ms) for trial in zip(seeds, instances, covers)]
 
 
 def _default_jobs() -> int:
@@ -308,9 +304,11 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     validation raises BenchValidationError after its instance is written to
     the directory of `out` (the current directory when `out` is unset).
 
-    A task is a run of one point's trials (`_point_rows`): one trial with
-    timing on, its `runtime_ms` timed in whichever process solved it, and
-    the whole point with timing off, its trials' pd covers from one batch.
+    A task is a run of one point's trials (`_point_rows`), whose pd covers
+    come from one batch: one trial with timing on, its `runtime_ms` timed
+    in whichever process solved it, and the whole point with timing off.
+    pd's `runtime_ms` times the ascent that makes the cover, without
+    finalize's slack prices, which no row reads.
     The tasks run in `_default_jobs()` processes (`_run_shares`). The rows
     come back in (point, trial) order, so they are the same for one process
     and for two, and with timing on and off but for `runtime_ms`; so is the

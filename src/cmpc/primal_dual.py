@@ -489,16 +489,18 @@ def pd_solve_batch(instances: Sequence[Instance]) -> tuple[list[Solution], DualS
     """pd_solve on each of `instances` in one ascent, all but finalize: the
     covers, the state and the traces.
 
-    The instances must share one shape (m, n); two or more work at full
-    width, whatever their own gates say, and one as its gate says. Their
-    state is the union of theirs (see DualState): instance b's prices are
-    covered_at and theta[b*n:(b+1)*n], gamma_start and beta[b*m*n:(b+1)*m*n],
-    its clock is clock[b], and mu stays zero. Each event steps every
-    instance by its own delta until the last one has covered every user, so
-    each cover, trace and price is bit for bit that of the instance's own
-    pd_solve. Raises as pd_solve does, for the first instance short of
+    The instances, one or more, must share one shape (m, n); two or more
+    work at full width, whatever their own gates say, and one as its gate
+    says. Their state is the union of theirs (see DualState): instance b's
+    prices are covered_at and theta[b*n:(b+1)*n], gamma_start and
+    beta[b*m*n:(b+1)*m*n], its clock is clock[b], and mu stays zero. Each
+    event steps every instance by its own delta until the last one has
+    covered every user, so each cover, trace and price is bit for bit that
+    of the instance's own pd_solve. Raises as pd_solve does, for the first instance short of
     capacity or at the first failing event.
     """
+    if not instances:
+        raise ValueError("a batch takes at least one instance")
     for instance in instances:
         require_capacity(instance)
     if len({(instance.m, instance.n) for instance in instances}) > 1:

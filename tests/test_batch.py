@@ -133,6 +133,11 @@ def test_batch_of_one_is_pd_solve_but_finalize():
     assert not duals.mu.any() and (lone[1].mu > 0).any()
 
 
+def test_batch_rejects_no_instance():
+    with pytest.raises(ValueError, match="at least one instance"):
+        pd_solve_batch([])
+
+
 def test_batch_rejects_mixed_shapes():
     with pytest.raises(ValueError, match="one shape"):
         pd_solve_batch([drawn(3, 10, 2.0, 2.0, 1), drawn(3, 11, 2.0, 2.0, 2)])

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from cmpc import ExperimentConfig, GenConfig, gen_instance, load_instance, ncs_solve, pd_solve, run_experiment, write_csv
-from cmpc import bench
+from cmpc import bench, primal_dual
 from cmpc.bench import CSV_HEADER, BenchValidationError, rows_to_csv_text
 from cmpc.cli import cli
 from cmpc.metrics import ValidationReport
@@ -374,6 +374,49 @@ def test_batched_sweep_fails_like_a_serial_one(tmp_path, monkeypatch, fault):
     assert ("seed 104" if fault == "validation" else "< 8 users") in serial[1]
     for cores in (1, 2):
         assert sweep(cores, False) == serial
+
+
+@pytest.mark.parametrize("timing", [False, True], ids=["timing-off", "timing-on"])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_first_failing_trial_wins_over_a_failing_batch(tmp_path, monkeypatch, cores, timing):
+    # One point, seeds 100-102. Seed 102 falls short of capacity, so a batch
+    # of all three raises first; seed 100's pd cover fails validation, which
+    # is what a serial run meets first, and so what every run must raise.
+    fail_one_trial(monkeypatch, 100, "validation")
+    fail_one_trial(monkeypatch, 102, "pd")
+    config = tiny_config(sweep_values=(5,), oracle_budget=0, out=str(tmp_path / "r.csv"), timing=timing)
+    error = failure_of(monkeypatch, config, cores)
+    assert type(error) is BenchValidationError and "pd solution failed validation on seed 100" in str(error)
+    assert os.listdir(tmp_path) == ["cmpc_failed_instance_pd_100.json"]
+
+
+def test_untimed_sweep_batches_each_point_once(monkeypatch):
+    # A batch that raised would be done again as batches of one, with the
+    # same rows; only the sizes of the batches show it.
+    sizes = []
+    real = bench.pd_solve_batch
+
+    def batch(instances):
+        sizes.append(len(instances))
+        return real(instances)
+
+    on_cores(monkeypatch, 1)
+    monkeypatch.setattr(bench, "pd_solve_batch", batch)
+    config = replace(user_study(3), timing=False)
+    run_experiment(config)
+    assert sizes == [3] * len(config.sweep_values)
+
+
+def test_timed_sweep_runs_no_finalize(monkeypatch):
+    # A timed pd row times the ascent that makes the cover; no row reads the
+    # slack prices that finalize adds.
+    def finalize(self):
+        raise AssertionError("a sweep ran finalize")
+
+    on_cores(monkeypatch, 1)
+    monkeypatch.setattr(primal_dual.DualState, "finalize", finalize)
+    rows = run_experiment(tiny_config(timing=True))
+    assert len(rows) == 24 and all(row.runtime_ms is not None for row in rows)
 
 
 class TwoArgumentError(Exception):
