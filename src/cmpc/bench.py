@@ -17,8 +17,8 @@ import mmap
 import os
 import pickle
 import time
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 from .generate import GenConfig, gen_instance
 from .metrics import approximation_ratio, util_variance, validate
@@ -38,14 +38,8 @@ SWEEP_VARIABLES = tuple(_SWEEP_POINTS)
 
 
 class BenchValidationError(RuntimeError):
-    """A produced solution failed validation; the instance was serialized."""
-
-    def __init__(self, message: str, instance_path: str):
-        super().__init__(message)
-        self.instance_path = instance_path
-
-    def __reduce__(self):  # the default passes only the message back to __init__
-        return type(self), (str(self), self.instance_path)
+    """A produced solution failed validation; the message ends with the path
+    the instance was serialized to."""
 
 
 @dataclass(frozen=True)
@@ -160,8 +154,9 @@ def _sweep_point(value, kinds, where: str):
     return tuple(_convert(v, kind, f"{where}[{j}]") for j, (v, kind) in enumerate(zip(value, kinds)))
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One CSV row, its fields in CSV_HEADER's column order."""
+
     experiment_id: str
     seed: Optional[int]
     m: int
@@ -177,14 +172,7 @@ class ResultRow:
     util_variance: float
 
     def to_csv_line(self) -> str:
-        values = (getattr(self, name) for name in _ROW_FIELDS)
-        return ",".join("" if v is None else str(v) for v in values)
-
-
-# ResultRow's field names, declared in CSV_HEADER's column order. Taken once:
-# a fields() call per row builds a fresh 13-tuple, and the interpreter keeps
-# up to 2000 freed ones on its free list (0.3 MB over one user sweep).
-_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+        return ",".join("" if v is None else str(v) for v in self)
 
 
 def _resolve_point(config: ExperimentConfig, point) -> GenConfig:
@@ -219,8 +207,7 @@ def _validated(instance: Instance, solution: Solution, seed: int, algo: str, out
         dump_instance(instance, path)
         raise BenchValidationError(
             f"{algo} solution failed validation on seed {seed}: {report.violations}; "
-            f"instance written to {path}",
-            path,
+            f"instance written to {path}"
         )
 
 
@@ -298,11 +285,13 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     seed_base + trial so all alpha values are solved on the same datasets
     (the exponent does not influence the position/capacity draws). The exact
     solver runs only when oracle_budget > 0 and its row is absent whenever
-    the budget is exceeded (ratio columns stay empty then). Mean rows per
-    (point, algo) are appended after all data rows, marked by an empty seed
-    column and an ':mean'-suffixed experiment id. A solution that fails
-    validation raises BenchValidationError after its instance is written to
-    the directory of `out` (the current directory when `out` is unset).
+    the budget is exceeded (ratio columns stay empty then). A point's mean
+    rows, one per algorithm with a row there, in the order of
+    `_trial_rows`, are appended after all data rows, marked by an empty
+    seed column and an ':mean'-suffixed experiment id. A solution that
+    fails validation raises BenchValidationError after its instance is
+    written to the directory of `out` (the current directory when `out` is
+    unset).
 
     A task is a run of one point's trials (`_point_rows`), whose pd covers
     come from one batch: one trial with timing on, its `runtime_ms` timed
@@ -328,15 +317,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     summaries: list[ResultRow] = []
     for p_idx in range(len(templates)):
         point_rows = [row for rows in per_trial[p_idx * config.trials:(p_idx + 1) * config.trials] for row in rows]
-        for algo in ("pd", "ncs", "opt"):
+        for algo in dict.fromkeys(r.algo for r in point_rows):
             group = [r for r in point_rows if r.algo == algo]
-            if not group:
-                continue
             ratios = [r.ratio_vs_opt for r in group if r.ratio_vs_opt is not None]
             times = [r.runtime_ms for r in group if r.runtime_ms is not None]
             summaries.append(
-                replace(
-                    group[0],
+                group[0]._replace(
                     experiment_id=f"{config.experiment_id}:mean",
                     seed=None,
                     total_power=sum(r.total_power for r in group) / len(group),

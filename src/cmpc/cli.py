@@ -117,7 +117,12 @@ def _cmd_gen(args) -> int:
         return USAGE_EXIT
     for seed in range(args.seed, args.seed + args.trials):
         path = os.path.join(args.out, f"instance_{seed:08d}.json")
-        dump_instance(gen_instance(replace(template, seed=seed)), path)
+        instance = gen_instance(replace(template, seed=seed))
+        try:
+            dump_instance(instance, path)
+        except OSError as exc:  # a directory of that name, say
+            print(f"gen: cannot write {path}: {_reason(exc)}", file=sys.stderr)
+            return USAGE_EXIT
         print(path)
     return 0
 
@@ -174,7 +179,12 @@ def _cmd_bench(args) -> int:
     if os.path.isdir(config.out):
         print(f"bench: output path {config.out} is a directory", file=sys.stderr)
         return USAGE_EXIT
-    write_csv(run_experiment(config), config.out)
+    rows = run_experiment(config)
+    try:
+        write_csv(rows, config.out)
+    except OSError as exc:  # a dangling symlink, say
+        print(f"bench: cannot write {config.out}: {_reason(exc)}", file=sys.stderr)
+        return USAGE_EXIT
     print(config.out)
     return 0
 

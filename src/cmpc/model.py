@@ -254,10 +254,7 @@ def key_order(dist: np.ndarray, cosine: np.ndarray, tiebreak: np.ndarray) -> np.
     picked = flat[at]
     source = at - at % dist.shape[-1] + picked  # flat index into the key arrays
     run = np.cumsum(~follows[at])
-    resort = np.argsort(tiebreak.reshape(-1)[source], kind="stable")
-    resort = resort[np.argsort(cosine.reshape(-1)[source[resort]], kind="stable")]
-    resort = resort[np.argsort(run[resort], kind="stable")]
-    flat[at] = picked[resort]
+    flat[at] = picked[np.lexsort((tiebreak.reshape(-1)[source], cosine.reshape(-1)[source], run))]
     return flat.reshape(order.shape)
 
 

@@ -203,8 +203,6 @@ def opt_solve(instance: Instance, budget: int = DEFAULT_NODE_BUDGET) -> OptResul
 
     def descend(s: int, power_so_far: float, choice: list[Optional[int]], covered: int, cap: int) -> None:
         nonlocal nodes, best_power, best, exhausted
-        if exhausted:
-            return
         if nodes == budget:
             exhausted = True
             return

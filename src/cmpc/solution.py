@@ -4,7 +4,7 @@ user->server assignment) and the dual ascent's trace of selections."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .model import Instance, order_table
 
@@ -55,8 +55,7 @@ def make_solution(instance: Instance, ranks: Sequence[int], assignment: Sequence
     return Solution(radius=radius, power=power, assignment=tuple(assignment), total_power=total)
 
 
-@dataclass(frozen=True)
-class SelectionEvent:
+class SelectionEvent(NamedTuple):
     """One selection: a disk went tight and took over its uncovered users."""
 
     clock: float

@@ -224,10 +224,10 @@ def test_timing_on_and_off_give_the_same_rows(config):
 
 
 def test_bench_validation_error_survives_pickling():
-    error = BenchValidationError("pd solution failed validation on seed 3", "out/cmpc_failed_instance_pd_3.json")
+    error = BenchValidationError("pd solution failed validation on seed 3: []; instance written to out/cmpc_failed_instance_pd_3.json")
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is BenchValidationError
-    assert str(copy) == str(error) and copy.instance_path == error.instance_path
+    assert str(copy) == str(error)
 
 
 def failure_of(monkeypatch, config, cores):
@@ -266,7 +266,7 @@ def test_child_validation_failure_matches_serial(tmp_path, monkeypatch, cores):
     parallel = failure_of(monkeypatch, config, cores)
     assert type(parallel) is type(serial) is BenchValidationError
     assert str(parallel) == str(serial) and "seed 101" in str(serial)
-    assert parallel.instance_path == serial.instance_path == str(tmp_path / "cmpc_failed_instance_pd_101.json")
+    assert str(serial).endswith(f"; instance written to {tmp_path / 'cmpc_failed_instance_pd_101.json'}")
 
 
 def test_child_runtime_error_reraises_in_parent(monkeypatch):
@@ -833,7 +833,7 @@ def test_bench_failure_dump_lands_next_to_csv(tmp_path, capsys, monkeypatch):
     # Without an output path the dump goes to the current directory.
     with pytest.raises(BenchValidationError) as caught:
         run_experiment(ExperimentConfig.from_json_dict(config))
-    assert caught.value.instance_path == "cmpc_failed_instance_pd_3.json"
+    assert str(caught.value).endswith("; instance written to cmpc_failed_instance_pd_3.json")
     assert os.listdir(cwd) == ["cmpc_failed_instance_pd_3.json"]
 
 
@@ -922,6 +922,70 @@ def test_cli_path_of_the_wrong_kind_exit_1(tmp_path, capsys, command):
     else:
         assert captured.err == f"{target}: is a directory\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_cli_bench_out_that_cannot_be_written_exit_1(tmp_path, capsys):
+    # The directory exists, but the file is a symlink into one that does not.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**GOOD_CONFIG, "trials": 2}))
+    link = tmp_path / "r.csv"
+    link.symlink_to(tmp_path / "missing" / "r.csv")
+    assert cli(["bench", "--config", str(cfg_path), "--out", str(link)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err == f"bench: cannot write {link}: no such file or directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "r.csv"]
+
+
+def test_cli_gen_instance_file_that_cannot_be_written_exit_1(tmp_path, capsys):
+    blocked = tmp_path / "instance_00000000.json"
+    blocked.mkdir()
+    assert cli(["gen", "--m", "2", "--n", "3", "--kbar", "3", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err == f"gen: cannot write {blocked}: is a directory\n"
+    assert list(tmp_path.iterdir()) == [blocked] and list(blocked.iterdir()) == []
+
+
+def test_cli_bench_without_an_output_path_exit_1(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("cmpc.cli.run_experiment", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(GOOD_CONFIG))
+    assert cli(["bench", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "bench: no output path (--out or config 'out')\n")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_cli_verify_invalid_cover_exit_2(tmp_path, capsys, monkeypatch):
+    # Every user on server 0, whose capacity is 1 and whose disk holds one user.
+    def crowded(instance):
+        solution, duals, trace = pd_solve(instance)
+        return replace(solution, assignment=(0,) * instance.n), duals, trace
+
+    monkeypatch.setattr("cmpc.cli.pd_solve", crowded)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(THREE_USER_JSON))
+    assert cli(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) > 1 and all(line.startswith("constraint ") for line in lines[:-1])
+    assert "constraint capacity: server 0 serves 3 users, capacity 1" in lines
+    assert lines[-1] == f"verify: {len(lines) - 1} violation(s)"
+
+
+def test_cli_server_without_capacity_exit_1(tmp_path, capsys):
+    data = {**THREE_USER_JSON, "servers": [{"x": 0.0, "y": 0.0}, {"x": 10.0, "y": 0.0, "k": 2}]}
+    path = tmp_path / "no_k.json"
+    path.write_text(json.dumps(data))
+    assert cli(["verify", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{path}: instance JSON: missing field 'k' in a server/user record\n")
 
 
 def test_cli_verify_reports_every_violation_exit_2(tmp_path, capsys, monkeypatch):

@@ -1101,7 +1101,7 @@ def test_charging_allows_the_ascent_its_tight_gap(c):
     assert sol.assignment == (0, 1)
     assert check_charging(inst, trace, duals) == []
     assert verify_dual_feasibility(inst, duals) == []
-    raised = [trace[0], dataclasses.replace(trace[1], power=trace[1].power * (1 + 2 * TIGHTNESS_TOL))]
+    raised = [trace[0], trace[1]._replace(power=trace[1].power * (1 + 2 * TIGHTNESS_TOL))]
     assert [v.kind for v in check_charging(inst, raised, duals)] == ["power vs beta-charge + gamma", "power vs per-user charges"]
 
 
@@ -1119,7 +1119,7 @@ def fault_reports(inst):
 
     i = len(trace) // 2
     raised_power = list(trace)
-    raised_power[i] = dataclasses.replace(trace[i], power=trace[i].power * 1.1)
+    raised_power[i] = trace[i]._replace(power=trace[i].power * 1.1)
     mu, theta = duals.mu.copy(), duals.theta.copy()
     mu[np.argmax(mu)] /= 2
     theta[np.argmax(theta)] *= 1.1
@@ -1194,7 +1194,7 @@ def test_check_charging_pins_raised_power_to_its_event(bench_scale):
     inst, _, duals, trace = bench_scale
     i = len(trace) // 2
     bumped = list(trace)
-    bumped[i] = dataclasses.replace(trace[i], power=trace[i].power + 1.0)
+    bumped[i] = trace[i]._replace(power=trace[i].power + 1.0)
     violations = check_charging(inst, bumped, duals)
     assert {v.event_index for v in violations} == {i}
     assert "power vs beta-charge + gamma" in {v.kind for v in violations}
